@@ -19,6 +19,7 @@ from .analysis import (
     SweepRow,
     access_pmf,
     alpha_table,
+    expected_metrics,
     feasible_alphas,
     maximal_spreading_rate,
     minimal_spreading_rate,
@@ -118,6 +119,7 @@ __all__ = [
     "constant_prob_m1_optimal_alpha",
     "estimate_recovery_probability",
     "estimate_service_rate",
+    "expected_metrics",
     "feasible_alphas",
     "fixed_scaled_nonoptimality_threshold",
     "fixed_scaled_optimality_threshold",

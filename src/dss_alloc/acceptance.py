@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 from .analysis import (
     access_pmf,
     alpha_table,
+    expected_metrics,
     maximal_spreading_rate,
     minimal_spreading_rate,
     optimal_alpha,
@@ -39,7 +40,7 @@ from .models import (
     conditional_rate_bounds,
 )
 from .numerics import harmonic
-from .simulator import SimConfig, estimate_recovery_probability, estimate_service_rate
+from .simulator import SimConfig, estimate_service_rate, recovery_estimate
 
 __all__ = ["CriterionResult", "run_all"] + [f"criterion_{i}" for i in range(1, 10)]
 
@@ -65,32 +66,30 @@ def criterion_1() -> CriterionResult:
     """Closed-form extremal-spreading rates match the general rate sum."""
     worst = 0.0
     checks = 0
+
+    def compare(closed: float, general: float) -> None:
+        nonlocal worst, checks
+        worst = max(worst, _rel_err(closed, float(general)))
+        checks += 1
+
     for nodes in NODES_GRID:
         for m in M_GRID:
             for mu in MU_GRID:
-                minimal = SystemConfig(nodes, m, 1)
                 services = (SmallExp(mu), ScaledExp(mu), ConstantTime(mu))
                 for p in P_GRID:
                     access = Probabilistic(p)
                     for svc in services:
-                        closed = minimal_spreading_rate(access, svc, nodes, m)
-                        general = service_rate(minimal, access, svc)
-                        worst = max(worst, _rel_err(closed, general))
-                        checks += 1
+                        rates, _ = expected_metrics(access, svc, nodes, m, (1,))
+                        compare(minimal_spreading_rate(access, svc, nodes, m), rates[0])
                 for r in range(2, nodes + 1):
                     access = FixedSize(r)
+                    # alpha = r is the maximal allocation when it fits
+                    alphas = (1, r) if r * m <= nodes else (1,)
                     for svc in services:
-                        closed = minimal_spreading_rate(access, svc, nodes, m)
-                        general = service_rate(minimal, access, svc)
-                        worst = max(worst, _rel_err(closed, general))
-                        checks += 1
-                    if r * m <= nodes:
-                        maximal = SystemConfig(nodes, m, r)
-                        for svc in (ScaledExp(mu), ConstantTime(mu)):
-                            closed = maximal_spreading_rate(access, svc, nodes, m)
-                            general = service_rate(maximal, access, svc)
-                            worst = max(worst, _rel_err(closed, general))
-                            checks += 1
+                        rates, _ = expected_metrics(access, svc, nodes, m, alphas)
+                        compare(minimal_spreading_rate(access, svc, nodes, m), rates[0])
+                        if len(alphas) == 2 and not isinstance(svc, SmallExp):
+                            compare(maximal_spreading_rate(access, svc, nodes, m), rates[1])
     return CriterionResult(
         1,
         "closed-form rates match the general formula",
@@ -274,7 +273,7 @@ def criterion_7(trials: int = 1_000_000) -> CriterionResult:
                 est = estimate_service_rate(config, access, svc, sim)
                 if abs(est.mean - service_rate(config, access, svc)) <= 3.0 * est.std_error:
                     rate_hits += 1
-                prob_est = estimate_recovery_probability(config, access, sim)
+                prob_est = recovery_estimate(est.per_phi_counts, alpha, trials)
                 if abs(prob_est.mean - recovery_probability(config, access)) \
                         <= 3.0 * prob_est.std_error:
                     prob_hits += 1

@@ -4,6 +4,14 @@ Service rate mu_s(alpha) = sum_phi P(phi) * mu_s(alpha | phi) and recovery
 probability P_s(alpha) = P(phi >= alpha), their closed forms for minimal
 (alpha = 1) and maximal (alpha = r) spreading, exhaustive optimal-alpha
 search, and parameter sweeps.
+
+Every exact expectation goes through one NumPy kernel, expected_metrics: for
+a set of alphas it builds each alpha's access pmf once (one column of a phi x
+alpha matrix, see numerics), weights it by the conditional rates, and sums
+each column in phi order, so both metrics come from one pmf pass and a
+scalar service_rate is bit-identical to the matching row of a search. Alphas
+are processed in chunks of at most _CHUNK_CELLS matrix cells, which bounds
+the kernel's memory at any N.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, InfeasibleError, NoClosedFormError
 from .models import (
@@ -24,9 +34,9 @@ from .models import (
     ShiftedExp,
     SmallExp,
     SystemConfig,
-    conditional_rate,
+    rate_from_gap,
 )
-from .numerics import binomial, binomial_pmf, harmonic, hypergeometric_pmf, hypergeometric_support
+from .numerics import binomial, binomial_rows, harmonic, harmonic_gaps, hypergeometric_rows
 
 __all__ = [
     "MetricResult",
@@ -35,6 +45,7 @@ __all__ = [
     "SweepRow",
     "access_pmf",
     "alpha_table",
+    "expected_metrics",
     "feasible_alphas",
     "maximal_spreading_rate",
     "minimal_spreading_rate",
@@ -43,6 +54,9 @@ __all__ = [
     "service_rate",
     "sweep",
 ]
+
+# phi x alpha cells per kernel chunk (512 KiB per float64 matrix)
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,20 +95,58 @@ class OptimalResult:
     table: tuple[SweepRow, ...]
 
 
+def _access_rows(nodes: int, access: AccessModel, data) -> tuple:
+    """Return (lo, hi, P): the access pmf of each data-node count, one column each."""
+    if isinstance(access, FixedSize):
+        if access.r > nodes:
+            raise ConfigurationError(f"r={access.r} exceeds nodes={nodes}")
+        return hypergeometric_rows(nodes, data, access.r)
+    if isinstance(access, Probabilistic):
+        return binomial_rows(data, 1.0 - access.p)
+    raise ConfigurationError(f"unknown access model {access!r}")
+
+
+def expected_metrics(
+    access: AccessModel,
+    service: ServiceModel | None,
+    nodes: int,
+    m: int,
+    alphas: Iterable[int],
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Return (service rates, recovery probabilities), one entry per alpha.
+
+    The rates are None when service is None. Every alpha must admit an
+    allocation (1 <= alpha, m*alpha <= nodes). The cost is O(nodes) per alpha.
+    """
+    alphas = np.asarray(list(alphas), dtype=np.int64)
+    rates = None if service is None else np.zeros(len(alphas))
+    recovery = np.zeros(len(alphas))
+    if not len(alphas):
+        return rates, recovery
+    largest = int(alphas.max())
+    SystemConfig(nodes, m, int(alphas.min()))  # validates nodes, m and every alpha
+    SystemConfig(nodes, m, largest)
+    step = max(1, _CHUNK_CELLS // (m * largest + 1))
+    for start in range(0, len(alphas), step):
+        alpha = alphas[start:start + step]
+        _, _, probs = _access_rows(nodes, access, m * alpha)
+        phi = np.arange(probs.shape[0])[:, None]
+        reached = phi >= alpha
+        # cumsum adds in phi order whatever the chunk shape; its last row is the sum
+        weights = np.where(reached, probs, 0.0)
+        recovery[start:start + step] = np.cumsum(weights, axis=0)[-1]
+        if service is not None:
+            gap = np.where(reached, harmonic_gaps(phi, np.minimum(alpha, phi)), 1.0)
+            with np.errstate(under="ignore"):  # tail terms below 1e-308 are 0
+                terms = weights * rate_from_gap(service, alpha, gap)
+            rates[start:start + step] = np.cumsum(terms, axis=0)[-1]
+    return rates, np.minimum(recovery, 1.0)
+
+
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:
     """Return (phi, P(phi)) pairs over the access model's full phi support."""
-    D = config.data_nodes
-    if isinstance(access, FixedSize):
-        if access.r > config.nodes:
-            raise ConfigurationError(f"r={access.r} exceeds nodes={config.nodes}")
-        return [
-            (phi, hypergeometric_pmf(phi, config.nodes, D, access.r))
-            for phi in hypergeometric_support(config.nodes, D, access.r)
-        ]
-    if isinstance(access, Probabilistic):
-        q = 1.0 - access.p
-        return [(phi, binomial_pmf(phi, D, q)) for phi in range(D + 1)]
-    raise ConfigurationError(f"unknown access model {access!r}")
+    lo, hi, probs = _access_rows(config.nodes, access, [config.data_nodes])
+    return [(phi, float(probs[phi, 0])) for phi in range(int(lo[0]), int(hi[0]) + 1)]
 
 
 def service_rate(config: SystemConfig, access: AccessModel, service: ServiceModel) -> float:
@@ -103,17 +155,14 @@ def service_rate(config: SystemConfig, access: AccessModel, service: ServiceMode
     Returns 0 when no reachable phi meets alpha (e.g. alpha > r under
     fixed-size access).
     """
-    total = 0.0
-    for phi, prob in access_pmf(config, access):
-        if phi >= config.alpha and prob > 0.0:
-            total += prob * conditional_rate(service, config.alpha, phi)
-    return total
+    rates, _ = expected_metrics(access, service, config.nodes, config.m, [config.alpha])
+    return float(rates[0])
 
 
 def recovery_probability(config: SystemConfig, access: AccessModel) -> float:
     """Return P_s(alpha) = P(phi >= alpha)."""
-    total = sum(prob for phi, prob in access_pmf(config, access) if phi >= config.alpha)
-    return min(1.0, max(0.0, total))
+    _, recovery = expected_metrics(access, None, config.nodes, config.m, [config.alpha])
+    return float(recovery[0])
 
 
 def minimal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: int, m: int) -> float:
@@ -199,21 +248,16 @@ def optimal_alpha(
     """
     if objective not in ("service_rate", "recovery_probability"):
         raise ConfigurationError(f"unknown objective {objective!r}")
-    rows = []
-    best_alpha = 0
-    best_value = -1.0
-    for alpha in feasible_alphas(nodes, m, access):
-        config = SystemConfig(nodes, m, alpha)
-        row = SweepRow(
-            alpha=alpha,
-            service_rate=service_rate(config, access, service),
-            recovery_probability=recovery_probability(config, access),
-        )
-        rows.append(row)
-        value = getattr(row, objective)
-        if value > best_value:
-            best_alpha, best_value = alpha, value
-    return OptimalResult(best_alpha, best_value, tuple(rows))
+    alphas = feasible_alphas(nodes, m, access)
+    rates, recovery = expected_metrics(access, service, nodes, m, alphas)
+    values = rates if objective == "service_rate" else recovery
+    best = int(np.argmax(values))  # the first maximum: ties break low
+    return OptimalResult(alphas[best], float(values[best]), _rows(alphas, rates, recovery))
+
+
+def _rows(alphas, rates, recovery) -> tuple[SweepRow, ...]:
+    return tuple(SweepRow(alpha, rate, prob)
+                 for alpha, rate, prob in zip(alphas, rates.tolist(), recovery.tolist()))
 
 
 def alpha_table(
@@ -229,21 +273,15 @@ def alpha_table(
     exceed r under fixed-size access (those rows carry zero metrics); alphas
     with no allocation at all (m*alpha > nodes) are skipped with a warning.
     """
-    rows = []
+    kept = []
     for alpha in feasible_alphas(nodes, m, access) if alphas is None else alphas:
         if m * alpha > nodes:
             warnings.warn(f"skipping alpha={alpha}: m*alpha={m * alpha} exceeds nodes={nodes}",
                           stacklevel=2)
             continue
-        config = SystemConfig(nodes, m, alpha)
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                service_rate=service_rate(config, access, service),
-                recovery_probability=recovery_probability(config, access),
-            )
-        )
-    return tuple(rows)
+        kept.append(alpha)
+    rates, recovery = expected_metrics(access, service, nodes, m, kept)
+    return _rows(kept, rates, recovery)
 
 
 def sweep(

@@ -46,7 +46,7 @@ from .models import (
     SystemConfig,
 )
 from .presets import PRESETS, preset_rows
-from .simulator import SimConfig, estimate_recovery_probability, estimate_service_rate
+from .simulator import SimConfig, estimate_service_rate, recovery_estimate
 
 __all__ = ["RunSpec", "main", "parse_run_spec", "run"]
 
@@ -344,8 +344,11 @@ def _round12(value):
 
 def _emit(spec: RunSpec, text: str) -> None:
     if spec.output.path:
-        with open(spec.output.path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(spec.output.path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -545,7 +548,7 @@ def _run_simulate(spec: RunSpec) -> int:
     service = _require(spec.service, "service")
     sim = _require(spec.sim, "sim")
     rate_est = estimate_service_rate(config, access, service, sim)
-    prob_est = estimate_recovery_probability(config, access, sim)
+    prob_est = recovery_estimate(rate_est.per_phi_counts, config.alpha, sim.trials)
     rate_ref = service_rate(config, access, service)
     prob_ref = recovery_probability(config, access)
     rate_ok = abs(rate_est.mean - rate_ref) <= 3.0 * rate_est.std_error

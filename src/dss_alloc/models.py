@@ -9,6 +9,7 @@ reciprocal of its mean.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -28,6 +29,7 @@ __all__ = [
     "SystemConfig",
     "conditional_rate",
     "conditional_rate_bounds",
+    "rate_from_gap",
 ]
 
 
@@ -97,6 +99,11 @@ class Probabilistic:
 AccessModel = FixedSize | Probabilistic
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SmallExp:
     """Small-file regime: a node serves its whole chunk set in Exp(mu) time."""
@@ -105,8 +112,7 @@ class SmallExp:
     kind: ClassVar[str] = "small-exp"
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ConfigurationError(f"mu must be positive, got {self.mu}")
+        _require_finite_positive("mu", self.mu)
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,7 @@ class ScaledExp:
     kind: ClassVar[str] = "scaled-exp"
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ConfigurationError(f"mu must be positive, got {self.mu}")
+        _require_finite_positive("mu", self.mu)
 
 
 @dataclass(frozen=True)
@@ -133,10 +138,9 @@ class ShiftedExp:
     kind: ClassVar[str] = "shifted-exp"
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ConfigurationError(f"mu must be positive, got {self.mu}")
-        if not self.delta >= 0:
-            raise ConfigurationError(f"delta must be non-negative, got {self.delta}")
+        _require_finite_positive("mu", self.mu)
+        if not 0 <= self.delta < math.inf:
+            raise ConfigurationError(f"delta must be finite and non-negative, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -148,40 +152,47 @@ class ConstantTime:
 
     def __post_init__(self) -> None:
         # delta > 0 strictly: the rate alpha/delta is undefined at 0
-        if not self.delta > 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        _require_finite_positive("delta", self.delta)
 
 
 ServiceModel = SmallExp | ScaledExp | ShiftedExp | ConstantTime
 
 
-def conditional_rate(service: ServiceModel, alpha: int, phi: int) -> float:
-    """Return mu_s(alpha | phi), the service rate given phi responsive data nodes.
+def rate_from_gap(service: ServiceModel, alpha, gap):
+    """Return mu_s(alpha | phi) from the harmonic gap H_phi - H_{phi-alpha}.
 
-    For the exponential models the mean completion time involves the harmonic
-    gap H_phi - H_{phi-alpha}:
+    The mean completion time is the gap scaled by the service model:
 
-        small-exp    mu / (H_phi - H_{phi-alpha})
-        scaled-exp   alpha*mu / (H_phi - H_{phi-alpha})
-        shifted-exp  alpha*mu / (delta*mu + alpha*(H_phi - H_{phi-alpha}))
+        small-exp    mu / gap
+        scaled-exp   alpha*mu / gap
+        shifted-exp  alpha*mu / (delta*mu + alpha*gap)
         constant     alpha / delta
 
-    By convention the rate is 0 when phi < alpha (recovery impossible).
+    alpha and gap may be floats or broadcastable NumPy arrays; the scalar
+    conditional rate and the expectation kernel both evaluate this one form.
     """
-    if alpha < 1 or phi < 0:
-        raise ConfigurationError(f"need alpha >= 1 and phi >= 0, got alpha={alpha}, phi={phi}")
-    if phi < alpha:
-        return 0.0
-    if isinstance(service, ConstantTime):
-        return alpha / service.delta
-    gap = harmonic_gap(phi, alpha)
     if isinstance(service, SmallExp):
         return service.mu / gap
     if isinstance(service, ScaledExp):
         return alpha * service.mu / gap
     if isinstance(service, ShiftedExp):
         return alpha * service.mu / (service.delta * service.mu + alpha * gap)
+    if isinstance(service, ConstantTime):
+        return alpha / service.delta
     raise ConfigurationError(f"unknown service model {service!r}")
+
+
+def conditional_rate(service: ServiceModel, alpha: int, phi: int) -> float:
+    """Return mu_s(alpha | phi), the service rate given phi responsive data nodes.
+
+    See rate_from_gap for the four models. By convention the rate is 0 when
+    phi < alpha (recovery impossible).
+    """
+    if alpha < 1 or phi < 0:
+        raise ConfigurationError(f"need alpha >= 1 and phi >= 0, got alpha={alpha}, phi={phi}")
+    if phi < alpha:
+        return 0.0
+    return float(rate_from_gap(service, alpha, harmonic_gap(phi, alpha)))
 
 
 def conditional_rate_bounds(

@@ -24,6 +24,7 @@ are recorded separately so the per-phi counts still sum to trials.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,6 +50,7 @@ __all__ = [
     "SimEstimate",
     "estimate_recovery_probability",
     "estimate_service_rate",
+    "recovery_estimate",
     "sample_completion_time",
     "sample_phi",
 ]
@@ -162,9 +164,11 @@ def _draw_phis(
 
 
 def _map_blocks(fn, sizes: list[int], workers: int):
-    if workers == 1:
+    # more threads than blocks or CPUs would only add start-up cost
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    if threads == 1:
         return [fn(i, n) for i, n in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(len(sizes)), sizes))
 
 
@@ -194,7 +198,8 @@ def estimate_service_rate(
                 if c == 0:
                     continue
                 times = _service_times(service, alpha, (c, phi), rng)
-                best = np.partition(times, alpha - 1, axis=1)[:, alpha - 1]
+                times.partition(alpha - 1, axis=1)  # in place: no second (c, phi) array
+                best = times[:, alpha - 1]
                 stats[phi] = (c, float(best.sum()), float(np.square(best).sum()))
         return counts, stats
 
@@ -215,7 +220,8 @@ def estimate_service_rate(
             if need > 0:
                 rng = _block_rng(sim.seed, _TOPUP_KEY_BASE + phi)
                 times = _service_times(service, alpha, (need, phi), rng)
-                best = np.partition(times, alpha - 1, axis=1)[:, alpha - 1]
+                times.partition(alpha - 1, axis=1)
+                best = times[:, alpha - 1]
                 acc = totals[phi]
                 acc[0] += need
                 acc[1] += float(best.sum())
@@ -250,11 +256,28 @@ def estimate_service_rate(
     )
 
 
+def recovery_estimate(per_phi_counts: dict[int, int], alpha: int, trials: int) -> SimEstimate:
+    """Estimate P_s(alpha) as the fraction of trials with phi >= alpha.
+
+    per_phi_counts are the phi counts of a finished pass over trials draws,
+    such as estimate_service_rate's, so no second pass is needed.
+    """
+    successes = sum(count for phi, count in per_phi_counts.items() if phi >= alpha)
+    p_hat = successes / trials
+    std_error = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+    return SimEstimate(
+        mean=p_hat,
+        std_error=std_error,
+        per_phi_counts=dict(per_phi_counts),
+        per_phi_mean_time={},
+        trials=trials,
+    )
+
+
 def estimate_recovery_probability(
     config: SystemConfig, access: AccessModel, sim: SimConfig
 ) -> SimEstimate:
     """Estimate P_s(alpha) as the fraction of trials with phi >= alpha."""
-    alpha = config.alpha
     D = config.data_nodes
     support = sorted(phi for phi, _ in access_pmf(config, access))
 
@@ -266,15 +289,5 @@ def estimate_recovery_probability(
     count_total = np.zeros(D + 1, dtype=np.int64)
     for counts in _map_blocks(run_block, _block_sizes(sim.trials), sim.workers):
         count_total += counts
-
-    successes = int(count_total[alpha:].sum())
-    p_hat = successes / sim.trials
-    std_error = float(np.sqrt(p_hat * (1.0 - p_hat) / sim.trials))
     per_phi_counts = {phi: int(count_total[phi]) for phi in support}
-    return SimEstimate(
-        mean=p_hat,
-        std_error=std_error,
-        per_phi_counts=per_phi_counts,
-        per_phi_mean_time={},
-        trials=sim.trials,
-    )
+    return recovery_estimate(per_phi_counts, config.alpha, sim.trials)

@@ -111,6 +111,22 @@ def test_infeasible_systems_exit_with_their_own_status(capsys):
     assert err.startswith("error: infeasible:")
 
 
+def test_infinite_service_parameters_exit_with_a_config_error(capsys):
+    args = list(RATE_ARGS)
+    args[args.index("small")] = "scaled"
+    args[args.index("--mu") + 1] = "inf"
+    code, out, err = run_cli(capsys, args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_with_one_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, RATE_ARGS + ["--output", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: cannot write output:") and err.count("\n") == 1
+
+
 def test_bad_flags_exit_with_a_config_error(capsys):
     assert run_cli(capsys, ["rate", "--service", "bogus"])[0] == 2
     assert run_cli(capsys, [])[0] == 2

@@ -68,6 +68,17 @@ def test_service_models_validate():
         ConstantTime(0.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [SmallExp, ScaledExp, ConstantTime, lambda v: ShiftedExp(v, 1.0),
+     lambda v: ShiftedExp(1.0, v)],
+)
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_service_models_reject_non_finite_parameters(build, value):
+    with pytest.raises(ConfigurationError):
+        build(value)
+
+
 # --- conditional service rates ---------------------------------------------
 
 @pytest.mark.parametrize(

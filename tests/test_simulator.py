@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dss_alloc import simulator
 from dss_alloc import (
     ConfigurationError,
     ConstantTime,
@@ -121,6 +122,40 @@ def test_worker_count_does_not_change_the_estimate():
         config, access, ScaledExp(1.0), SimConfig(trials=150_000, seed=11, workers=4)
     )
     assert serial == threaded
+
+
+def test_recovery_from_the_rate_pass_equals_the_recovery_pass():
+    config = SystemConfig(20, 2, 3)
+    sim = SimConfig(trials=150_000, seed=12, workers=2)
+    for access in (FixedSize(8), Probabilistic(0.3)):
+        rate = estimate_service_rate(config, access, ScaledExp(1.0), sim)
+        derived = simulator.recovery_estimate(rate.per_phi_counts, config.alpha, sim.trials)
+        assert derived == estimate_recovery_probability(config, access, sim)
+
+
+@pytest.mark.parametrize("cpus, threads", [(2, 2), (64, 3)])
+def test_threads_never_exceed_blocks_or_cpus(monkeypatch, cpus, threads):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+    config = SystemConfig(10, 2, 2)
+    sim = SimConfig(trials=3 * simulator.BLOCK_TRIALS, seed=1, workers=100_000)
+    estimate_recovery_probability(config, FixedSize(5), sim)
+    assert started == [threads]
 
 
 @pytest.mark.parametrize("access", [FixedSize(6), Probabilistic(0.4)])
