@@ -13,9 +13,7 @@ a seeded Monte-Carlo simulator.
 
 from .acceptance import CriterionResult, run_all
 from .analysis import (
-    MetricResult,
     OptimalResult,
-    Simulated,
     SweepRow,
     access_pmf,
     alpha_table,
@@ -50,7 +48,6 @@ from .errors import (
     DssAllocError,
     InfeasibleError,
     NoClosedFormError,
-    SimulationError,
 )
 from .models import (
     ConstantTime,
@@ -79,7 +76,6 @@ from .simulator import (
     estimate_recovery_probability,
     estimate_service_rate,
     sample_completion_time,
-    sample_phi,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +89,6 @@ __all__ = [
     "DssAllocError",
     "FixedSize",
     "InfeasibleError",
-    "MetricResult",
     "NoClosedFormError",
     "OptimalResult",
     "PRESETS",
@@ -103,8 +98,6 @@ __all__ = [
     "ShiftedExp",
     "SimConfig",
     "SimEstimate",
-    "Simulated",
-    "SimulationError",
     "SmallExp",
     "SweepRow",
     "SystemConfig",
@@ -142,7 +135,6 @@ __all__ = [
     "recovery_probability",
     "run_all",
     "sample_completion_time",
-    "sample_phi",
     "scaled_prob_m1_optimal_range",
     "service_rate",
     "sweep",

@@ -32,16 +32,12 @@ from .models import (
     ScaledExp,
     ServiceModel,
     ShiftedExp,
-    SmallExp,
     SystemConfig,
-    rate_from_gap,
 )
-from .numerics import binomial, binomial_rows, harmonic, harmonic_gaps, hypergeometric_rows
+from .numerics import binomial, harmonic, harmonic_gaps
 
 __all__ = [
-    "MetricResult",
     "OptimalResult",
-    "Simulated",
     "SweepRow",
     "access_pmf",
     "alpha_table",
@@ -60,24 +56,6 @@ _CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
-class Simulated:
-    """Provenance tag for Monte-Carlo results."""
-
-    half_width: float
-    trials: int
-
-
-@dataclass(frozen=True)
-class MetricResult:
-    """A service rate and/or recovery probability for one allocation."""
-
-    service_rate: float | None
-    recovery_probability: float
-    alpha: int
-    provenance: str | Simulated = "analytic"
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """Both metrics at one spreading parameter."""
 
@@ -93,17 +71,6 @@ class OptimalResult:
     alpha_star: int
     value: float
     table: tuple[SweepRow, ...]
-
-
-def _access_rows(nodes: int, access: AccessModel, data) -> tuple:
-    """Return (lo, hi, P): the access pmf of each data-node count, one column each."""
-    if isinstance(access, FixedSize):
-        if access.r > nodes:
-            raise ConfigurationError(f"r={access.r} exceeds nodes={nodes}")
-        return hypergeometric_rows(nodes, data, access.r)
-    if isinstance(access, Probabilistic):
-        return binomial_rows(data, 1.0 - access.p)
-    raise ConfigurationError(f"unknown access model {access!r}")
 
 
 def expected_metrics(
@@ -129,7 +96,7 @@ def expected_metrics(
     step = max(1, _CHUNK_CELLS // (m * largest + 1))
     for start in range(0, len(alphas), step):
         alpha = alphas[start:start + step]
-        _, _, probs = _access_rows(nodes, access, m * alpha)
+        _, _, probs = access.rows(nodes, m * alpha)
         phi = np.arange(probs.shape[0])[:, None]
         reached = phi >= alpha
         # cumsum adds in phi order whatever the chunk shape; its last row is the sum
@@ -138,14 +105,14 @@ def expected_metrics(
         if service is not None:
             gap = np.where(reached, harmonic_gaps(phi, np.minimum(alpha, phi)), 1.0)
             with np.errstate(under="ignore"):  # tail terms below 1e-308 are 0
-                terms = weights * rate_from_gap(service, alpha, gap)
+                terms = weights * service.rate(alpha, gap)
             rates[start:start + step] = np.cumsum(terms, axis=0)[-1]
     return rates, np.minimum(recovery, 1.0)
 
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:
     """Return (phi, P(phi)) pairs over the access model's full phi support."""
-    lo, hi, probs = _access_rows(config.nodes, access, [config.data_nodes])
+    lo, hi, probs = access.rows(config.nodes, [config.data_nodes])
     return [(phi, float(probs[phi, 0])) for phi in range(int(lo[0]), int(hi[0]) + 1)]
 
 
@@ -183,17 +150,13 @@ def minimal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: in
         r = access.r
         if r > nodes:
             raise ConfigurationError(f"r={r} exceeds nodes={nodes}")
-        if isinstance(service, (SmallExp, ScaledExp)):
-            return service.mu * m * r / nodes
         if isinstance(service, ConstantTime):
             miss = binomial(nodes - m, r) / binomial(nodes, r)  # access avoids all data nodes
             return (1.0 - miss) / service.delta
-    if isinstance(access, Probabilistic):
-        if isinstance(service, (SmallExp, ScaledExp)):
-            return service.mu * m * (1.0 - access.p)
-        if isinstance(service, ConstantTime):
-            return (1.0 - access.p ** m) / service.delta
-    raise ConfigurationError(f"unknown access model {access!r}")
+        return service.mu * m * r / nodes
+    if isinstance(service, ConstantTime):
+        return (1.0 - access.p ** m) / service.delta
+    return service.mu * m * (1.0 - access.p)
 
 
 def maximal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: int, m: int) -> float:

@@ -16,35 +16,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
+from typing import get_args
 
 from . import acceptance
-from .analysis import (
-    MetricResult,
-    optimal_alpha,
-    recovery_probability,
-    service_rate,
-    sweep,
-)
-from .conditions import ConditionReport, classify
-from .errors import ConfigurationError, DssAllocError, InfeasibleError, SimulationError
-from .models import (
-    AccessModel,
-    ConstantTime,
-    FixedSize,
-    Probabilistic,
-    ScaledExp,
-    ServiceModel,
-    ShiftedExp,
-    SmallExp,
-    SystemConfig,
-)
+from .analysis import optimal_alpha, recovery_probability, service_rate, sweep
+from .conditions import classify
+from .errors import ConfigurationError, DssAllocError, InfeasibleError
+from .models import AccessModel, ServiceModel, SystemConfig
 from .presets import PRESETS, preset_rows
 from .simulator import SimConfig, estimate_service_rate, recovery_estimate
 
@@ -52,22 +38,22 @@ __all__ = ["RunSpec", "main", "parse_run_spec", "run"]
 
 _COMMANDS = ("rate", "prob", "optimal", "conditions", "sweep", "simulate", "validate")
 
+# Fields of the plain sections; the access and service sections take a kind
+# plus the fields of the model class it names.
 _ALLOWED_KEYS = {
     "": {"command", "system", "access", "service", "sweep_axis", "preset", "sim",
          "output", "objective", "alpha_max", "only"},
     "system": {"nodes", "m", "alpha", "blocks"},
-    "access": {"kind", "r", "p"},
-    "service": {"kind", "mu", "delta"},
     "sweep_axis": {"parameter", "start", "stop", "step"},
     "sim": {"trials", "seed", "workers", "min_count"},
     "output": {"path", "format"},
 }
 
-_SERVICE_KINDS = {"small-exp", "scaled-exp", "shifted-exp", "constant"}
-_SERVICE_ALIASES = {"small": "small-exp", "scaled": "scaled-exp",
-                    "shifted": "shifted-exp", "constant": "constant"}
-_ACCESS_ALIASES = {"fixed": "fixed-size", "fixed-size": "fixed-size",
-                   "probabilistic": "probabilistic"}
+# Each model answers to its kind and to the kind's first word ("fixed", "small").
+_KINDS = {
+    section: {name: cls for cls in get_args(union) for name in (cls.kind, cls.kind.split("-")[0])}
+    for section, union in (("access", AccessModel), ("service", ServiceModel))
+}
 
 
 @dataclass(frozen=True)
@@ -111,41 +97,29 @@ class RunSpec:
     only: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        """Serialize to the JSON schema (round-trips through parse_run_spec)."""
-        out: dict = {"command": self.command}
-        sys_fields = {k: v for k, v in vars(self.system).items() if v is not None}
-        if sys_fields:
-            out["system"] = sys_fields
-        if self.access is not None:
-            if isinstance(self.access, FixedSize):
-                out["access"] = {"kind": self.access.kind, "r": self.access.r}
-            else:
-                out["access"] = {"kind": self.access.kind, "p": self.access.p}
-        if self.service is not None:
-            svc: dict = {"kind": self.service.kind}
-            if isinstance(self.service, (SmallExp, ScaledExp)):
-                svc["mu"] = self.service.mu
-            elif isinstance(self.service, ShiftedExp):
-                svc["delta"] = self.service.delta
-                svc["mu"] = self.service.mu
-            else:
-                svc["delta"] = self.service.delta
-            out["service"] = svc
-        if self.sweep_axis is not None:
-            out["sweep_axis"] = vars(self.sweep_axis).copy()
-        if self.preset is not None:
-            out["preset"] = self.preset
-        if self.sim is not None:
-            out["sim"] = {"trials": self.sim.trials, "seed": self.sim.seed,
-                          "workers": self.sim.workers, "min_count": self.sim.min_count}
-        out["output"] = {"path": self.output.path, "format": self.output.format}
-        if self.objective != "service_rate":
-            out["objective"] = self.objective
-        if self.alpha_max is not None:
-            out["alpha_max"] = self.alpha_max
-        if self.only is not None:
-            out["only"] = list(self.only)
+        """Serialize to the JSON schema (round-trips through parse_run_spec).
+
+        Fields left at their default are omitted, and so are unset system fields.
+        """
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None or value == f.default:
+                continue
+            if hasattr(value, "to_dict"):
+                value = value.to_dict()
+            elif is_dataclass(value):
+                value = {k: v for k, v in vars(value).items() if v is not None}
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
         return out
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _reject_unknown(mapping: dict, section: str) -> None:
@@ -155,61 +129,56 @@ def _reject_unknown(mapping: dict, section: str) -> None:
         raise ConfigurationError(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
 
 
-def _opt_int(mapping: dict, key: str, section: str) -> int | None:
+def _section(data: dict, name: str) -> dict:
+    """Return the object data[name] ({} when absent), rejecting unknown fields."""
+    section = _object(data.get(name, {}), name)
+    _reject_unknown(section, name)
+    return section
+
+
+def _opt(mapping: dict, key: str, section: str, kind: type) -> int | float | None:
+    """Return mapping[key] as kind (int or float); None when absent or null.
+
+    JSON true/false and strings are rejected, and so is a float where an
+    integer is due; an integer where a float is due is converted.
+    """
     value = mapping.get(key)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{section}.{key} must be an integer, got {value!r}")
-    return value
+    name = f"{section}.{key}" if section else key
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} is out of range, got {value!r}") from None
 
 
-def _parse_access(mapping: dict) -> AccessModel:
-    _reject_unknown(mapping, "access")
-    kind = _ACCESS_ALIASES.get(mapping.get("kind", ""))
-    if kind is None:
-        raise ConfigurationError(
-            f"access.kind must be 'fixed-size' or 'probabilistic', got {mapping.get('kind')!r}")
-    if kind == "fixed-size":
-        if "p" in mapping:
-            raise ConfigurationError("fixed-size access takes r, not p")
-        r = _opt_int(mapping, "r", "access")
-        if r is None:
-            raise ConfigurationError("fixed-size access needs r")
-        return FixedSize(r)
-    if "r" in mapping:
-        raise ConfigurationError("probabilistic access takes p, not r")
-    if "p" not in mapping:
-        raise ConfigurationError("probabilistic access needs p")
-    return Probabilistic(float(mapping["p"]))
-
-
-def _parse_service(mapping: dict) -> ServiceModel:
-    _reject_unknown(mapping, "service")
+def _parse_model(data: dict, section: str) -> AccessModel | ServiceModel | None:
+    """Build the model of the access or service section; None when absent."""
+    if section not in data:
+        return None
+    mapping = _object(data[section], section)
+    kinds = _KINDS[section]
     kind = mapping.get("kind")
-    kind = _SERVICE_ALIASES.get(kind, kind)
-    if kind not in _SERVICE_KINDS:
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        names = sorted({c.kind for c in kinds.values()})
+        raise ConfigurationError(f"{section}.kind must be one of {names}, got {kind!r}")
+    names = [f.name for f in fields(cls)]
+    extra = set(mapping) - {"kind", *names}
+    if extra:
         raise ConfigurationError(
-            f"service.kind must be one of {sorted(_SERVICE_KINDS)}, got {mapping.get('kind')!r}")
-    mu = mapping.get("mu")
-    delta = mapping.get("delta")
-    if kind == "small-exp":
-        if delta is not None:
-            raise ConfigurationError("small-exp service takes mu only")
-        return SmallExp(float(1.0 if mu is None else mu))
-    if kind == "scaled-exp":
-        if delta is not None:
-            raise ConfigurationError("scaled-exp service takes mu only")
-        return ScaledExp(float(1.0 if mu is None else mu))
-    if kind == "shifted-exp":
-        if delta is None:
-            raise ConfigurationError("shifted-exp service needs delta")
-        return ShiftedExp(float(delta), float(1.0 if mu is None else mu))
-    if mu is not None:
-        raise ConfigurationError("constant service takes delta only")
-    if delta is None:
-        raise ConfigurationError("constant service needs delta")
-    return ConstantTime(float(delta))
+            f"{cls.kind} {section} takes {' and '.join(names)}, not {', '.join(sorted(extra))}")
+    values = {}
+    for f in fields(cls):
+        value = _opt(mapping, f.name, section, int if f.type == "int" else float)
+        if value is not None:
+            values[f.name] = value
+        elif f.default is MISSING:
+            raise ConfigurationError(f"{cls.kind} {section} needs {f.name}")
+    return cls(**values)
 
 
 def _default_workers() -> int:
@@ -225,65 +194,55 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _parse_sim(mapping: dict) -> SimConfig:
-    _reject_unknown(mapping, "sim")
-    trials = _opt_int(mapping, "trials", "sim")
+def _parse_sim(data: dict) -> SimConfig | None:
+    if "sim" not in data:
+        return None
+    mapping = _section(data, "sim")
+    trials = _opt(mapping, "trials", "sim", int)
     if trials is None:
         raise ConfigurationError("sim needs trials")
-    workers = _opt_int(mapping, "workers", "sim")
+    workers = _opt(mapping, "workers", "sim", int)
     return SimConfig(
         trials=trials,
-        seed=_opt_int(mapping, "seed", "sim") or 0,
+        seed=_opt(mapping, "seed", "sim", int) or 0,
         workers=workers if workers is not None else _default_workers(),
-        min_count=_opt_int(mapping, "min_count", "sim") or 100,
+        min_count=_opt(mapping, "min_count", "sim", int) or 100,
     )
 
 
+def _parse_axis(data: dict) -> SweepAxis | None:
+    if "sweep_axis" not in data:
+        return None
+    axis = _section(data, "sweep_axis")
+    parameter = axis.get("parameter")
+    if parameter not in ("alpha", "m", "r", "p"):
+        raise ConfigurationError(
+            f"sweep_axis.parameter must be alpha, m, r, or p, got {parameter!r}")
+    start, stop, step = (_opt(axis, key, "sweep_axis", float) for key in ("start", "stop", "step"))
+    if start is None or stop is None:
+        raise ConfigurationError("sweep_axis needs start and stop")
+    step = 1.0 if step is None else step
+    # a NaN or infinite bound would never end the sweep
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise ConfigurationError("sweep_axis needs finite values, step > 0 and stop >= start")
+    return SweepAxis(parameter, start, stop, step)
+
+
 def parse_run_spec(data: dict) -> RunSpec:
-    """Build a RunSpec from a JSON-shaped dict, rejecting unknown fields."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"run spec must be a JSON object, got {type(data).__name__}")
-    _reject_unknown(data, "")
+    """Build a RunSpec from a JSON-shaped dict, rejecting unknown fields and mistyped values."""
+    _reject_unknown(_object(data, "run spec"), "")
     command = data.get("command")
     if command not in _COMMANDS:
         raise ConfigurationError(f"command must be one of {_COMMANDS}, got {command!r}")
 
-    system = SystemSpec()
-    if "system" in data:
-        _reject_unknown(data["system"], "system")
-        system = SystemSpec(
-            nodes=_opt_int(data["system"], "nodes", "system"),
-            m=_opt_int(data["system"], "m", "system"),
-            alpha=_opt_int(data["system"], "alpha", "system"),
-            blocks=_opt_int(data["system"], "blocks", "system"),
-        )
-
-    access = _parse_access(data["access"]) if "access" in data else None
-    service = _parse_service(data["service"]) if "service" in data else None
-
-    sweep_axis = None
-    if "sweep_axis" in data:
-        _reject_unknown(data["sweep_axis"], "sweep_axis")
-        axis = data["sweep_axis"]
-        parameter = axis.get("parameter")
-        if parameter not in ("alpha", "m", "r", "p"):
-            raise ConfigurationError(
-                f"sweep_axis.parameter must be alpha, m, r, or p, got {parameter!r}")
-        try:
-            sweep_axis = SweepAxis(parameter, float(axis["start"]), float(axis["stop"]),
-                                   float(axis["step"]))
-        except KeyError as exc:
-            raise ConfigurationError(f"sweep_axis needs {exc.args[0]}") from None
-        if sweep_axis.step <= 0 or sweep_axis.stop < sweep_axis.start:
-            raise ConfigurationError("sweep_axis needs step > 0 and stop >= start")
-
-    output = OutputSpec()
-    if "output" in data:
-        _reject_unknown(data["output"], "output")
-        fmt = data["output"].get("format", "table")
-        if fmt not in ("table", "json", "csv"):
-            raise ConfigurationError(f"output.format must be table, json, or csv, got {fmt!r}")
-        output = OutputSpec(path=data["output"].get("path"), format=fmt)
+    system = _section(data, "system")
+    output = _section(data, "output")
+    fmt = output.get("format", "table")
+    if fmt not in ("table", "json", "csv"):
+        raise ConfigurationError(f"output.format must be table, json, or csv, got {fmt!r}")
+    path = output.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigurationError(f"output.path must be a string, got {path!r}")
 
     objective = data.get("objective", "service_rate")
     if objective not in ("service_rate", "recovery_probability"):
@@ -291,7 +250,7 @@ def parse_run_spec(data: dict) -> RunSpec:
                                  f"got {objective!r}")
 
     preset = data.get("preset")
-    if preset is not None and preset not in PRESETS:
+    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
         raise ConfigurationError(f"unknown preset {preset!r}; available: "
                                  f"{', '.join(sorted(PRESETS))}")
 
@@ -304,15 +263,15 @@ def parse_run_spec(data: dict) -> RunSpec:
 
     return RunSpec(
         command=command,
-        system=system,
-        access=access,
-        service=service,
-        sweep_axis=sweep_axis,
+        system=SystemSpec(*(_opt(system, f.name, "system", int) for f in fields(SystemSpec))),
+        access=_parse_model(data, "access"),
+        service=_parse_model(data, "service"),
+        sweep_axis=_parse_axis(data),
         preset=preset,
-        sim=_parse_sim(data["sim"]) if "sim" in data else None,
-        output=output,
+        sim=_parse_sim(data),
+        output=OutputSpec(path=path, format=fmt),
         objective=objective,
-        alpha_max=_opt_int(data, "alpha_max", ""),
+        alpha_max=_opt(data, "alpha_max", "", int),
         only=only,
     )
 
@@ -342,12 +301,12 @@ def _round12(value):
     return value
 
 
-def _emit(spec: RunSpec, text: str) -> None:
+def _write(spec: RunSpec, text: str) -> None:
     if spec.output.path:
         try:
             with open(spec.output.path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ConfigurationError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
@@ -362,13 +321,47 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _table_text(pairs: list[tuple[str, object]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k.ljust(width)}  {_fmt(v)}\n" for k, v in pairs)
+def _table_text(summary: list[tuple[str, object]], header: list[str], rows: list[list]) -> str:
+    """A summary block of aligned pairs, a blank line, a header and rows.
+
+    Empty parts are left out, and so is the blank line next to them.
+    """
+    parts = []
+    if summary:
+        width = max(len(k) for k, _ in summary)
+        parts.append("".join(f"{k.ljust(width)}  {_fmt(v)}\n" for k, v in summary))
+    if header:
+        parts.append("".join("  ".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
+    return "\n".join(parts)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _json_pairs(pairs: list[tuple[str, object]]) -> dict:
+    return {k: _round12(v) for k, v in pairs}
+
+
+def _json_rows(header: list[str], rows: list[list]) -> list[dict]:
+    return [dict(zip(header, map(_round12, row))) for row in rows]
+
+
+def _emit(spec: RunSpec, summary: list[tuple[str, object]], header: list[str] = (),
+          rows: list[list] = (), *, to_json, csv_table=None) -> None:
+    """Write one result in the spec's format.
+
+    to_json() builds the JSON value, whose shape differs by command; csv_table
+    is a (header, rows) pair, by default the summary as one header row and one
+    data row.
+    """
+    if spec.output.format == "json":
+        text = _json_text(to_json())
+    elif spec.output.format == "csv":
+        text = _csv_text(*(csv_table or ([k for k, _ in summary], [[v for _, v in summary]])))
+    else:
+        text = _table_text(summary, header, rows)
+    _write(spec, text)
 
 
 def _require(value, name: str):
@@ -386,52 +379,19 @@ def _build_config(spec: RunSpec) -> SystemConfig:
     )
 
 
-def _metric_payload(result: MetricResult) -> list[tuple[str, object]]:
-    pairs: list[tuple[str, object]] = [("alpha", result.alpha)]
-    if result.service_rate is not None:
-        pairs.append(("service_rate", result.service_rate))
-    pairs.append(("recovery_prob", result.recovery_probability))
-    pairs.append(("provenance", result.provenance))
-    return pairs
-
-
-def _run_rate(spec: RunSpec) -> int:
+def _run_metrics(spec: RunSpec) -> int:
+    """rate reports both metrics of one allocation; prob the recovery probability only."""
     config = _build_config(spec)
     access = _require(spec.access, "access")
-    service = _require(spec.service, "service")
-    result = MetricResult(
-        service_rate=service_rate(config, access, service),
-        recovery_probability=recovery_probability(config, access),
-        alpha=config.alpha,
-    )
-    _emit_metric(spec, result)
+    summary: list[tuple[str, object]] = [("alpha", config.alpha)]
+    if spec.command == "rate":
+        service = _require(spec.service, "service")
+        summary.append(("service_rate", service_rate(config, access, service)))
+    summary += [("recovery_prob", recovery_probability(config, access)),
+                ("provenance", "analytic")]
+    null_rate = {} if spec.command == "rate" else {"service_rate": None}
+    _emit(spec, summary, to_json=lambda: {**_json_pairs(summary), **null_rate})
     return 0
-
-
-def _run_prob(spec: RunSpec) -> int:
-    config = _build_config(spec)
-    access = _require(spec.access, "access")
-    result = MetricResult(
-        service_rate=None,
-        recovery_probability=recovery_probability(config, access),
-        alpha=config.alpha,
-    )
-    _emit_metric(spec, result)
-    return 0
-
-
-def _emit_metric(spec: RunSpec, result: MetricResult) -> None:
-    pairs = _metric_payload(result)
-    if spec.output.format == "json":
-        obj = {k: _round12(v) for k, v in pairs}
-        if result.service_rate is None:
-            obj["service_rate"] = None
-        text = _json_text(obj)
-    elif spec.output.format == "csv":
-        text = _csv_text([k for k, _ in pairs], [[v for _, v in pairs]])
-    else:
-        text = _table_text(pairs)
-    _emit(spec, text)
 
 
 def _run_optimal(spec: RunSpec) -> int:
@@ -440,23 +400,12 @@ def _run_optimal(spec: RunSpec) -> int:
     nodes = _require(spec.system.nodes, "system.nodes")
     m = _require(spec.system.m, "system.m")
     result = optimal_alpha(access, service, nodes, m, spec.objective)
+    summary = [("alpha_star", result.alpha_star), ("value", result.value),
+               ("objective", spec.objective)]
     header = ["alpha", "service_rate", "recovery_prob"]
     rows = [[row.alpha, row.service_rate, row.recovery_probability] for row in result.table]
-    if spec.output.format == "json":
-        text = _json_text({
-            "alpha_star": result.alpha_star,
-            "value": _round12(result.value),
-            "objective": spec.objective,
-            "table": [dict(zip(header, map(_round12, row))) for row in rows],
-        })
-    elif spec.output.format == "csv":
-        text = _csv_text(header, rows)
-    else:
-        lines = [f"alpha_star  {result.alpha_star}", f"value       {_fmt(result.value)}",
-                 f"objective   {spec.objective}", "", "  ".join(header)]
-        lines += ["  ".join(_fmt(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(spec, text)
+    _emit(spec, summary, header, rows, csv_table=(header, rows),
+          to_json=lambda: {**_json_pairs(summary), "table": _json_rows(header, rows)})
     return 0
 
 
@@ -465,11 +414,6 @@ def _run_conditions(spec: RunSpec) -> int:
     service = _require(spec.service, "service")
     m = _require(spec.system.m, "system.m")
     report = classify(access, service, m, nodes=spec.system.nodes, alpha_max=spec.alpha_max)
-    _emit_conditions(spec, report)
-    return 0
-
-
-def _emit_conditions(spec: RunSpec, report: ConditionReport) -> None:
     summary: list[tuple[str, object]] = [
         ("access", report.access_kind),
         ("service", report.service_kind),
@@ -482,18 +426,11 @@ def _emit_conditions(spec: RunSpec, report: ConditionReport) -> None:
     terms = {alpha: [term, None] for alpha, term in report.optimality_terms}
     for alpha, term in report.nonoptimality_terms:
         terms.setdefault(alpha, [None, None])[1] = term
-    term_rows = [[alpha, pair[0], pair[1]] for alpha, pair in sorted(terms.items())]
+    rows = [[alpha, pair[0], pair[1]] for alpha, pair in sorted(terms.items())]
     header = ["alpha", "optimality_term", "nonoptimality_term"]
-    if spec.output.format == "json":
-        obj = {k: _round12(v) for k, v in summary}
-        obj["terms"] = [dict(zip(header, map(_round12, row))) for row in term_rows]
-        text = _json_text(obj)
-    elif spec.output.format == "csv":
-        text = _csv_text(header, term_rows)
-    else:
-        text = _table_text(summary) + "\n" + "  ".join(header) + "\n"
-        text += "".join("  ".join(_fmt(c) for c in row) + "\n" for row in term_rows)
-    _emit(spec, text)
+    _emit(spec, summary, header, rows, csv_table=(header, rows),
+          to_json=lambda: {**_json_pairs(summary), "terms": _json_rows(header, rows)})
+    return 0
 
 
 def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
@@ -530,15 +467,8 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
 
 def _run_sweep(spec: RunSpec) -> int:
     header, rows = _sweep_table(spec)
-    if spec.output.format == "json":
-        text = _json_text([dict(zip(header, map(_round12, row))) for row in rows])
-    elif spec.output.format == "table":
-        lines = ["  ".join(header)]
-        lines += ["  ".join(_fmt(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _csv_text(header, rows)
-    _emit(spec, text)
+    _emit(spec, [], header, rows, csv_table=(header, rows),
+          to_json=lambda: _json_rows(header, rows))
     return 0
 
 
@@ -565,23 +495,19 @@ def _run_simulate(spec: RunSpec) -> int:
         ("recovery_analytic", prob_ref),
         ("recovery_within_3se", prob_ok),
     ]
-    if spec.output.format == "json":
-        obj = {k: _round12(v) for k, v in summary}
-        obj["per_phi_counts"] = {str(k): v for k, v in rate_est.per_phi_counts.items()}
-        obj["per_phi_mean_time"] = {str(k): _round12(v)
-                                    for k, v in rate_est.per_phi_mean_time.items()}
-        obj["topup_counts"] = {str(k): v for k, v in rate_est.topup_counts.items()}
-        text = _json_text(obj)
-    elif spec.output.format == "csv":
-        text = _csv_text([k for k, _ in summary], [[v for _, v in summary]])
-    else:
-        text = _table_text(summary)
-        text += "\nphi  count  mean_time  topup\n"
-        for phi, count in rate_est.per_phi_counts.items():
-            mean_time = rate_est.per_phi_mean_time.get(phi)
-            topup = rate_est.topup_counts.get(phi, 0)
-            text += f"{phi}  {count}  {_fmt(mean_time)}  {topup}\n"
-    _emit(spec, text)
+    rows = [[phi, count, rate_est.per_phi_mean_time.get(phi), rate_est.topup_counts.get(phi, 0)]
+            for phi, count in rate_est.per_phi_counts.items()]
+
+    def to_json() -> dict:
+        return {
+            **_json_pairs(summary),
+            "per_phi_counts": {str(k): v for k, v in rate_est.per_phi_counts.items()},
+            "per_phi_mean_time": {str(k): _round12(v)
+                                  for k, v in rate_est.per_phi_mean_time.items()},
+            "topup_counts": {str(k): v for k, v in rate_est.topup_counts.items()},
+        }
+
+    _emit(spec, summary, ["phi", "count", "mean_time", "topup"], rows, to_json=to_json)
     return 0
 
 
@@ -592,7 +518,7 @@ def _run_validate(spec: RunSpec) -> int:
         status = "PASS" if result.passed else "FAIL"
         lines.append(f"criterion {result.number}: {status} - {result.name}: {result.detail}")
         all_passed &= result.passed
-    _emit(spec, "\n".join(lines) + "\n")
+    _write(spec, "\n".join(lines) + "\n")
     if not all_passed:
         print("error: validation: one or more acceptance criteria failed", file=sys.stderr)
         return 4
@@ -600,8 +526,8 @@ def _run_validate(spec: RunSpec) -> int:
 
 
 _RUNNERS = {
-    "rate": _run_rate,
-    "prob": _run_prob,
+    "rate": _run_metrics,
+    "prob": _run_metrics,
     "optimal": _run_optimal,
     "conditions": _run_conditions,
     "sweep": _run_sweep,
@@ -620,28 +546,47 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, system=True, access=True, service=True):
+def _flag(parser: argparse.ArgumentParser, names: str, dest: str, help: str, **kwargs) -> None:
+    """Add an option whose value lands at the dotted run-spec path dest ("system.nodes")."""
+    if "choices" not in kwargs:
+        kwargs["metavar"] = dest.rpartition(".")[2].upper()
+    parser.add_argument(*names.split(), dest=dest, help=help, **kwargs)
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    _flag(parser, "--output", "output.path", "write here instead of stdout")
+    _flag(parser, "--format", "output.format", "output format", choices=("table", "json", "csv"))
+
+
+def _add_common(parser: argparse.ArgumentParser, *, service=True) -> None:
     parser.add_argument("--config", help="JSON run spec; explicit flags override it")
-    if system:
-        parser.add_argument("--nodes", "-N", type=int, help="node count N")
-        parser.add_argument("--m", type=int, help="redundancy multiplier m")
-        parser.add_argument("--alpha", type=int, help="spreading parameter alpha")
-        parser.add_argument("--blocks", type=int, help="file block count (metadata only)")
-    if access:
-        parser.add_argument("--access", choices=sorted(set(_ACCESS_ALIASES)),
-                            help="access model")
-        parser.add_argument("--r", type=int, help="accessed-node count (fixed-size access)")
-        parser.add_argument("--p", type=float, help="failure probability (probabilistic access)")
+    _flag(parser, "--nodes -N", "system.nodes", "node count N", type=int)
+    _flag(parser, "--m", "system.m", "redundancy multiplier m", type=int)
+    _flag(parser, "--alpha", "system.alpha", "spreading parameter alpha", type=int)
+    _flag(parser, "--blocks", "system.blocks", "file block count (metadata only)", type=int)
+    _flag(parser, "--access", "access.kind", "access model",
+          choices=("fixed", "fixed-size", "probabilistic"))
+    _flag(parser, "--r", "access.r", "accessed-node count (fixed-size access)", type=int)
+    _flag(parser, "--p", "access.p", "failure probability (probabilistic access)", type=float)
     if service:
-        parser.add_argument("--service", choices=sorted(_SERVICE_ALIASES),
-                            help="service model")
-        parser.add_argument("--mu", type=float, help="service rate mu")
-        parser.add_argument("--delta", type=float, help="service shift/duration delta")
-    parser.add_argument("--output", help="write here instead of stdout")
-    parser.add_argument("--format", choices=("table", "json", "csv"), help="output format")
+        _flag(parser, "--service", "service.kind", "service model",
+              choices=("constant", "scaled", "shifted", "small"))
+        _flag(parser, "--mu", "service.mu", "service rate mu", type=float)
+        _flag(parser, "--delta", "service.delta", "service shift/duration delta", type=float)
+    _add_output(parser)
 
 
-def _build_parser() -> _Parser:
+def _criteria(text: str) -> list[int]:
+    try:
+        return [int(piece) for piece in text.split(",") if piece]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"takes comma-separated integers, got {text!r}") from None
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """Build the parser once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="dss-alloc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -652,126 +597,69 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=desc)
         _add_common(p, service=name != "prob")
         if name == "simulate":
-            p.add_argument("--trials", type=int, help="Monte-Carlo trials")
-            p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-            p.add_argument("--workers", type=int,
-                           help="worker threads (default: DSS_ALLOC_THREADS or CPU count)")
-            p.add_argument("--min-count", type=int, help="per-stratum sample floor (default 100)")
+            _flag(p, "--trials", "sim.trials", "Monte-Carlo trials", type=int)
+            _flag(p, "--seed", "sim.seed", "RNG seed (default 0)", type=int)
+            _flag(p, "--workers", "sim.workers",
+                  "worker threads (default: DSS_ALLOC_THREADS or CPU count)", type=int)
+            _flag(p, "--min-count", "sim.min_count", "per-stratum sample floor (default 100)",
+                  type=int)
 
     p = sub.add_parser("optimal", help="exhaustive optimal-alpha search")
     _add_common(p)
-    p.add_argument("--objective", choices=("service_rate", "recovery_probability"),
-                   help="what to maximize (default service_rate)")
+    _flag(p, "--objective", "objective", "what to maximize (default service_rate)",
+          choices=("service_rate", "recovery_probability"))
 
     p = sub.add_parser("conditions", help="minimal-spreading (non-)optimality certificates")
     _add_common(p)
-    p.add_argument("--alpha-max", type=int,
-                   help="largest alternative alpha for probabilistic thresholds")
+    _flag(p, "--alpha-max", "alpha_max",
+          "largest alternative alpha for probabilistic thresholds", type=int)
 
     p = sub.add_parser("sweep", help="figure-style parameter sweeps")
     _add_common(p)
-    p.add_argument("--preset", choices=sorted(PRESETS), help="figure preset")
-    p.add_argument("--parameter", choices=("alpha", "m", "r", "p"), help="swept parameter")
-    p.add_argument("--start", type=float, help="sweep start")
-    p.add_argument("--stop", type=float, help="sweep stop (inclusive)")
-    p.add_argument("--step", type=float, help="sweep step (default 1)")
+    _flag(p, "--preset", "preset", "figure preset", choices=sorted(PRESETS))
+    _flag(p, "--parameter", "sweep_axis.parameter", "swept parameter",
+          choices=("alpha", "m", "r", "p"))
+    _flag(p, "--start", "sweep_axis.start", "sweep start", type=float)
+    _flag(p, "--stop", "sweep_axis.stop", "sweep stop (inclusive)", type=float)
+    _flag(p, "--step", "sweep_axis.step", "sweep step (default 1)", type=float)
 
     p = sub.add_parser("validate", help="run the acceptance-criteria suite")
     p.add_argument("--config", help="JSON run spec; explicit flags override it")
-    p.add_argument("--only", help="comma-separated criterion numbers to run")
-    p.add_argument("--output", help="write here instead of stdout")
-    p.add_argument("--format", choices=("table", "json", "csv"), help="output format")
+    _flag(p, "--only", "only", "comma-separated criterion numbers to run", type=_criteria)
+    _add_output(p)
 
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
+    flags = dict(vars(args))
+    path = flags.pop("config")
     data: dict = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise ConfigurationError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigurationError("config must be a JSON object")
-        if data.get("command", args.command) != args.command:
+        if _object(data, "config").get("command", args.command) != args.command:
             raise ConfigurationError(
                 f"config command {data.get('command')!r} does not match {args.command!r}")
-    data["command"] = args.command
-
-    def setfield(section: str | None, key: str, value) -> None:
-        if value is None:
-            return
-        if section is None:
-            data[key] = value
-        else:
-            data.setdefault(section, {})[key] = value
-
-    setfield("system", "nodes", getattr(args, "nodes", None))
-    setfield("system", "m", getattr(args, "m", None))
-    setfield("system", "alpha", getattr(args, "alpha", None))
-    setfield("system", "blocks", getattr(args, "blocks", None))
-
-    if getattr(args, "access", None) is not None:
-        data.setdefault("access", {})["kind"] = args.access
-    setfield("access", "r", getattr(args, "r", None))
-    setfield("access", "p", getattr(args, "p", None))
-
-    if getattr(args, "service", None) is not None:
-        data.setdefault("service", {})["kind"] = args.service
-    setfield("service", "mu", getattr(args, "mu", None))
-    setfield("service", "delta", getattr(args, "delta", None))
-
-    setfield("sim", "trials", getattr(args, "trials", None))
-    setfield("sim", "seed", getattr(args, "seed", None))
-    setfield("sim", "workers", getattr(args, "workers", None))
-    setfield("sim", "min_count", getattr(args, "min_count", None))
-
-    if getattr(args, "parameter", None) is not None:
-        axis = data.setdefault("sweep_axis", {})
-        axis["parameter"] = args.parameter
-        if args.start is not None:
-            axis["start"] = args.start
-        if args.stop is not None:
-            axis["stop"] = args.stop
-        axis["step"] = args.step if args.step is not None else axis.get("step", 1)
-
-    setfield(None, "preset", getattr(args, "preset", None))
-    setfield(None, "objective", getattr(args, "objective", None))
-    setfield(None, "alpha_max", getattr(args, "alpha_max", None))
-    if getattr(args, "only", None) is not None:
-        try:
-            data["only"] = [int(piece) for piece in str(args.only).split(",") if piece]
-        except ValueError:
-            raise ConfigurationError(f"--only takes comma-separated integers, "
-                                     f"got {args.only!r}") from None
-
-    if args.output is not None or args.format is not None:
-        out = data.setdefault("output", {})
-        if args.output is not None:
-            out["path"] = args.output
-        if args.format is not None:
-            out["format"] = args.format
-
+    # each flag given overrides the one field at its dotted path
+    for dotted, value in flags.items():
+        if value is not None:
+            section, _, key = dotted.rpartition(".")
+            (_object(data.setdefault(section, {}), section) if section else data)[key] = value
     return parse_run_spec(data)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return run(_spec_from_args(args))
-    except ConfigurationError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
+        return run(_spec_from_args(_parser().parse_args(argv)))
     except InfeasibleError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return 3
-    except SimulationError as exc:
-        print(f"error: simulation: {exc}", file=sys.stderr)
-        return 2
     except DssAllocError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

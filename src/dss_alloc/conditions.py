@@ -304,15 +304,13 @@ def classify(
     in between is indeterminate: the certificates are sufficient conditions
     with a gap, not a partition.
     """
-    if isinstance(service, ScaledExp):
-        service_kind = service.kind
-    elif isinstance(service, ShiftedExp):
-        service_kind = service.kind
-    else:
+    if not isinstance(service, (ScaledExp, ShiftedExp)):
         raise ConfigurationError(
             "conditions cover the scaled and shifted exponential service models, "
             f"not {service.kind!r}"
         )
+    if m < 1:
+        raise ConfigurationError(f"need m >= 1, got m={m}")
 
     if isinstance(access, FixedSize):
         if nodes is None:
@@ -332,7 +330,7 @@ def classify(
             verdict = "non-optimal"
         else:
             verdict = "indeterminate"
-    elif isinstance(access, Probabilistic):
+    else:
         p = access.p
         amax = alpha_max if alpha_max is not None else (nodes // m if nodes else 20)
         if isinstance(service, ScaledExp):
@@ -347,12 +345,10 @@ def classify(
             verdict = "non-optimal"
         else:
             verdict = "indeterminate"
-    else:
-        raise ConfigurationError(f"unknown access model {access!r}")
 
     return ConditionReport(
         access_kind=access.kind,
-        service_kind=service_kind,
+        service_kind=service.kind,
         optimality_threshold=opt.value,
         nonoptimality_threshold=non.value,
         witness_alpha_opt=opt.witness_alpha,

@@ -15,7 +15,3 @@ class InfeasibleError(DssAllocError):
 
 class NoClosedFormError(DssAllocError):
     """The requested quantity has no closed form; evaluate the general sum instead."""
-
-
-class SimulationError(DssAllocError):
-    """Monte-Carlo estimation could not produce a usable estimate."""

@@ -14,8 +14,10 @@ import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
+import numpy as np
+
 from .errors import ConfigurationError, InfeasibleError
-from .numerics import harmonic_gap
+from .numerics import binomial_rows, harmonic_gap, hypergeometric_rows
 
 __all__ = [
     "AccessModel",
@@ -29,7 +31,6 @@ __all__ = [
     "SystemConfig",
     "conditional_rate",
     "conditional_rate_bounds",
-    "rate_from_gap",
 ]
 
 
@@ -72,8 +73,18 @@ class SystemConfig:
         return self.m * self.alpha
 
 
+class _Model:
+    """The dict form shared by every access and service model."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        """Return the JSON form: the kind, then the fields in constructor order."""
+        return {"kind": self.kind, **vars(self)}
+
+
 @dataclass(frozen=True)
-class FixedSize:
+class FixedSize(_Model):
     """Access reaches a uniformly random r-subset of the nodes."""
 
     r: int
@@ -83,9 +94,19 @@ class FixedSize:
         if self.r < 1:
             raise ConfigurationError(f"r must be positive, got {self.r}")
 
+    def rows(self, nodes: int, data) -> tuple:
+        """Return (lo, hi, P): the pmf of phi for each data-node count, one column each."""
+        if self.r > nodes:
+            raise ConfigurationError(f"r={self.r} exceeds nodes={nodes}")
+        return hypergeometric_rows(nodes, data, self.r)
+
+    def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n values of phi: the data nodes among a uniform r-subset of the nodes."""
+        return rng.hypergeometric(data, nodes - data, self.r, size=n)
+
 
 @dataclass(frozen=True)
-class Probabilistic:
+class Probabilistic(_Model):
     """Every node independently fails to respond with probability p."""
 
     p: float
@@ -94,6 +115,14 @@ class Probabilistic:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"p must lie in [0, 1], got {self.p}")
+
+    def rows(self, nodes: int, data) -> tuple:
+        """Return (lo, hi, P): the pmf of phi for each data-node count, one column each."""
+        return binomial_rows(data, 1.0 - self.p)
+
+    def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n values of phi: Binomial(data, 1 - p) responsive data nodes."""
+        return rng.binomial(data, 1.0 - self.p, size=n)
 
 
 AccessModel = FixedSize | Probabilistic
@@ -104,37 +133,73 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
-class SmallExp:
-    """Small-file regime: a node serves its whole chunk set in Exp(mu) time."""
+# Every service model has three methods, for spreading alpha and phi responsive
+# data nodes:
+#   rate(alpha, gap)           mu_s(alpha | phi) from the harmonic gap H_phi - H_{phi-alpha};
+#                              alpha and gap may be floats or broadcastable NumPy arrays,
+#                              so the scalar conditional rate and the expectation kernel
+#                              evaluate one form
+#   bounds(alpha, phi, m)      the analytic (lower, upper) envelope of that rate
+#   sample(alpha, shape, rng)  per-node service times, an array of the given shape
 
-    mu: float
+
+@dataclass(frozen=True)
+class SmallExp(_Model):
+    """Small-file regime: a node serves its whole chunk set in Exp(mu) time.
+
+    rate mu/gap, bounds (0, mu*phi).
+    """
+
+    mu: float = 1.0
     kind: ClassVar[str] = "small-exp"
 
     def __post_init__(self) -> None:
         _require_finite_positive("mu", self.mu)
 
+    def rate(self, alpha, gap):
+        return self.mu / gap
+
+    def bounds(self, alpha: int, phi: int, m: int) -> tuple[float, float]:
+        return 0.0, self.mu * phi
+
+    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        return rng.exponential(1.0 / self.mu, shape)
+
 
 @dataclass(frozen=True)
-class ScaledExp:
-    """Large-file regime: per-node time is Exp(alpha*mu), mean 1/(alpha*mu)."""
+class ScaledExp(_Model):
+    """Large-file regime: per-node time is Exp(alpha*mu), mean 1/(alpha*mu).
 
-    mu: float
+    rate alpha*mu/gap, bounds (mu*(phi-alpha+1), mu*phi).
+    """
+
+    mu: float = 1.0
     kind: ClassVar[str] = "scaled-exp"
 
     def __post_init__(self) -> None:
         _require_finite_positive("mu", self.mu)
 
+    def rate(self, alpha, gap):
+        return alpha * self.mu / gap
+
+    def bounds(self, alpha: int, phi: int, m: int) -> tuple[float, float]:
+        return self.mu * (phi - alpha + 1), self.mu * phi
+
+    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        return rng.exponential(1.0 / (alpha * self.mu), shape)
+
 
 @dataclass(frozen=True)
-class ShiftedExp:
+class ShiftedExp(_Model):
     """Large-file regime with startup cost: per-node time is delta/alpha + Exp(mu).
 
+    rate alpha*mu / (delta*mu + alpha*gap), bounds
+    (alpha*mu*(phi-alpha+1) / (delta*mu*(m*alpha-alpha+1) + alpha^2), mu*phi / (delta*mu + alpha)).
     delta = 0 reduces to the small-file exponential model exactly.
     """
 
     delta: float
-    mu: float
+    mu: float = 1.0
     kind: ClassVar[str] = "shifted-exp"
 
     def __post_init__(self) -> None:
@@ -142,10 +207,24 @@ class ShiftedExp:
         if not 0 <= self.delta < math.inf:
             raise ConfigurationError(f"delta must be finite and non-negative, got {self.delta}")
 
+    def rate(self, alpha, gap):
+        return alpha * self.mu / (self.delta * self.mu + alpha * gap)
+
+    def bounds(self, alpha: int, phi: int, m: int) -> tuple[float, float]:
+        dm = self.delta * self.mu
+        lower = alpha * self.mu * (phi - alpha + 1) / (dm * (m * alpha - alpha + 1) + alpha * alpha)
+        return lower, self.mu * phi / (dm + alpha)
+
+    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        return self.delta / alpha + rng.exponential(1.0 / self.mu, shape)
+
 
 @dataclass(frozen=True)
-class ConstantTime:
-    """Deterministic service: a node serves its chunk set in exactly delta/alpha."""
+class ConstantTime(_Model):
+    """Deterministic service: a node serves its chunk set in exactly delta/alpha.
+
+    rate alpha/delta whatever phi, so both bounds equal it.
+    """
 
     delta: float
     kind: ClassVar[str] = "constant"
@@ -154,45 +233,31 @@ class ConstantTime:
         # delta > 0 strictly: the rate alpha/delta is undefined at 0
         _require_finite_positive("delta", self.delta)
 
+    def rate(self, alpha, gap):
+        return alpha / self.delta
+
+    def bounds(self, alpha: int, phi: int, m: int) -> tuple[float, float]:
+        rate = alpha / self.delta
+        return rate, rate
+
+    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        return np.full(shape, self.delta / alpha)
+
 
 ServiceModel = SmallExp | ScaledExp | ShiftedExp | ConstantTime
-
-
-def rate_from_gap(service: ServiceModel, alpha, gap):
-    """Return mu_s(alpha | phi) from the harmonic gap H_phi - H_{phi-alpha}.
-
-    The mean completion time is the gap scaled by the service model:
-
-        small-exp    mu / gap
-        scaled-exp   alpha*mu / gap
-        shifted-exp  alpha*mu / (delta*mu + alpha*gap)
-        constant     alpha / delta
-
-    alpha and gap may be floats or broadcastable NumPy arrays; the scalar
-    conditional rate and the expectation kernel both evaluate this one form.
-    """
-    if isinstance(service, SmallExp):
-        return service.mu / gap
-    if isinstance(service, ScaledExp):
-        return alpha * service.mu / gap
-    if isinstance(service, ShiftedExp):
-        return alpha * service.mu / (service.delta * service.mu + alpha * gap)
-    if isinstance(service, ConstantTime):
-        return alpha / service.delta
-    raise ConfigurationError(f"unknown service model {service!r}")
 
 
 def conditional_rate(service: ServiceModel, alpha: int, phi: int) -> float:
     """Return mu_s(alpha | phi), the service rate given phi responsive data nodes.
 
-    See rate_from_gap for the four models. By convention the rate is 0 when
-    phi < alpha (recovery impossible).
+    See the service models' rate for the four formulas. By convention the
+    rate is 0 when phi < alpha (recovery impossible).
     """
     if alpha < 1 or phi < 0:
         raise ConfigurationError(f"need alpha >= 1 and phi >= 0, got alpha={alpha}, phi={phi}")
     if phi < alpha:
         return 0.0
-    return float(rate_from_gap(service, alpha, harmonic_gap(phi, alpha)))
+    return float(service.rate(alpha, harmonic_gap(phi, alpha)))
 
 
 def conditional_rate_bounds(
@@ -200,25 +265,10 @@ def conditional_rate_bounds(
 ) -> tuple[float, float]:
     """Return the analytic (lower, upper) envelope of mu_s(alpha | phi).
 
-        small-exp    (0, mu*phi)
-        scaled-exp   (mu*(phi-alpha+1), mu*phi)
-        shifted-exp  (alpha*mu*(phi-alpha+1) / (delta*mu*(m*alpha-alpha+1) + alpha^2),
-                      mu*phi / (delta*mu + alpha))
-        constant     (alpha/delta, alpha/delta)   [the rate is deterministic]
+    See the service models' bounds for the four envelopes.
     """
     if alpha < 1 or not alpha <= phi <= m * alpha:
         raise ConfigurationError(
             f"need 1 <= alpha <= phi <= m*alpha, got alpha={alpha}, phi={phi}, m={m}"
         )
-    if isinstance(service, SmallExp):
-        return 0.0, service.mu * phi
-    if isinstance(service, ScaledExp):
-        return service.mu * (phi - alpha + 1), service.mu * phi
-    if isinstance(service, ShiftedExp):
-        dm = service.delta * service.mu
-        lower = alpha * service.mu * (phi - alpha + 1) / (dm * (m * alpha - alpha + 1) + alpha * alpha)
-        return lower, service.mu * phi / (dm + alpha)
-    if isinstance(service, ConstantTime):
-        rate = alpha / service.delta
-        return rate, rate
-    raise ConfigurationError(f"unknown service model {service!r}")
+    return service.bounds(alpha, phi, m)

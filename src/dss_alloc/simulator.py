@@ -32,17 +32,7 @@ import numpy as np
 
 from .analysis import access_pmf
 from .errors import ConfigurationError
-from .models import (
-    AccessModel,
-    ConstantTime,
-    FixedSize,
-    Probabilistic,
-    ScaledExp,
-    ServiceModel,
-    ShiftedExp,
-    SmallExp,
-    SystemConfig,
-)
+from .models import AccessModel, ConstantTime, ServiceModel, SystemConfig
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -52,7 +42,6 @@ __all__ = [
     "estimate_service_rate",
     "recovery_estimate",
     "sample_completion_time",
-    "sample_phi",
 ]
 
 BLOCK_TRIALS = 1 << 16
@@ -107,60 +96,14 @@ def _block_sizes(trials: int) -> list[int]:
     return [BLOCK_TRIALS] * full + ([rest] if rest else [])
 
 
-def sample_phi(access: AccessModel, config: SystemConfig, rng: np.random.Generator) -> int:
-    """Draw one phi: the number of accessed nodes holding data.
-
-    Fixed-size access draws a uniform r-subset of the labeled nodes (the
-    first m*alpha labels hold data) and counts data nodes; probabilistic
-    access draws Binomial(m*alpha, 1-p). The bulk estimators draw phi from
-    the equivalent hypergeometric/binomial distributions directly.
-    """
-    D = config.data_nodes
-    if isinstance(access, FixedSize):
-        if access.r > config.nodes:
-            raise ConfigurationError(f"r={access.r} exceeds nodes={config.nodes}")
-        subset = rng.choice(config.nodes, size=access.r, replace=False)
-        return int((subset < D).sum())
-    if isinstance(access, Probabilistic):
-        return int(rng.binomial(D, 1.0 - access.p))
-    raise ConfigurationError(f"unknown access model {access!r}")
-
-
-def _service_times(
-    service: ServiceModel, alpha: int, shape: tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    if isinstance(service, SmallExp):
-        return rng.exponential(1.0 / service.mu, shape)
-    if isinstance(service, ScaledExp):
-        return rng.exponential(1.0 / (alpha * service.mu), shape)
-    if isinstance(service, ShiftedExp):
-        return service.delta / alpha + rng.exponential(1.0 / service.mu, shape)
-    if isinstance(service, ConstantTime):
-        return np.full(shape, service.delta / alpha)
-    raise ConfigurationError(f"unknown service model {service!r}")
-
-
 def sample_completion_time(
     service: ServiceModel, alpha: int, phi: int, rng: np.random.Generator
 ) -> float:
     """Draw one file completion time: the alpha-th smallest of phi service times."""
     if not 1 <= alpha <= phi:
         raise ConfigurationError(f"need 1 <= alpha <= phi, got alpha={alpha}, phi={phi}")
-    times = _service_times(service, alpha, (phi,), rng)
+    times = service.sample(alpha, (phi,), rng)
     return float(np.partition(times, alpha - 1)[alpha - 1])
-
-
-def _draw_phis(
-    access: AccessModel, config: SystemConfig, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    D = config.data_nodes
-    if isinstance(access, FixedSize):
-        if access.r > config.nodes:
-            raise ConfigurationError(f"r={access.r} exceeds nodes={config.nodes}")
-        return rng.hypergeometric(D, config.nodes - D, access.r, size=n)
-    if isinstance(access, Probabilistic):
-        return rng.binomial(D, 1.0 - access.p, size=n)
-    raise ConfigurationError(f"unknown access model {access!r}")
 
 
 def _map_blocks(fn, sizes: list[int], workers: int):
@@ -189,7 +132,7 @@ def estimate_service_rate(
 
     def run_block(index: int, n: int):
         rng = _block_rng(sim.seed, index)
-        phis = _draw_phis(access, config, n, rng)
+        phis = access.draw(config.nodes, D, n, rng)
         counts = np.bincount(phis, minlength=D + 1)
         stats = {}
         if not deterministic:
@@ -197,7 +140,7 @@ def estimate_service_rate(
                 c = int(counts[phi])
                 if c == 0:
                     continue
-                times = _service_times(service, alpha, (c, phi), rng)
+                times = service.sample(alpha, (c, phi), rng)
                 times.partition(alpha - 1, axis=1)  # in place: no second (c, phi) array
                 best = times[:, alpha - 1]
                 stats[phi] = (c, float(best.sum()), float(np.square(best).sum()))
@@ -219,7 +162,7 @@ def estimate_service_rate(
             need = sim.min_count - totals[phi][0]
             if need > 0:
                 rng = _block_rng(sim.seed, _TOPUP_KEY_BASE + phi)
-                times = _service_times(service, alpha, (need, phi), rng)
+                times = service.sample(alpha, (need, phi), rng)
                 times.partition(alpha - 1, axis=1)
                 best = times[:, alpha - 1]
                 acc = totals[phi]
@@ -283,7 +226,7 @@ def estimate_recovery_probability(
 
     def run_block(index: int, n: int):
         rng = _block_rng(sim.seed, index)
-        phis = _draw_phis(access, config, n, rng)
+        phis = access.draw(config.nodes, D, n, rng)
         return np.bincount(phis, minlength=D + 1)
 
     count_total = np.zeros(D + 1, dtype=np.int64)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
+import itertools
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dss_alloc.cli import RunSpec, main, parse_run_spec
 
@@ -19,25 +27,42 @@ RATE_ARGS = [
     "rate", "--nodes", "40", "--m", "1", "--alpha", "1",
     "--access", "fixed", "--r", "10", "--service", "small", "--mu", "1",
 ]
+RATE_CONFIG = {
+    "command": "rate",
+    "system": {"nodes": 40, "m": 1, "alpha": 1},
+    "access": {"kind": "fixed-size", "r": 10},
+    "service": {"kind": "small-exp", "mu": 1.0},
+}
 
 
 # ---------------------------------------------------------------------------
 # run-spec parsing
 
 
+ACCESS_DICTS = ({"kind": "fixed-size", "r": 8}, {"kind": "probabilistic", "p": 0.25})
+SERVICE_DICTS = (
+    {"kind": "small-exp", "mu": 2.0},
+    {"kind": "scaled-exp", "mu": 1.5},
+    {"kind": "shifted-exp", "delta": 3.0, "mu": 0.5},
+    {"kind": "constant", "delta": 2.0},
+)
+
+
 def test_run_spec_round_trips_through_its_dict_form():
-    spec = parse_run_spec(
-        {
-            "command": "simulate",
-            "system": {"nodes": 20, "m": 2, "alpha": 3},
-            "access": {"kind": "fixed-size", "r": 8},
-            "service": {"kind": "scaled-exp", "mu": 1.5},
-            "sim": {"trials": 1000, "seed": 7, "workers": 2, "min_count": 50},
-            "output": {"format": "json"},
-        }
-    )
-    assert isinstance(spec, RunSpec)
-    assert parse_run_spec(spec.to_dict()) == spec
+    for access, service in itertools.product(ACCESS_DICTS, SERVICE_DICTS):
+        spec = parse_run_spec(
+            {
+                "command": "simulate",
+                "system": {"nodes": 20, "m": 2, "alpha": 3},
+                "access": access,
+                "service": service,
+                "sim": {"trials": 1000, "seed": 7, "workers": 2, "min_count": 50},
+                "output": {"format": "json"},
+            }
+        )
+        assert isinstance(spec, RunSpec)
+        assert spec.access.to_dict() == access and spec.service.to_dict() == service
+        assert parse_run_spec(spec.to_dict()) == spec
 
 
 @pytest.mark.parametrize(
@@ -47,6 +72,18 @@ def test_run_spec_round_trips_through_its_dict_form():
         {"command": "rate", "system": {"node_count": 10}},
         {"command": "rate", "access": {"kind": "fixed-size", "r": 5, "p": 0.1}},
         {"command": "bogus"},
+        {"command": "rate", "access": {"kind": "probabilistic", "p": "abc"}},
+        {"command": "rate", "access": {"kind": "probabilistic", "p": None}},
+        {"command": "rate", "service": {"kind": "small-exp", "mu": "x"}},
+        {"command": "rate", "service": {"kind": "small-exp", "mu": True}},
+        {"command": "rate", "system": 5},
+        {"command": "rate", "access": [1]},
+        {"command": "rate", "access": {"kind": ["x"]}},
+        {"command": "sweep", "sweep_axis": {"parameter": "p", "start": "a", "stop": 1}},
+        {"command": "sweep", "sweep_axis": {"parameter": "r", "start": 1, "stop": math.inf}},
+        {"command": "sweep", "sweep_axis": {"parameter": "r", "start": 1, "stop": math.nan}},
+        {"command": "sweep", "preset": ["fig2"]},
+        {"command": "rate", "output": {"path": 1}},
     ],
 )
 def test_unknown_or_contradictory_fields_are_rejected(data):
@@ -54,6 +91,90 @@ def test_unknown_or_contradictory_fields_are_rejected(data):
 
     with pytest.raises(ConfigurationError):
         parse_run_spec(data)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"access": {"kind": "probabilistic", "p": "abc"}},
+        {"service": {"kind": "small-exp", "mu": "x"}},
+        {"access": {"kind": "probabilistic", "p": None}},
+        {"system": 5},
+        {"access": [1]},
+        {"access": {"kind": ["x"]}},
+        {"service": {"kind": "small-exp", "mu": True}},
+        {"output": {"path": 1}},
+    ],
+)
+def test_mistyped_config_values_exit_with_one_config_error_line(tmp_path, capsys, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**RATE_CONFIG, **config}))
+    code, out, err = run_cli(capsys, ["rate", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+# Valid specs of every command but validate; the property test below replaces
+# one leaf of one of them. Sizes stay small so no replacement can ask for a
+# long run: every integer leaf is at most 60 and no float is huge.
+BASE_SPECS = [
+    RATE_CONFIG,
+    {"command": "prob", "system": {"nodes": 20, "m": 2, "alpha": 2},
+     "access": {"kind": "probabilistic", "p": 0.3}, "output": {"format": "json"}},
+    {"command": "optimal", "system": {"nodes": 20, "m": 2},
+     "access": {"kind": "fixed-size", "r": 6},
+     "service": {"kind": "shifted-exp", "delta": 3.0, "mu": 1.0},
+     "objective": "recovery_probability"},
+    {"command": "conditions", "system": {"nodes": 20, "m": 2},
+     "access": {"kind": "probabilistic", "p": 0.4}, "service": {"kind": "scaled-exp", "mu": 1.0}},
+    {"command": "conditions", "system": {"nodes": 20, "m": 2}, "alpha_max": 5,
+     "access": {"kind": "fixed", "r": 6}, "service": {"kind": "shifted", "delta": 1.0}},
+    {"command": "sweep", "system": {"nodes": 12, "m": 2}, "access": {"kind": "fixed-size", "r": 6},
+     "service": {"kind": "constant", "delta": 2.0}, "output": {"format": "csv"},
+     "sweep_axis": {"parameter": "alpha", "start": 1, "stop": 4, "step": 1}},
+    {"command": "sweep", "preset": "fig2"},
+    {"command": "simulate", "system": {"nodes": 10, "m": 2, "alpha": 2},
+     "access": {"kind": "fixed-size", "r": 5}, "service": {"kind": "small-exp", "mu": 1.0},
+     "sim": {"trials": 500, "seed": 1, "workers": 1, "min_count": 5}},
+]
+LEAVES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.text(max_size=4)
+    | st.sampled_from([0.0, 0.5, 2.5, -1.0, math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+def leaf_paths(obj: dict, prefix: tuple = ()):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_main_never_raises_on_a_spec_with_one_leaf_replaced(tmp_path_factory, data):
+    spec = copy.deepcopy(data.draw(st.sampled_from(BASE_SPECS)))
+    command = spec["command"]
+    path = data.draw(st.sampled_from(list(leaf_paths(spec))))
+    section = spec
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = data.draw(LEAVES)
+    config = tmp_path_factory.mktemp("spec") / "run.json"
+    config.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([command, "--config", str(config)])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith(("error: config:", "error: infeasible:"))
+        assert err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +254,82 @@ def test_bad_flags_exit_with_a_config_error(capsys):
 
 
 # ---------------------------------------------------------------------------
+# table layouts: a summary block, a blank line, a header and rows
+
+
+SMALL = "--nodes 10 --m 2 --access fixed --r 5"
+GOLDEN_TABLES = [
+    (
+        f"prob {SMALL} --alpha 2",
+        "alpha          2\n"
+        "recovery_prob  0.738095238095\n"
+        "provenance     analytic\n",
+    ),
+    (
+        f"optimal {SMALL} --service scaled --mu 1",
+        "alpha_star  5\n"
+        "value       2.1897810219\n"
+        "objective   service_rate\n"
+        "\n"
+        "alpha  service_rate  recovery_prob\n"
+        "1  1  0.777777777778\n"
+        "2  1.28798185941  0.738095238095\n"
+        "3  1.5297468489  0.738095238095\n"
+        "4  1.75930735931  0.777777777778\n"
+        "5  2.1897810219  1\n",
+    ),
+    (
+        f"conditions {SMALL} --service scaled --mu 1",
+        "access                       fixed-size\n"
+        "service                      scaled-exp\n"
+        "verdict                      indeterminate\n"
+        "optimality_threshold         2.5\n"
+        "optimality_witness_alpha     2\n"
+        "nonoptimality_threshold      7\n"
+        "nonoptimality_witness_alpha  2\n"
+        "\n"
+        "alpha  optimality_term  nonoptimality_term\n"
+        "2  2.5  7\n"
+        "3  2.64316767252  7.65685424949\n"
+        "4  2.733271107  8.1576440981\n"
+        "5  2.7964178927  8.55901411391\n",
+    ),
+    (
+        f"simulate {SMALL} --alpha 2 --service scaled --mu 1 --trials 2000 --seed 1 --workers 1",
+        "trials                   2000\n"
+        "seed                     1\n"
+        "service_rate_estimate    1.26101963857\n"
+        "service_rate_std_error   0.0240767382232\n"
+        "service_rate_analytic    1.28798185941\n"
+        "service_rate_within_3se  yes\n"
+        "recovery_estimate        0.741\n"
+        "recovery_std_error       0.00979589199614\n"
+        "recovery_analytic        0.738095238095\n"
+        "recovery_within_3se      yes\n"
+        "\n"
+        "phi  count  mean_time  topup\n"
+        "0  46    0\n"
+        "1  472    0\n"
+        "2  970  0.756019993452  0\n"
+        "3  470  0.431694546488  0\n"
+        "4  42  0.293547079376  58\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_TABLES,
+                         ids=[argv.split()[0] for argv, _ in GOLDEN_TABLES])
+def test_table_output_is_byte_identical_to_the_reference_layout(capsys, argv, expected):
+    assert run_cli(capsys, argv.split()) == (0, expected, "")
+
+
+# ---------------------------------------------------------------------------
 # config files
 
 
 def test_config_file_flags_override_single_fields(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps(
-            {
-                "command": "rate",
-                "system": {"nodes": 40, "m": 1, "alpha": 1},
-                "access": {"kind": "fixed-size", "r": 10},
-                "service": {"kind": "small-exp", "mu": 1.0},
-                "output": {"format": "json"},
-            }
-        )
-    )
+    config.write_text(json.dumps({**RATE_CONFIG, "output": {"format": "json"}}))
     code, out, _ = run_cli(capsys, ["rate", "--config", str(config)])
     base = json.loads(out)["service_rate"]
     code, out, _ = run_cli(capsys, ["rate", "--config", str(config), "--mu", "2"])
@@ -168,6 +349,8 @@ def test_unreadable_or_invalid_config_files_exit_cleanly(tmp_path, capsys):
     assert run_cli(capsys, ["rate", "--config", str(tmp_path / "missing.json")])[0] == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert run_cli(capsys, ["rate", "--config", str(bad)])[0] == 2
+    bad.write_bytes(b"\xff\xfe{")
     assert run_cli(capsys, ["rate", "--config", str(bad)])[0] == 2
 
 
@@ -211,6 +394,21 @@ def test_axis_sweep_over_alpha_keeps_the_access_fixed(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
 
 
+def test_flags_override_single_sweep_fields_of_a_config(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "command": "sweep",
+        "system": {"nodes": 10, "m": 1},
+        "service": {"kind": "small-exp", "mu": 1.0},
+        "sweep_axis": {"parameter": "p", "start": 0.1, "stop": 0.3, "step": 0.1},
+    }))
+    code, out, _ = run_cli(capsys, ["sweep", "--config", str(config), "--start", "0.2",
+                                    "--format", "csv"])
+    assert code == 0
+    assert list(dict.fromkeys(line.split(",")[0] for line in out.splitlines()[1:])) == [
+        "0.2", "0.3"]
+
+
 def test_output_flag_writes_the_file_and_keeps_stdout_quiet(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(
@@ -235,6 +433,16 @@ def test_conditions_csv_lists_the_per_alpha_terms(capsys):
     lines = out.splitlines()
     assert lines[0] == "alpha,optimality_term,nonoptimality_term"
     assert lines[1] == "2,7.5,27"
+
+
+def test_conditions_with_no_redundancy_exit_with_a_config_error(capsys):
+    code, _, err = run_cli(
+        capsys,
+        ["conditions", "--nodes", "40", "--m", "0", "--access", "probabilistic", "--p", "0.3",
+         "--service", "scaled", "--mu", "1"],
+    )
+    assert code == 2
+    assert err.startswith("error: config:")
 
 
 # ---------------------------------------------------------------------------

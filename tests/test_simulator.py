@@ -21,7 +21,6 @@ from dss_alloc import (
     estimate_service_rate,
     recovery_probability,
     sample_completion_time,
-    sample_phi,
     service_rate,
 )
 
@@ -64,11 +63,11 @@ def test_completion_time_rejects_infeasible_draws():
     "access, mean",
     [(FixedSize(6), 2.4), (Probabilistic(0.5), 2.0)],
 )
-def test_sample_phi_stays_on_the_support_with_the_right_mean(access, mean):
+def test_access_draw_stays_on_the_support_with_the_right_mean(access, mean):
     config = SystemConfig(10, 2, 2)
     rng = np.random.default_rng(13)
-    draws = [sample_phi(access, config, rng) for _ in range(4_000)]
-    assert set(draws) <= set(range(0, config.data_nodes + 1))
+    draws = access.draw(config.nodes, config.data_nodes, 4_000, rng)
+    assert set(draws.tolist()) <= set(range(0, config.data_nodes + 1))
     assert np.mean(draws) == pytest.approx(mean, abs=0.1)
 
 
