@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -56,6 +56,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    elapsed_s: float = 0.0  # wall time, set by run_all
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -424,9 +425,10 @@ def run_all(only: Iterable[int] | None = None) -> list[CriterionResult]:
     for number, criterion in enumerate(_CRITERIA, start=1):
         if selected is not None and number not in selected:
             continue
+        started = time.perf_counter()
         try:
-            results.append(criterion())
+            result = criterion()
         except Exception as exc:  # a crashed criterion is a failed criterion
-            results.append(CriterionResult(number, criterion.__name__, False,
-                                           f"raised {exc!r}"))
+            result = CriterionResult(number, criterion.__name__, False, f"raised {exc!r}")
+        results.append(replace(result, elapsed_s=time.perf_counter() - started))
     return results

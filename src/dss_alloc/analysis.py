@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -249,7 +249,7 @@ def alpha_table(
 
 def sweep(
     parameter: str,
-    values: Sequence[int | float],
+    values: Iterable[int | float],
     *,
     service: ServiceModel,
     nodes: int,
@@ -260,8 +260,9 @@ def sweep(
     """Return (value, rows) per grid point for one swept parameter.
 
     parameter is "m", "r", "p", or "alpha"; the remaining parameters stay
-    fixed. Infeasible grid points are skipped with a warning instead of
-    failing, so figure-style sweeps stay total.
+    fixed. values may be lazy; they are read one at a time. Infeasible grid
+    points are skipped with a warning instead of failing, so figure-style
+    sweeps stay total.
     """
     alpha_list = None if alphas is None else tuple(alphas)
     out: list[tuple[int | float, tuple[SweepRow, ...]]] = []

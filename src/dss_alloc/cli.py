@@ -22,9 +22,10 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import get_args
+from typing import Iterator, get_args
 
 from . import acceptance
 from .analysis import optimal_alpha, recovery_probability, service_rate, sweep
@@ -433,6 +434,32 @@ def _run_conditions(spec: RunSpec) -> int:
     return 0
 
 
+def _axis_values(axis: SweepAxis, nodes: int, m: int | None) -> Iterator[int | float]:
+    """Yield the grid start, start + step, ... up to stop, one point at a time.
+
+    An alpha or m sweep ends at its first point with more data nodes than
+    nodes (m*alpha > nodes, or m > nodes): every later point has more still,
+    so the rest of the range is skipped with one warning.
+    """
+    k = 0
+    while (point := axis.start + k * axis.step) <= axis.stop + 1e-9:
+        k += 1
+        if axis.parameter == "p":
+            yield round(point, 10)
+            continue
+        value = int(round(point))
+        if axis.parameter == "m" and value > nodes:
+            used = f"m={value}"
+        elif axis.parameter == "alpha" and m is not None and m * value > nodes:
+            used = f"m*alpha={m * value}"
+        else:
+            yield value
+            continue
+        warnings.warn(f"skipping {axis.parameter}={value} through {axis.stop:g}: "
+                      f"{used} exceeds nodes={nodes}")
+        return
+
+
 def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
     if spec.preset is not None:
         preset = PRESETS[spec.preset]
@@ -444,16 +471,8 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
     axis = _require(spec.sweep_axis, "sweep_axis (or preset)")
     service = _require(spec.service, "service")
     nodes = _require(spec.system.nodes, "system.nodes")
-    values: list[int | float] = []
-    k = 0
-    while True:
-        value = axis.start + k * axis.step
-        if value > axis.stop + 1e-9:
-            break
-        values.append(round(value, 10) if axis.parameter == "p" else int(round(value)))
-        k += 1
-    points = sweep(axis.parameter, values, service=service, nodes=nodes,
-                   access=spec.access, m=spec.system.m)
+    points = sweep(axis.parameter, _axis_values(axis, nodes, spec.system.m), service=service,
+                   nodes=nodes, access=spec.access, m=spec.system.m)
     if axis.parameter == "alpha":
         header = ["alpha", "service_rate", "recovery_prob"]
         rows = [[row.alpha, row.service_rate, row.recovery_probability]
@@ -512,14 +531,18 @@ def _run_simulate(spec: RunSpec) -> int:
 
 
 def _run_validate(spec: RunSpec) -> int:
-    lines: list[str] = []
-    all_passed = True
-    for result in acceptance.run_all(spec.only):
-        status = "PASS" if result.passed else "FAIL"
-        lines.append(f"criterion {result.number}: {status} - {result.name}: {result.detail}")
-        all_passed &= result.passed
-    _write(spec, "\n".join(lines) + "\n")
-    if not all_passed:
+    """One record per criterion; the table form is one text line each."""
+    results = acceptance.run_all(spec.only)
+    header = ["number", "title", "pass", "detail", "elapsed_s"]
+    rows = [[r.number, r.name, r.passed, r.detail, r.elapsed_s] for r in results]
+    if spec.output.format == "table":
+        _write(spec, "\n".join(f"criterion {number}: {'PASS' if passed else 'FAIL'} - "
+                               f"{title}: {detail}" for number, title, passed, detail, _ in rows)
+               + "\n")
+    else:
+        _emit(spec, [], header, rows, csv_table=(header, rows),
+              to_json=lambda: _json_rows(header, rows))
+    if not all(r.passed for r in results):
         print("error: validation: one or more acceptance criteria failed", file=sys.stderr)
         return 4
     return 0

@@ -8,9 +8,14 @@ the failure probability p. Every threshold is an extremum of per-alpha terms
 over candidate alternatives alpha >= 2; the witness records which alpha
 attains it.
 
-Terms with integral exponent (alpha = 2) are evaluated as exact rationals so
-verdict comparisons at boundary values like r <= 7.5 never hinge on float
-rounding; mixed rational/float extrema compare exactly in Python.
+Only the alpha = 2 term (integral exponent) is a rational, an exact Fraction,
+so verdict comparisons at boundary values like r <= 7.5 never hinge on float
+rounding. Every other term starts from its kernel written as one integer
+numerator over one integer denominator (delta*mu enters as its exact ratio),
+rounded once to a float, whose root is taken in floats. Each extremum scans
+the float terms among themselves and compares the winner with the exact term
+once; Python compares a float with a Fraction exactly, so the pick is the one
+an all-exact scan would make.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .analysis import optimal_alpha
@@ -90,19 +96,36 @@ class CandidateCheck:
     agrees: bool
 
 
-def _root(base: float, alpha: int) -> float:
-    return base ** (1.0 / (alpha - 1))
+def _terms(alphas: range, kernel, term) -> list[tuple[int, Number]]:
+    """Return (alpha, term(alpha, root)) for each alpha.
+
+    kernel(alpha) is an exact ratio (num, den) and root its (alpha-1)-th root.
+    At alpha = 2 the root is the kernel itself, kept as an exact Fraction;
+    elsewhere num / den is rounded once (int/int true division rounds
+    correctly, as float(Fraction) does) and the root is taken in floats.
+    """
+    out: list[tuple[int, Number]] = []
+    for alpha in alphas:
+        num, den = kernel(alpha)
+        root = Fraction(num, den) if alpha == 2 else (num / den) ** (1.0 / (alpha - 1))
+        out.append((alpha, term(alpha, root)))
+    return out
 
 
 def _pick(terms: Sequence[tuple[int, Number]], best) -> ThresholdResult:
+    """Return the first term attaining the extremum best (min or max).
+
+    The float terms (alpha >= 3) are scanned among themselves and their
+    extremum is compared with the exact alpha = 2 term once; min and max keep
+    the first of equal terms, so this picks the same term as one exact scan.
+    """
     if not terms:
         empty = math.inf if best is min else -math.inf
         return ThresholdResult(empty, None, ())
-    value, witness = terms[0][1], terms[0][0]
-    for alpha, term in terms[1:]:
-        if best(term, value) == term and term != value:
-            value, witness = term, alpha
-    return ThresholdResult(value, witness, tuple(terms))
+    first, rest = terms[0], terms[1:]
+    if rest:
+        first = best(first, best(rest, key=itemgetter(1)), key=itemgetter(1))
+    return ThresholdResult(first[1], first[0], tuple(terms))
 
 
 def _validate_fixed(nodes: int, m: int, r_max: int) -> range:
@@ -122,19 +145,24 @@ def _validate_prob(m: int, alpha_max: int) -> range:
     return range(2, alpha_max + 1)
 
 
+def _spreading_kernel(m: int):
+    """alpha C(m alpha - 1, alpha - 1) as a ratio over 1."""
+    return lambda alpha: (alpha * binomial(m * alpha - 1, alpha - 1), 1)
+
+
+def _scaled_kernel(m: int):
+    """m / (m alpha - alpha + 1)."""
+    return lambda alpha: (m, m * alpha - alpha + 1)
+
+
 def fixed_scaled_optimality_threshold(nodes: int, m: int, r_max: int) -> ThresholdResult:
     """Minimal spreading is optimal under fixed-size access and scaled-exponential
     service for every r <= threshold.
 
     threshold = min over alpha of 1 + (N-1) / (alpha C(m alpha - 1, alpha - 1))^{1/(alpha-1)}
     """
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_fixed(nodes, m, r_max):
-        base = alpha * binomial(m * alpha - 1, alpha - 1)
-        if alpha == 2:
-            terms.append((alpha, 1 + Fraction(nodes - 1, base)))
-        else:
-            terms.append((alpha, 1.0 + (nodes - 1) / _root(float(base), alpha)))
+    terms = _terms(_validate_fixed(nodes, m, r_max), _spreading_kernel(m),
+                   lambda alpha, root: 1 + (nodes - 1) / root)
     return _pick(terms, min)
 
 
@@ -144,13 +172,8 @@ def fixed_scaled_nonoptimality_threshold(nodes: int, m: int, r_max: int) -> Thre
 
     threshold = min over alpha of (m/(m alpha - alpha + 1))^{1/(alpha-1)} (N-alpha+1) + alpha - 1
     """
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_fixed(nodes, m, r_max):
-        kernel = Fraction(m, m * alpha - alpha + 1)
-        if alpha == 2:
-            terms.append((alpha, kernel * (nodes - 1) + 1))
-        else:
-            terms.append((alpha, _root(float(kernel), alpha) * (nodes - alpha + 1) + alpha - 1))
+    terms = _terms(_validate_fixed(nodes, m, r_max), _scaled_kernel(m),
+                   lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1)
     return _pick(terms, min)
 
 
@@ -160,13 +183,8 @@ def prob_scaled_optimality_threshold(m: int, alpha_max: int) -> ThresholdResult:
 
     threshold = max over alpha of 1 - 1 / (alpha C(m alpha - 1, alpha - 1))^{1/(alpha-1)}
     """
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_prob(m, alpha_max):
-        base = alpha * binomial(m * alpha - 1, alpha - 1)
-        if alpha == 2:
-            terms.append((alpha, 1 - Fraction(1, base)))
-        else:
-            terms.append((alpha, 1.0 - 1.0 / _root(float(base), alpha)))
+    terms = _terms(_validate_prob(m, alpha_max), _spreading_kernel(m),
+                   lambda alpha, root: 1 - 1 / root)
     return _pick(terms, max)
 
 
@@ -176,24 +194,35 @@ def prob_scaled_nonoptimality_threshold(m: int, alpha_max: int) -> ThresholdResu
 
     threshold = max over alpha of 1 - (m/(m alpha - alpha + 1))^{1/(alpha-1)}
     """
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_prob(m, alpha_max):
-        kernel = Fraction(m, m * alpha - alpha + 1)
-        if alpha == 2:
-            terms.append((alpha, 1 - kernel))
-        else:
-            terms.append((alpha, 1.0 - _root(float(kernel), alpha)))
+    terms = _terms(_validate_prob(m, alpha_max), _scaled_kernel(m),
+                   lambda alpha, root: 1 - root)
     return _pick(terms, max)
 
 
-def _shifted_product(delta: float, mu: float) -> Fraction:
+def _shifted_product(delta: float, mu: float) -> tuple[int, int]:
+    """Return dm = delta*mu as an exact integer ratio (a, b)."""
     if delta < 0 or mu <= 0:
         raise ConfigurationError(f"need delta >= 0 and mu > 0, got delta={delta}, mu={mu}")
-    return Fraction(delta) * Fraction(mu)
+    dm = Fraction(delta) * Fraction(mu)
+    return dm.numerator, dm.denominator
 
 
-def _t10_kernel(alpha: int, m: int, dm: Fraction) -> Fraction:
-    return (dm + alpha) / (alpha * (dm * m + 1) * binomial(m * alpha - 1, alpha - 1))
+def _t10_kernel(m: int, delta: float, mu: float):
+    """(dm+alpha)/(alpha (dm m + 1) C(m alpha - 1, alpha - 1)) with dm = a/b."""
+    a, b = _shifted_product(delta, mu)
+    return lambda alpha: (a + alpha * b,
+                          alpha * (a * m + b) * binomial(m * alpha - 1, alpha - 1))
+
+
+def _shifted_nonopt_kernel(m: int, delta: float, mu: float):
+    """m (dm K + alpha^2)/(alpha (dm+1) K) with K = m alpha - alpha + 1 and dm = a/b."""
+    a, b = _shifted_product(delta, mu)
+
+    def kernel(alpha: int) -> tuple[int, int]:
+        K = m * alpha - alpha + 1
+        return m * (a * K + alpha * alpha * b), alpha * (a + b) * K
+
+    return kernel
 
 
 def fixed_shifted_optimality_threshold(
@@ -206,14 +235,9 @@ def fixed_shifted_optimality_threshold(
         1 + ((dm+alpha)/(alpha (dm m + 1) C(m alpha - 1, alpha - 1)))^{1/(alpha-1)} (N-1),
     with dm = delta*mu.
     """
-    dm = _shifted_product(delta, mu)
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_fixed(nodes, m, r_max):
-        kernel = _t10_kernel(alpha, m, dm)
-        if alpha == 2:
-            terms.append((alpha, 1 + kernel * (nodes - 1)))
-        else:
-            terms.append((alpha, 1.0 + _root(float(kernel), alpha) * (nodes - 1)))
+    kernel = _t10_kernel(m, delta, mu)
+    terms = _terms(_validate_fixed(nodes, m, r_max), kernel,
+                   lambda alpha, root: 1 + root * (nodes - 1))
     return _pick(terms, min)
 
 
@@ -227,15 +251,9 @@ def fixed_shifted_nonoptimality_threshold(
         ((dm m K + m alpha^2)/(alpha (dm+1) K))^{1/(alpha-1)} (N-alpha+1) + alpha - 1,
     with K = m alpha - alpha + 1 and dm = delta*mu.
     """
-    dm = _shifted_product(delta, mu)
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_fixed(nodes, m, r_max):
-        K = m * alpha - alpha + 1
-        kernel = (dm * m * K + m * alpha * alpha) / (alpha * (dm + 1) * K)
-        if alpha == 2:
-            terms.append((alpha, kernel * (nodes - 1) + 1))
-        else:
-            terms.append((alpha, _root(float(kernel), alpha) * (nodes - alpha + 1) + alpha - 1))
+    kernel = _shifted_nonopt_kernel(m, delta, mu)
+    terms = _terms(_validate_fixed(nodes, m, r_max), kernel,
+                   lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1)
     return _pick(terms, min)
 
 
@@ -249,14 +267,8 @@ def prob_shifted_optimality_threshold(
         1 - ((dm+alpha)/(alpha (dm m + 1) C(m alpha - 1, alpha - 1)))^{1/(alpha-1)},
     with dm = delta*mu.
     """
-    dm = _shifted_product(delta, mu)
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_prob(m, alpha_max):
-        kernel = _t10_kernel(alpha, m, dm)
-        if alpha == 2:
-            terms.append((alpha, 1 - kernel))
-        else:
-            terms.append((alpha, 1.0 - _root(float(kernel), alpha)))
+    kernel = _t10_kernel(m, delta, mu)
+    terms = _terms(_validate_prob(m, alpha_max), kernel, lambda alpha, root: 1 - root)
     return _pick(terms, max)
 
 
@@ -272,15 +284,8 @@ def prob_shifted_nonoptimality_threshold(
     negative (vacuous); if every term is negative the condition is
     unreachable and the threshold is reported as 0 with no witness.
     """
-    dm = _shifted_product(delta, mu)
-    terms: list[tuple[int, Number]] = []
-    for alpha in _validate_prob(m, alpha_max):
-        K = m * alpha - alpha + 1
-        kernel = m * (dm * K + alpha * alpha) / (alpha * (dm + 1) * K)
-        if alpha == 2:
-            terms.append((alpha, 1 - kernel))
-        else:
-            terms.append((alpha, 1.0 - _root(float(kernel), alpha)))
+    kernel = _shifted_nonopt_kernel(m, delta, mu)
+    terms = _terms(_validate_prob(m, alpha_max), kernel, lambda alpha, root: 1 - root)
     result = _pick(terms, max)
     if result.witness_alpha is not None and result.value < 0:
         return ThresholdResult(Fraction(0), None, result.terms)
@@ -303,6 +308,11 @@ def classify(
     (optimal iff p >= threshold, non-optimal iff p <= threshold). Anything
     in between is indeterminate: the certificates are sufficient conditions
     with a gap, not a partition.
+
+    Probabilistic alternatives run up to alpha_max, by default nodes // m
+    (20 without nodes). When that default leaves no alpha >= 2, alpha = 1 is
+    the only allocation and the verdict is optimal with no terms, as under
+    fixed-size access; an explicit alpha_max below 2 is an error.
     """
     if not isinstance(service, (ScaledExp, ShiftedExp)):
         raise ConfigurationError(
@@ -332,14 +342,20 @@ def classify(
             verdict = "indeterminate"
     else:
         p = access.p
-        amax = alpha_max if alpha_max is not None else (nodes // m if nodes else 20)
-        if isinstance(service, ScaledExp):
+        if nodes is not None and nodes < 1:
+            raise ConfigurationError(f"need nodes >= 1, got nodes={nodes}")
+        amax = alpha_max if alpha_max is not None else (20 if nodes is None else nodes // m)
+        if alpha_max is None and amax < 2:
+            # no alternative alpha fits in the nodes (as under fixed-size access
+            # with 2m > N): both extrema run over no terms and alpha = 1 stands
+            opt = non = _pick((), max)
+        elif isinstance(service, ScaledExp):
             opt = prob_scaled_optimality_threshold(m, amax)
             non = prob_scaled_nonoptimality_threshold(m, amax)
         else:
             opt = prob_shifted_optimality_threshold(m, service.delta, service.mu, amax)
             non = prob_shifted_nonoptimality_threshold(m, service.delta, service.mu, amax)
-        if opt.witness_alpha is not None and p >= opt.value:
+        if p >= opt.value:
             verdict = "optimal"
         elif non.witness_alpha is not None and p <= non.value:
             verdict = "non-optimal"

@@ -8,12 +8,16 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dss_alloc
 from dss_alloc.cli import RunSpec, main, parse_run_spec
 
 
@@ -394,6 +398,41 @@ def test_axis_sweep_over_alpha_keeps_the_access_fixed(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
 
 
+def test_axis_sweep_stops_at_the_first_point_without_an_allocation():
+    # alpha >= 6 needs more than 10 nodes; the sweep ends there with one
+    # warning (two stderr lines) instead of one warning per skipped point
+    src = os.path.dirname(os.path.dirname(dss_alloc.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "dss_alloc.cli", "sweep", "--nodes", "10", "--m", "2",
+         "--access", "fixed", "--r", "5", "--service", "small", "--parameter", "alpha",
+         "--start", "1", "--stop", "200000"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert done.stdout == (
+        "alpha  service_rate  recovery_prob\n"
+        "1  1  0.777777777778\n"
+        "2  0.643990929705  0.738095238095\n"
+        "3  0.509915616299  0.738095238095\n"
+        "4  0.439826839827  0.777777777778\n"
+        "5  0.43795620438  1\n"
+    )
+    assert len(done.stderr.splitlines()) <= 2
+    assert "skipping alpha=6 through 200000" in done.stderr
+
+
+def test_axis_sweep_over_m_stops_past_the_node_count(capsys):
+    with pytest.warns(UserWarning, match="skipping m=11 through 1e\\+09") as record:
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--nodes", "10", "--access", "fixed", "--r", "5", "--service", "small",
+             "--parameter", "m", "--start", "9", "--stop", "1e9", "--format", "csv"],
+        )
+    assert code == 0
+    assert len(record) == 1
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["9", "10"]
+
+
 def test_flags_override_single_sweep_fields_of_a_config(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
@@ -445,6 +484,19 @@ def test_conditions_with_no_redundancy_exit_with_a_config_error(capsys):
     assert err.startswith("error: config:")
 
 
+def test_probabilistic_conditions_without_room_for_alpha_2_report_optimal(capsys):
+    args = ["conditions", "--nodes", "3", "--m", "2", "--access", "probabilistic", "--p", "0.3",
+            "--service", "scaled", "--format", "json"]
+    code, out, _ = run_cli(capsys, args)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "optimal"
+    assert payload["terms"] == []
+    code, _, err = run_cli(capsys, args + ["--alpha-max", "1"])
+    assert code == 2
+    assert err == "error: config: need alpha_max >= 2, got 1\n"
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -487,6 +539,23 @@ def test_validate_runs_a_single_criterion(capsys):
     code, out, _ = run_cli(capsys, ["validate", "--only", "3"])
     assert code == 0
     assert out.startswith("criterion 3: PASS")
+
+
+def test_validate_json_has_one_record_per_criterion(capsys):
+    code, out, _ = run_cli(capsys, ["validate", "--only", "3,6", "--format", "json"])
+    assert code == 0
+    records = json.loads(out)
+    assert [record["number"] for record in records] == [3, 6]
+    for record in records:
+        assert set(record) == {"number", "title", "pass", "detail", "elapsed_s"}
+        assert record["pass"] is True
+        assert isinstance(record["title"], str) and record["detail"]
+        assert 0 <= record["elapsed_s"] < 60
+    code, out, _ = run_cli(capsys, ["validate", "--only", "3", "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "number,title,pass,detail,elapsed_s"
+    assert lines[1].startswith('3,"threshold anchors at N=40, m=2",yes,')
 
 
 def test_validate_rejects_unknown_criterion_numbers(capsys):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dss_alloc.analysis import optimal_alpha
+from dss_alloc.analysis import alpha_table, optimal_alpha
 from dss_alloc.conditions import (
+    ConditionReport,
     classify,
     constant_prob_m1_optimal_alpha,
     fixed_scaled_nonoptimality_threshold,
@@ -221,3 +225,189 @@ def test_optimal_alpha_profile_reports_monotone_growth():
     )
     assert [alpha for _, alpha in profile] == [1, 3, 7, 13]
     assert nondecreasing
+
+
+def test_probabilistic_access_without_room_for_alpha_2_is_optimal():
+    # N < 2m admits alpha = 1 only, as fixed-size access with 2m > N does
+    report = classify(Probabilistic(0.3), ScaledExp(1.0), 2, nodes=3)
+    assert report.verdict == "optimal"
+    assert report.optimality_terms == report.nonoptimality_terms == ()
+    assert report.witness_alpha_opt is report.witness_alpha_nonopt is None
+    assert classify(FixedSize(2), ScaledExp(1.0), 2, nodes=3).verdict == "optimal"
+    with pytest.raises(ConfigurationError):  # an explicit cutoff must leave room
+        classify(Probabilistic(0.3), ScaledExp(1.0), 2, nodes=3, alpha_max=1)
+    with pytest.raises(ConfigurationError):
+        classify(Probabilistic(0.3), ScaledExp(1.0), 2, nodes=0)
+
+
+# --- identity with an all-Fraction evaluation ------------------------------------
+# The reference evaluates every kernel as a Fraction, rounds it with float()
+# for alpha >= 3, and scans the mixed Fraction/float terms in one exact pass.
+
+def ref_pick(terms, best):
+    if not terms:
+        return math.inf if best is min else -math.inf, None, ()
+    value, witness = terms[0][1], terms[0][0]
+    for alpha, term in terms[1:]:
+        if best(term, value) == term and term != value:
+            value, witness = term, alpha
+    return value, witness, tuple(terms)
+
+
+def ref_root(kernel, alpha):
+    return float(kernel) ** (1.0 / (alpha - 1))
+
+
+def ref_fixed(nodes, m, r, dm):
+    alphas = range(2, min(r, nodes // m) + 1)
+    opt, non = [], []
+    for alpha in alphas:
+        K = m * alpha - alpha + 1
+        base = alpha * math.comb(m * alpha - 1, alpha - 1)
+        if dm is None:
+            opt_kernel = Fraction(1, base)
+            non_kernel = Fraction(m, K)
+        else:
+            opt_kernel = (dm + alpha) / (alpha * (dm * m + 1) * math.comb(m * alpha - 1, alpha - 1))
+            non_kernel = (dm * m * K + m * alpha * alpha) / (alpha * (dm + 1) * K)
+        if alpha == 2:
+            opt.append((alpha, 1 + opt_kernel * (nodes - 1)))
+            non.append((alpha, non_kernel * (nodes - 1) + 1))
+        elif dm is None:
+            opt.append((alpha, 1.0 + (nodes - 1) / ref_root(base, alpha)))
+            non.append((alpha, ref_root(non_kernel, alpha) * (nodes - alpha + 1) + alpha - 1))
+        else:
+            opt.append((alpha, 1.0 + ref_root(opt_kernel, alpha) * (nodes - 1)))
+            non.append((alpha, ref_root(non_kernel, alpha) * (nodes - alpha + 1) + alpha - 1))
+    return ref_pick(opt, min), ref_pick(non, min)
+
+
+def ref_prob(m, amax, dm):
+    opt, non = [], []
+    for alpha in range(2, amax + 1):
+        K = m * alpha - alpha + 1
+        base = alpha * math.comb(m * alpha - 1, alpha - 1)
+        if dm is None:
+            opt_kernel, non_kernel = Fraction(1, base), Fraction(m, K)
+        else:
+            opt_kernel = (dm + alpha) / (alpha * (dm * m + 1) * math.comb(m * alpha - 1, alpha - 1))
+            non_kernel = m * (dm * K + alpha * alpha) / (alpha * (dm + 1) * K)
+        if alpha == 2:
+            opt.append((alpha, 1 - opt_kernel))
+            non.append((alpha, 1 - non_kernel))
+        elif dm is None:
+            opt.append((alpha, 1.0 - 1.0 / ref_root(base, alpha)))
+            non.append((alpha, 1.0 - ref_root(non_kernel, alpha)))
+        else:
+            opt.append((alpha, 1.0 - ref_root(opt_kernel, alpha)))
+            non.append((alpha, 1.0 - ref_root(non_kernel, alpha)))
+    opt, non = ref_pick(opt, max), ref_pick(non, max)
+    if dm is not None and non[1] is not None and non[0] < 0:
+        non = (Fraction(0), None, non[2])
+    return opt, non
+
+
+def ref_classify(access, service, m, nodes, alpha_max=None):
+    dm = Fraction(service.delta) * Fraction(service.mu) if isinstance(service, ShiftedExp) else None
+    if isinstance(access, FixedSize):
+        opt, non = ref_fixed(nodes, m, access.r, dm)
+        r = access.r
+        if r <= opt[0]:
+            verdict = "optimal"
+        elif non[1] is not None and r >= non[0]:
+            verdict = "non-optimal"
+        else:
+            verdict = "indeterminate"
+    else:
+        opt, non = ref_prob(m, alpha_max if alpha_max is not None else nodes // m, dm)
+        p = access.p
+        if opt[1] is not None and p >= opt[0]:
+            verdict = "optimal"
+        elif non[1] is not None and p <= non[0]:
+            verdict = "non-optimal"
+        else:
+            verdict = "indeterminate"
+    return ConditionReport(access.kind, service.kind, opt[0], non[0], opt[1], non[1], verdict,
+                           opt[2], non[2])
+
+
+def report_shape(report):
+    """The repr of a report and the type of every field and term."""
+    types = [type(value).__name__ for value in vars(report).values()]
+    for terms in (report.optimality_terms, report.nonoptimality_terms):
+        types += [type(alpha).__name__ + type(term).__name__ for alpha, term in terms]
+    return repr(report), types
+
+
+GRID_SERVICES = [ScaledExp(mu) for mu in (0.5, 1.0, 2.0)] + [
+    ShiftedExp(delta, mu) for delta in (1.0, 3.0) for mu in (0.5, 1.0, 2.0)]
+
+
+def grid_configs():
+    for nodes in (10, 20, 40):
+        for m in (1, 2, 3, 4):
+            for service in GRID_SERVICES:
+                for r in range(2, nodes + 1):
+                    yield FixedSize(r), service, m, nodes, None
+                for k in range(1, 20):
+                    yield Probabilistic(round(0.05 * k, 2)), service, m, nodes, None
+
+
+def random_configs(seed, count):
+    rng = random.Random(seed)
+    odd = (0.1, 0.3, 3.7)  # not dyadic: delta * mu is a ratio of large integers
+    for _ in range(count):
+        m = rng.randint(1, 6)
+        nodes = rng.randint(2 * m, 60)
+        mu = rng.choice(odd + (rng.uniform(0.1, 5.0),))
+        if rng.random() < 0.3:
+            service = ScaledExp(mu)
+        else:
+            service = ShiftedExp(rng.choice((0.0,) + odd + (rng.uniform(0.0, 5.0),)), mu)
+        if rng.random() < 0.5:
+            yield FixedSize(rng.randint(2, nodes)), service, m, nodes, None
+        else:
+            alpha_max = rng.choice((None, rng.randint(2, 40)))
+            yield Probabilistic(rng.choice((rng.random(), 1 / 3))), service, m, nodes, alpha_max
+
+
+def test_classify_matches_the_all_fraction_reference():
+    configs = [*grid_configs(), *random_configs(11, 500)]
+    assert len(configs) == 4464 + 500
+    for access, service, m, nodes, alpha_max in configs:
+        got = classify(access, service, m, nodes=nodes, alpha_max=alpha_max)
+        want = ref_classify(access, service, m, nodes, alpha_max)
+        assert report_shape(got) == report_shape(want), (access, service, m, nodes, alpha_max)
+
+
+# --- properties ------------------------------------------------------------------
+
+@st.composite
+def certified_configs(draw):
+    m = draw(st.integers(1, 4))
+    nodes = draw(st.integers(max(2, m), 40))
+    if draw(st.booleans()):
+        access = FixedSize(draw(st.integers(2, nodes)))
+    else:
+        access = Probabilistic(draw(st.floats(0.01, 0.99)))
+    mu = draw(st.floats(0.1, 5.0))
+    if draw(st.booleans()):
+        service = ScaledExp(mu)
+    else:
+        service = ShiftedExp(draw(st.floats(0.0, 5.0)), mu)
+    return access, service, nodes, m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(certified_configs())
+def test_verdicts_never_contradict_the_alpha_table(config):
+    # the same 1e-9 slack as acceptance criterion 5
+    access, service, nodes, m = config
+    verdict = classify(access, service, m, nodes=nodes).verdict
+    rows = alpha_table(access, service, nodes, m)
+    rate_1 = rows[0].service_rate
+    slack = 1e-9 * max(1.0, rate_1)
+    if verdict == "optimal":
+        assert all(row.service_rate <= rate_1 + slack for row in rows[1:])
+    elif verdict == "non-optimal":
+        assert any(row.service_rate >= rate_1 - slack for row in rows[1:])

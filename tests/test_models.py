@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dss_alloc.errors import ConfigurationError, InfeasibleError
 from dss_alloc.models import (
@@ -179,3 +182,46 @@ def test_bounds_reject_phi_outside_the_recovery_range():
         conditional_rate_bounds(SmallExp(1.0), 3, 2, 2)
     with pytest.raises(ConfigurationError):
         conditional_rate_bounds(SmallExp(1.0), 2, 5, 2)
+
+
+# --- properties ------------------------------------------------------------------
+
+@st.composite
+def access_columns(draw):
+    nodes = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        access = FixedSize(draw(st.integers(1, nodes)))
+    else:
+        access = Probabilistic(draw(st.floats(0.01, 0.99)))
+    data = draw(st.lists(st.integers(1, nodes), min_size=1, max_size=8))
+    return access, nodes, data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(access_columns())
+def test_every_pmf_column_sums_to_one(case):
+    access, nodes, data = case
+    _, _, probs = access.rows(nodes, np.array(data))
+    assert np.all(probs >= 0)
+    assert np.abs(probs.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+@st.composite
+def rate_points(draw):
+    mu = draw(st.floats(0.1, 5.0))
+    service = draw(st.sampled_from([
+        SmallExp(mu), ScaledExp(mu), ShiftedExp(draw(st.floats(0.0, 5.0)), mu),
+        ConstantTime(draw(st.floats(0.1, 5.0)))]))
+    m = draw(st.integers(1, 4))
+    alpha = draw(st.integers(1, 40 // m))
+    return service, alpha, draw(st.integers(alpha, m * alpha)), m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rate_points())
+def test_conditional_rate_lies_within_its_bounds(point):
+    service, alpha, phi, m = point
+    rate = conditional_rate(service, alpha, phi)
+    low, high = conditional_rate_bounds(service, alpha, phi, m)
+    slack = 1e-12 * max(1.0, rate)
+    assert low - slack <= rate <= high + slack
