@@ -262,8 +262,11 @@ def sweep(
     parameter is "m", "r", "p", or "alpha"; the remaining parameters stay
     fixed. values may be lazy; they are read one at a time. Infeasible grid
     points are skipped with a warning instead of failing, so figure-style
-    sweeps stay total.
+    sweeps stay total. An r or p sweep whose nodes and m admit no alpha at
+    all fails before its first point, since every point would be skipped.
     """
+    if parameter in ("r", "p") and m is not None:
+        feasible_alphas(nodes, m)
     alpha_list = None if alphas is None else tuple(alphas)
     out: list[tuple[int | float, tuple[SweepRow, ...]]] = []
     for value in values:

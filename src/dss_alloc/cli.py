@@ -20,7 +20,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -44,9 +43,9 @@ _COMMANDS = ("rate", "prob", "optimal", "conditions", "sweep", "simulate", "vali
 _ALLOWED_KEYS = {
     "": {"command", "system", "access", "service", "sweep_axis", "preset", "sim",
          "output", "objective", "alpha_max", "only"},
-    "system": {"nodes", "m", "alpha", "blocks"},
+    "system": {"nodes", "m", "alpha"},
     "sweep_axis": {"parameter", "start", "stop", "step"},
-    "sim": {"trials", "seed", "workers", "min_count"},
+    "sim": {f.name for f in fields(SimConfig)},
     "output": {"path", "format"},
 }
 
@@ -64,7 +63,6 @@ class SystemSpec:
     nodes: int | None = None
     m: int | None = None
     alpha: int | None = None
-    blocks: int | None = None
 
 
 @dataclass(frozen=True)
@@ -156,6 +154,18 @@ def _opt(mapping: dict, key: str, section: str, kind: type) -> int | float | Non
         raise ConfigurationError(f"{name} is out of range, got {value!r}") from None
 
 
+def _build(cls, mapping: dict, section: str, owner: str):
+    """Build cls from the fields given in mapping; the others keep the class defaults."""
+    values = {}
+    for f in fields(cls):
+        value = _opt(mapping, f.name, section, int if f.type == "int" else float)
+        if value is not None:
+            values[f.name] = value
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{owner} needs {f.name}")
+    return cls(**values)
+
+
 def _parse_model(data: dict, section: str) -> AccessModel | ServiceModel | None:
     """Build the model of the access or service section; None when absent."""
     if section not in data:
@@ -172,43 +182,13 @@ def _parse_model(data: dict, section: str) -> AccessModel | ServiceModel | None:
     if extra:
         raise ConfigurationError(
             f"{cls.kind} {section} takes {' and '.join(names)}, not {', '.join(sorted(extra))}")
-    values = {}
-    for f in fields(cls):
-        value = _opt(mapping, f.name, section, int if f.type == "int" else float)
-        if value is not None:
-            values[f.name] = value
-        elif f.default is MISSING:
-            raise ConfigurationError(f"{cls.kind} {section} needs {f.name}")
-    return cls(**values)
-
-
-def _default_workers() -> int:
-    env = os.environ.get("DSS_ALLOC_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigurationError(f"DSS_ALLOC_THREADS must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise ConfigurationError(f"DSS_ALLOC_THREADS must be positive, got {workers}")
-        return workers
-    return os.cpu_count() or 1
+    return _build(cls, mapping, section, f"{cls.kind} {section}")
 
 
 def _parse_sim(data: dict) -> SimConfig | None:
     if "sim" not in data:
         return None
-    mapping = _section(data, "sim")
-    trials = _opt(mapping, "trials", "sim", int)
-    if trials is None:
-        raise ConfigurationError("sim needs trials")
-    workers = _opt(mapping, "workers", "sim", int)
-    return SimConfig(
-        trials=trials,
-        seed=_opt(mapping, "seed", "sim", int) or 0,
-        workers=workers if workers is not None else _default_workers(),
-        min_count=_opt(mapping, "min_count", "sim", int) or 100,
-    )
+    return _build(SimConfig, _section(data, "sim"), "sim", "sim")
 
 
 def _parse_axis(data: dict) -> SweepAxis | None:
@@ -376,7 +356,6 @@ def _build_config(spec: RunSpec) -> SystemConfig:
         nodes=_require(spec.system.nodes, "system.nodes"),
         m=_require(spec.system.m, "system.m"),
         alpha=_require(spec.system.alpha, "system.alpha"),
-        blocks=spec.system.blocks,
     )
 
 
@@ -586,7 +565,6 @@ def _add_common(parser: argparse.ArgumentParser, *, service=True) -> None:
     _flag(parser, "--nodes -N", "system.nodes", "node count N", type=int)
     _flag(parser, "--m", "system.m", "redundancy multiplier m", type=int)
     _flag(parser, "--alpha", "system.alpha", "spreading parameter alpha", type=int)
-    _flag(parser, "--blocks", "system.blocks", "file block count (metadata only)", type=int)
     _flag(parser, "--access", "access.kind", "access model",
           choices=("fixed", "fixed-size", "probabilistic"))
     _flag(parser, "--r", "access.r", "accessed-node count (fixed-size access)", type=int)
@@ -621,11 +599,11 @@ def _parser() -> _Parser:
         _add_common(p, service=name != "prob")
         if name == "simulate":
             _flag(p, "--trials", "sim.trials", "Monte-Carlo trials", type=int)
-            _flag(p, "--seed", "sim.seed", "RNG seed (default 0)", type=int)
-            _flag(p, "--workers", "sim.workers",
-                  "worker threads (default: DSS_ALLOC_THREADS or CPU count)", type=int)
-            _flag(p, "--min-count", "sim.min_count", "per-stratum sample floor (default 100)",
+            _flag(p, "--seed", "sim.seed", f"RNG seed (default {SimConfig.seed})", type=int)
+            _flag(p, "--workers", "sim.workers", "worker threads (default: one per CPU)",
                   type=int)
+            _flag(p, "--min-count", "sim.min_count",
+                  f"per-stratum sample floor (default {SimConfig.min_count})", type=int)
 
     p = sub.add_parser("optimal", help="exhaustive optimal-alpha search")
     _add_common(p)

@@ -309,10 +309,11 @@ def classify(
     in between is indeterminate: the certificates are sufficient conditions
     with a gap, not a partition.
 
-    Probabilistic alternatives run up to alpha_max, by default nodes // m
-    (20 without nodes). When that default leaves no alpha >= 2, alpha = 1 is
-    the only allocation and the verdict is optimal with no terms, as under
-    fixed-size access; an explicit alpha_max below 2 is an error.
+    Probabilistic alternatives run up to alpha_max, by default nodes // m;
+    one of the two must be given. When that default leaves no alpha >= 2,
+    alpha = 1 is the only allocation and the verdict is optimal with no
+    terms, as under fixed-size access; an explicit alpha_max below 2 is an
+    error.
     """
     if not isinstance(service, (ScaledExp, ShiftedExp)):
         raise ConfigurationError(
@@ -344,7 +345,9 @@ def classify(
         p = access.p
         if nodes is not None and nodes < 1:
             raise ConfigurationError(f"need nodes >= 1, got nodes={nodes}")
-        amax = alpha_max if alpha_max is not None else (20 if nodes is None else nodes // m)
+        if nodes is None and alpha_max is None:
+            raise ConfigurationError("probabilistic conditions need the node count or alpha_max")
+        amax = alpha_max if alpha_max is not None else nodes // m
         if alpha_max is None and amax < 2:
             # no alternative alpha fits in the nodes (as under fixed-size access
             # with 2m > N): both extrema run over no terms and alpha = 1 stands

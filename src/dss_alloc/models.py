@@ -10,7 +10,6 @@ reciprocal of its mean.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -36,17 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A quasi-uniform allocation: m*alpha of the nodes hold blocks/alpha blocks each.
+    """A quasi-uniform allocation: m*alpha of the nodes each hold 1/alpha of the file.
 
-    blocks (the file's block count) is metadata only; every rate formula is
-    block-count-free because the per-chunk cost is folded into the service
-    model's scaling.
+    No rate formula depends on the file's block count: the per-chunk cost is
+    folded into the service model's scaling.
     """
 
     nodes: int
     m: int
     alpha: int
-    blocks: int | None = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1 or self.m < 1 or self.alpha < 1:
@@ -54,18 +51,10 @@ class SystemConfig:
                 "nodes, m, and alpha must be positive, got "
                 f"nodes={self.nodes}, m={self.m}, alpha={self.alpha}"
             )
-        if self.blocks is not None and self.blocks < 1:
-            raise ConfigurationError(f"blocks must be positive when given, got {self.blocks}")
         if self.m * self.alpha > self.nodes:
             raise InfeasibleError(
                 f"alpha={self.alpha} needs m*alpha={self.m * self.alpha} data nodes "
                 f"but the system has only {self.nodes}"
-            )
-        if self.blocks is not None and self.blocks % self.alpha:
-            warnings.warn(
-                f"blocks={self.blocks} is not divisible by alpha={self.alpha}; "
-                "rates are unaffected (no formula uses the block count)",
-                stacklevel=2,
             )
 
     @property

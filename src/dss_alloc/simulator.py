@@ -13,6 +13,12 @@ are the only simulated quantity. Inverting a stratum mean is biased at order
 1/count, so the first-order delta-method correction (var / mean^3 / count)
 is subtracted.
 
+One seeded pass serves both estimates: it counts the draws of each phi (the
+recovery estimate is the share with phi >= alpha) and samples the
+completion times of every stratum that can serve a request. Constant
+service needs no sampling: its completion time is delta/alpha exactly, so
+the pass only counts and the rate is the exact analytic value.
+
 Reproducibility: trials are split into fixed-size blocks, block i is
 generated by a counter-based Philox stream keyed (seed, i) no matter which
 worker runs it, and block partials are reduced in block index order, so
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import access_pmf
+from .analysis import access_pmf, service_rate
 from .errors import ConfigurationError
 from .models import AccessModel, ConstantTime, ServiceModel, SystemConfig
 
@@ -53,11 +59,14 @@ _TOPUP_KEY_BASE = 1 << 63
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Trial count, seed, worker count, and the per-stratum sample floor."""
+    """Trial count, seed, worker threads, and the per-stratum sample floor.
+
+    Workers default to the CPU count; no estimate depends on the worker count.
+    """
 
     trials: int
     seed: int = 0
-    workers: int = 1
+    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     min_count: int = 100
 
     def __post_init__(self) -> None:
@@ -115,6 +124,39 @@ def _map_blocks(fn, sizes: list[int], workers: int):
         return list(pool.map(fn, range(len(sizes)), sizes))
 
 
+def _order_stats(service: ServiceModel, alpha: int, phi: int, n: int,
+                 rng: np.random.Generator) -> tuple[float, float]:
+    """Return the sum and the sum of squares of n completion times given phi."""
+    times = service.sample(alpha, (n, phi), rng)
+    times.partition(alpha - 1, axis=1)  # in place: no second (n, phi) array
+    best = times[:, alpha - 1]
+    return float(best.sum()), float(np.square(best).sum())
+
+
+def _run_pass(config: SystemConfig, access: AccessModel, service: ServiceModel | None,
+              sim: SimConfig, support, sampled) -> tuple[dict[int, int], dict[int, list]]:
+    """Draw sim.trials values of phi in seeded blocks.
+
+    Returns the draw count of each phi in support and, for each phi in
+    sampled, [n, sum, sum of squares] of its completion times in the pass.
+    """
+    alpha, D = config.alpha, config.data_nodes
+
+    def run_block(index: int, n: int):
+        rng = _block_rng(sim.seed, index)
+        counts = np.bincount(access.draw(config.nodes, D, n, rng), minlength=D + 1)
+        return counts, [(phi, c, *_order_stats(service, alpha, phi, c, rng))
+                        for phi in sampled if (c := int(counts[phi]))]
+
+    count_total = np.zeros(D + 1, dtype=np.int64)
+    stats = {phi: [0, 0.0, 0.0] for phi in sampled}
+    for counts, block in _map_blocks(run_block, _block_sizes(sim.trials), sim.workers):
+        count_total += counts
+        for phi, *sums in block:
+            stats[phi] = [total + x for total, x in zip(stats[phi], sums)]
+    return {phi: int(count_total[phi]) for phi in support}, stats
+
+
 def estimate_service_rate(
     config: SystemConfig,
     access: AccessModel,
@@ -123,76 +165,41 @@ def estimate_service_rate(
 ) -> SimEstimate:
     """Estimate mu_s(alpha) by stratified simulation of completion times."""
     alpha = config.alpha
-    D = config.data_nodes
     pmf = dict(access_pmf(config, access))
-    support = sorted(pmf)
-    phi_hi = support[-1]
-    rate_phis = [phi for phi in range(alpha, phi_hi + 1) if pmf.get(phi, 0.0) > 0.0]
-    deterministic = isinstance(service, ConstantTime)
+    rate_phis = [phi for phi in range(alpha, max(pmf) + 1) if pmf.get(phi, 0.0) > 0.0]
+    if isinstance(service, ConstantTime):
+        # every completion time is exactly delta/alpha: nothing to sample
+        counts, _ = _run_pass(config, access, service, sim, pmf, ())
+        return SimEstimate(
+            mean=service_rate(config, access, service),
+            std_error=0.0,
+            per_phi_counts=counts,
+            per_phi_mean_time=dict.fromkeys(rate_phis, service.delta / alpha),
+            trials=sim.trials,
+        )
 
-    def run_block(index: int, n: int):
-        rng = _block_rng(sim.seed, index)
-        phis = access.draw(config.nodes, D, n, rng)
-        counts = np.bincount(phis, minlength=D + 1)
-        stats = {}
-        if not deterministic:
-            for phi in rate_phis:
-                c = int(counts[phi])
-                if c == 0:
-                    continue
-                times = service.sample(alpha, (c, phi), rng)
-                times.partition(alpha - 1, axis=1)  # in place: no second (c, phi) array
-                best = times[:, alpha - 1]
-                stats[phi] = (c, float(best.sum()), float(np.square(best).sum()))
-        return counts, stats
-
-    totals: dict[int, list[float]] = {phi: [0, 0.0, 0.0] for phi in rate_phis}
-    count_total = np.zeros(D + 1, dtype=np.int64)
-    for counts, stats in _map_blocks(run_block, _block_sizes(sim.trials), sim.workers):
-        count_total += counts
-        for phi, (c, s, s2) in stats.items():
-            acc = totals[phi]
-            acc[0] += c
-            acc[1] += s
-            acc[2] += s2
-
+    counts, totals = _run_pass(config, access, service, sim, pmf, rate_phis)
     topups: dict[int, int] = {}
-    if not deterministic:
-        for phi in rate_phis:
-            need = sim.min_count - totals[phi][0]
-            if need > 0:
-                rng = _block_rng(sim.seed, _TOPUP_KEY_BASE + phi)
-                times = service.sample(alpha, (need, phi), rng)
-                times.partition(alpha - 1, axis=1)
-                best = times[:, alpha - 1]
-                acc = totals[phi]
-                acc[0] += need
-                acc[1] += float(best.sum())
-                acc[2] += float(np.square(best).sum())
-                topups[phi] = need
-
-    mean = 0.0
-    variance = 0.0
+    mean = variance = 0.0
     mean_times: dict[int, float] = {}
     for phi in rate_phis:
         weight = pmf[phi]
-        if deterministic:
-            # every completion time is exactly delta/alpha; no sampling noise
-            mean_times[phi] = service.delta / alpha
-            mean += weight * (alpha / service.delta)
-            continue
         c, s, s2 = totals[phi]
+        if c < sim.min_count:
+            topups[phi] = need = sim.min_count - c
+            rng = _block_rng(sim.seed, _TOPUP_KEY_BASE + phi)
+            more, more2 = _order_stats(service, alpha, phi, need, rng)
+            c, s, s2 = c + need, s + more, s2 + more2
         t_bar = s / c
         var = max(0.0, (s2 - s * s / c) / (c - 1))
         mean_times[phi] = t_bar
         mean += weight * (1.0 / t_bar - var / (c * t_bar**3))
         variance += (weight * np.sqrt(var / c) / t_bar**2) ** 2
 
-    per_phi_counts = {phi: int(count_total[phi]) for phi in support}
     return SimEstimate(
         mean=float(mean),
         std_error=float(np.sqrt(variance)),
-        per_phi_counts=per_phi_counts,
+        per_phi_counts=counts,
         per_phi_mean_time=mean_times,
         trials=sim.trials,
         topup_counts=topups,
@@ -221,16 +228,5 @@ def estimate_recovery_probability(
     config: SystemConfig, access: AccessModel, sim: SimConfig
 ) -> SimEstimate:
     """Estimate P_s(alpha) as the fraction of trials with phi >= alpha."""
-    D = config.data_nodes
-    support = sorted(phi for phi, _ in access_pmf(config, access))
-
-    def run_block(index: int, n: int):
-        rng = _block_rng(sim.seed, index)
-        phis = access.draw(config.nodes, D, n, rng)
-        return np.bincount(phis, minlength=D + 1)
-
-    count_total = np.zeros(D + 1, dtype=np.int64)
-    for counts in _map_blocks(run_block, _block_sizes(sim.trials), sim.workers):
-        count_total += counts
-    per_phi_counts = {phi: int(count_total[phi]) for phi in support}
-    return recovery_estimate(per_phi_counts, config.alpha, sim.trials)
+    counts, _ = _run_pass(config, access, None, sim, dict(access_pmf(config, access)), ())
+    return recovery_estimate(counts, config.alpha, sim.trials)

@@ -74,6 +74,7 @@ def test_run_spec_round_trips_through_its_dict_form():
     [
         {"command": "rate", "systme": {}},
         {"command": "rate", "system": {"node_count": 10}},
+        {"command": "rate", "system": {"blocks": 4}},
         {"command": "rate", "access": {"kind": "fixed-size", "r": 5, "p": 0.1}},
         {"command": "bogus"},
         {"command": "rate", "access": {"kind": "probabilistic", "p": "abc"}},
@@ -108,6 +109,7 @@ def test_unknown_or_contradictory_fields_are_rejected(data):
         {"access": {"kind": ["x"]}},
         {"service": {"kind": "small-exp", "mu": True}},
         {"output": {"path": 1}},
+        {"system": {"blocks": 4}},
     ],
 )
 def test_mistyped_config_values_exit_with_one_config_error_line(tmp_path, capsys, config):
@@ -421,6 +423,21 @@ def test_axis_sweep_stops_at_the_first_point_without_an_allocation():
     assert "skipping alpha=6 through 200000" in done.stderr
 
 
+@pytest.mark.parametrize("parameter, start, step", [("r", "1", "1"), ("p", "0", "0.0001")])
+def test_r_and_p_sweeps_without_any_allocation_fail_before_the_first_point(parameter, start,
+                                                                            step):
+    # m > nodes admits no alpha whatever r or p is, so the sweep fails at once
+    src = os.path.dirname(os.path.dirname(dss_alloc.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "dss_alloc.cli", "sweep", "--nodes", "3", "--m", "5",
+         "--service", "small", "--parameter", parameter, "--start", start, "--stop", "1e9",
+         "--step", step],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: infeasible: no feasible alpha for nodes=3, m=5\n"
+
+
 def test_axis_sweep_over_m_stops_past_the_node_count(capsys):
     with pytest.warns(UserWarning, match="skipping m=11 through 1e\\+09") as record:
         code, out, _ = run_cli(
@@ -497,25 +514,41 @@ def test_probabilistic_conditions_without_room_for_alpha_2_report_optimal(capsys
     assert err == "error: config: need alpha_max >= 2, got 1\n"
 
 
+def test_probabilistic_conditions_need_the_node_count_or_a_cutoff(capsys):
+    args = ["conditions", "--m", "2", "--access", "probabilistic", "--p", "0.3",
+            "--service", "scaled"]
+    assert run_cli(capsys, args) == (
+        2, "", "error: config: probabilistic conditions need the node count or alpha_max\n")
+    assert run_cli(capsys, args + ["--alpha-max", "5"])[0] == 0
+    assert run_cli(capsys, args + ["--nodes", "40"])[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
 
-def test_simulate_honours_the_thread_env_var(capsys, monkeypatch):
+def test_sim_section_defaults_are_the_sim_config_defaults():
+    from dss_alloc import SimConfig
+
+    spec = parse_run_spec({"command": "simulate", "sim": {"trials": 10}})
+    assert spec.sim == SimConfig(trials=10)
+    assert spec.sim.workers == (os.cpu_count() or 1)
+    spec = parse_run_spec({"command": "simulate",
+                           "sim": {"trials": 10, "seed": None, "min_count": None}})
+    assert spec.sim == SimConfig(trials=10)
+
+
+def test_a_zero_sample_floor_is_rejected_not_defaulted(tmp_path, capsys):
     args = ["simulate", "--nodes", "10", "--m", "1", "--alpha", "1", "--access", "fixed",
-            "--r", "4", "--service", "small", "--mu", "1", "--trials", "2000", "--seed", "1"]
-    monkeypatch.setenv("DSS_ALLOC_THREADS", "2")
-    assert run_cli(capsys, args)[0] == 0
-    monkeypatch.setenv("DSS_ALLOC_THREADS", "banana")
-    code, _, err = run_cli(capsys, args)
-    assert code == 2
-    assert "DSS_ALLOC_THREADS" in err
-    # an explicit worker count never consults the environment
-    assert run_cli(capsys, args + ["--workers", "1"])[0] == 0
+            "--r", "4", "--service", "small", "--mu", "1", "--trials", "2000"]
+    message = "error: config: min_count must be at least 2, got 0\n"
+    assert run_cli(capsys, args + ["--min-count", "0"]) == (2, "", message)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"command": "simulate", "sim": {"trials": 2000, "min_count": 0}}))
+    assert run_cli(capsys, args[:-2] + ["--config", str(config)]) == (2, "", message)
 
 
-def test_simulate_output_never_mentions_the_worker_count(capsys, monkeypatch):
-    monkeypatch.delenv("DSS_ALLOC_THREADS", raising=False)
+def test_simulate_output_never_mentions_the_worker_count(capsys):
     args = ["simulate", "--nodes", "10", "--m", "1", "--alpha", "1", "--access", "fixed",
             "--r", "4", "--service", "small", "--mu", "1", "--trials", "2000", "--seed", "1",
             "--workers", "2"]

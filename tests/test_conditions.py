@@ -157,6 +157,14 @@ def test_classify_requires_nodes_for_fixed_access():
         classify(FixedSize(5), ScaledExp(1.0), 2)
 
 
+def test_classify_requires_nodes_or_a_cutoff_for_probabilistic_access():
+    with pytest.raises(ConfigurationError, match="node count or alpha_max"):
+        classify(Probabilistic(0.3), ScaledExp(1.0), 2)
+    # nodes = 40 with m = 2 sets the same cutoff as alpha_max = 20
+    by_cutoff = classify(Probabilistic(0.3), ScaledExp(1.0), 2, alpha_max=20)
+    assert by_cutoff == classify(Probabilistic(0.3), ScaledExp(1.0), 2, nodes=40)
+
+
 def test_classify_rejects_uncovered_service_models():
     with pytest.raises(ConfigurationError):
         classify(FixedSize(5), SmallExp(1.0), 2, nodes=40)
@@ -384,30 +392,35 @@ def test_classify_matches_the_all_fraction_reference():
 
 @st.composite
 def certified_configs(draw):
+    # the figures' N <= 40 and beyond it, with probabilistic cutoffs below nodes // m
     m = draw(st.integers(1, 4))
-    nodes = draw(st.integers(max(2, m), 40))
+    nodes = draw(st.integers(max(2, m), 40) | st.integers(41, 160))
+    alpha_max = None
     if draw(st.booleans()):
         access = FixedSize(draw(st.integers(2, nodes)))
     else:
         access = Probabilistic(draw(st.floats(0.01, 0.99)))
+        if nodes > 40:
+            alpha_max = draw(st.none() | st.integers(2, nodes // m))
     mu = draw(st.floats(0.1, 5.0))
     if draw(st.booleans()):
         service = ScaledExp(mu)
     else:
         service = ShiftedExp(draw(st.floats(0.0, 5.0)), mu)
-    return access, service, nodes, m
+    return access, service, nodes, m, alpha_max
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=600, deadline=None)
 @given(certified_configs())
 def test_verdicts_never_contradict_the_alpha_table(config):
-    # the same 1e-9 slack as acceptance criterion 5
-    access, service, nodes, m = config
-    verdict = classify(access, service, m, nodes=nodes).verdict
+    # a cutoff certifies only the alternatives up to it; 1e-9 slack as in criterion 5
+    access, service, nodes, m, alpha_max = config
+    verdict = classify(access, service, m, nodes=nodes, alpha_max=alpha_max).verdict
     rows = alpha_table(access, service, nodes, m)
     rate_1 = rows[0].service_rate
+    others = [row.service_rate for row in rows[1:alpha_max]]
     slack = 1e-9 * max(1.0, rate_1)
     if verdict == "optimal":
-        assert all(row.service_rate <= rate_1 + slack for row in rows[1:])
+        assert all(rate <= rate_1 + slack for rate in others)
     elif verdict == "non-optimal":
-        assert any(row.service_rate >= rate_1 - slack for row in rows[1:])
+        assert any(rate >= rate_1 - slack for rate in others)

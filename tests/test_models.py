@@ -44,12 +44,6 @@ def test_system_config_rejects_nonpositive_parameters(nodes, m, alpha):
         SystemConfig(nodes, m, alpha)
 
 
-def test_system_config_warns_on_indivisible_blocks():
-    with pytest.warns(UserWarning):
-        SystemConfig(10, 2, 3, blocks=10)
-    SystemConfig(10, 2, 3, blocks=9)  # divisible: no warning
-
-
 def test_access_models_validate():
     assert FixedSize(3).kind == "fixed-size"
     assert Probabilistic(0.3).kind == "probabilistic"
