@@ -27,16 +27,13 @@ from .analysis import (
     sweep,
 )
 from .conditions import (
-    CandidateCheck,
     ConditionReport,
     ThresholdResult,
     classify,
-    constant_prob_m1_optimal_alpha,
     fixed_scaled_nonoptimality_threshold,
     fixed_scaled_optimality_threshold,
     fixed_shifted_nonoptimality_threshold,
     fixed_shifted_optimality_threshold,
-    optimal_alpha_profile,
     prob_scaled_nonoptimality_threshold,
     prob_scaled_optimality_threshold,
     prob_shifted_nonoptimality_threshold,
@@ -66,8 +63,6 @@ from .numerics import (
     harmonic,
     harmonic_gap,
     hypergeometric_pmf,
-    hypergeometric_support,
-    log_binomial,
 )
 from .presets import PRESETS, Preset, preset_rows
 from .simulator import (
@@ -81,7 +76,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateCheck",
     "ConditionReport",
     "ConfigurationError",
     "ConstantTime",
@@ -109,7 +103,6 @@ __all__ = [
     "classify",
     "conditional_rate",
     "conditional_rate_bounds",
-    "constant_prob_m1_optimal_alpha",
     "estimate_recovery_probability",
     "estimate_service_rate",
     "expected_metrics",
@@ -121,12 +114,9 @@ __all__ = [
     "harmonic",
     "harmonic_gap",
     "hypergeometric_pmf",
-    "hypergeometric_support",
-    "log_binomial",
     "maximal_spreading_rate",
     "minimal_spreading_rate",
     "optimal_alpha",
-    "optimal_alpha_profile",
     "preset_rows",
     "prob_scaled_nonoptimality_threshold",
     "prob_scaled_optimality_threshold",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +33,7 @@ from .models import (
     ShiftedExp,
     SystemConfig,
 )
-from .numerics import binomial, harmonic, harmonic_gaps
+from .numerics import binomial, harmonic_gaps
 
 __all__ = [
     "OptimalResult",
@@ -178,8 +177,8 @@ def maximal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: in
             f"alpha=r={r} needs m*r={m * r} data nodes but the system has only {nodes}"
         )
     if isinstance(service, ScaledExp):
-        ratio = Fraction(binomial(r * m, r), binomial(nodes, r)) / harmonic(r)
-        return service.mu * r * float(ratio)
+        ratio = binomial(r * m, r) / binomial(nodes, r)  # the exact ratio, rounded once
+        return service.mu * r * ratio / float(harmonic_gaps(r, r))
     if isinstance(service, ConstantTime):
         return r * binomial(r * m, r) / (service.delta * binomial(nodes, r))
     raise NoClosedFormError(f"no maximal spreading closed form for {service.kind} service")

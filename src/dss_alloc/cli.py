@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Iterator, get_args
 
@@ -94,25 +94,6 @@ class RunSpec:
     objective: str = "service_rate"
     alpha_max: int | None = None
     only: tuple[int, ...] | None = None
-
-    def to_dict(self) -> dict:
-        """Serialize to the JSON schema (round-trips through parse_run_spec).
-
-        Fields left at their default are omitted, and so are unset system fields.
-        """
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None or value == f.default:
-                continue
-            if hasattr(value, "to_dict"):
-                value = value.to_dict()
-            elif is_dataclass(value):
-                value = {k: v for k, v in vars(value).items() if v is not None}
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
 
 
 def _object(value, name: str) -> dict:

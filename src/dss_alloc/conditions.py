@@ -26,29 +26,18 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
-from .analysis import optimal_alpha
 from .errors import ConfigurationError
-from .models import (
-    AccessModel,
-    FixedSize,
-    Probabilistic,
-    ScaledExp,
-    ServiceModel,
-    ShiftedExp,
-)
+from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp
 from .numerics import binomial
 
 __all__ = [
-    "CandidateCheck",
     "ConditionReport",
     "ThresholdResult",
     "classify",
-    "constant_prob_m1_optimal_alpha",
     "fixed_scaled_nonoptimality_threshold",
     "fixed_scaled_optimality_threshold",
     "fixed_shifted_nonoptimality_threshold",
     "fixed_shifted_optimality_threshold",
-    "optimal_alpha_profile",
     "prob_scaled_nonoptimality_threshold",
     "prob_scaled_optimality_threshold",
     "prob_shifted_nonoptimality_threshold",
@@ -87,27 +76,27 @@ class ConditionReport:
     nonoptimality_terms: tuple[tuple[int, Number], ...]
 
 
-@dataclass(frozen=True)
-class CandidateCheck:
-    """A closed-form candidate argmax set next to the brute-force answer."""
-
-    candidates: tuple[int, ...]
-    brute_force_alpha: int
-    agrees: bool
-
-
 def _terms(alphas: range, kernel, term) -> list[tuple[int, Number]]:
     """Return (alpha, term(alpha, root)) for each alpha.
 
     kernel(alpha) is an exact ratio (num, den) and root its (alpha-1)-th root.
     At alpha = 2 the root is the kernel itself, kept as an exact Fraction;
     elsewhere num / den is rounded once (int/int true division rounds
-    correctly, as float(Fraction) does) and the root is taken in floats.
+    correctly, as float(Fraction) does) and the root is taken in floats. A
+    ratio beyond the float range (the spreading kernel passes 1.8e308 from
+    alpha = 511, 372, 316 for m = 2, 3, 4) has its root taken through the
+    logarithms of the exact integers instead.
     """
     out: list[tuple[int, Number]] = []
     for alpha in alphas:
         num, den = kernel(alpha)
-        root = Fraction(num, den) if alpha == 2 else (num / den) ** (1.0 / (alpha - 1))
+        if alpha == 2:
+            root = Fraction(num, den)
+        else:
+            try:
+                root = (num / den) ** (1.0 / (alpha - 1))
+            except OverflowError:
+                root = math.exp((math.log(num) - math.log(den)) / (alpha - 1))
         out.append((alpha, term(alpha, root)))
     return out
 
@@ -387,58 +376,3 @@ def scaled_prob_m1_optimal_range(p: float) -> tuple[float, float]:
     if not 0.0 < p < 1.0:
         raise ConfigurationError(f"p must lie strictly in (0, 1), got {p}")
     return (0.5 - p) / p, (1.0 - p) / p
-
-
-def constant_prob_m1_optimal_alpha(p: float, alpha_max: int | None = None) -> CandidateCheck:
-    """Candidate optimal alphas for m = 1 probabilistic constant-time service.
-
-    The stated candidate set is {floor(p/(1-p)), ceil(p/(1-p))} clamped below
-    at 1. Direct evaluation of the rate (alpha/delta)(1-p)^alpha disagrees
-    with it for some p (the true peak sits near -1/ln(1-p)), so the result
-    carries the brute-force argmax and an agreement flag instead of trusting
-    either side. p is interpreted at its decimal face value so ratios like
-    0.8/0.2 resolve to exact integers.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"p must lie in [0, 1), got {p}")
-    exact_p = Fraction(str(p))
-    ratio = exact_p / (1 - exact_p)
-    cands = sorted({math.floor(ratio), math.ceil(ratio)} & set(range(1, math.ceil(ratio) + 2)))
-    if not cands:
-        cands = [1]
-    if alpha_max is None:
-        alpha_max = 64 if p == 0 else max(4, math.ceil(2.0 / p))
-    best_alpha, best_value = 1, 0.0
-    for alpha in range(1, alpha_max + 1):
-        value = alpha * (1.0 - p) ** alpha
-        if value > best_value:
-            best_alpha, best_value = alpha, value
-    return CandidateCheck(tuple(cands), best_alpha, best_alpha in cands)
-
-
-def optimal_alpha_profile(
-    service: ServiceModel,
-    nodes: int,
-    m: int,
-    parameter: str,
-    values: Sequence[int | float],
-    objective: str = "service_rate",
-) -> tuple[list[tuple[int | float, int]], bool]:
-    """Trace the brute-force optimal alpha along an access sweep.
-
-    Returns the (value, alpha_star) profile in the given order plus whether
-    the alpha_star sequence is nondecreasing. The monotonicity is an
-    empirical probe (conjectured, not proven), so callers should report it
-    rather than assert it.
-    """
-    profile: list[tuple[int | float, int]] = []
-    for value in values:
-        if parameter == "r":
-            access: AccessModel = FixedSize(int(value))
-        elif parameter == "p":
-            access = Probabilistic(float(value))
-        else:
-            raise ConfigurationError(f"profile parameter must be 'r' or 'p', got {parameter!r}")
-        profile.append((value, optimal_alpha(access, service, nodes, m, objective).alpha_star))
-    stars = [alpha for _, alpha in profile]
-    return profile, all(a <= b for a, b in zip(stars, stars[1:]))

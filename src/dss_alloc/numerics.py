@@ -8,10 +8,11 @@ kernel take such a mass at each distribution's mode and fill the rest of the
 support with the ratio recurrence P(phi+1)/P(phi), walking away from the
 mode so that every partial product stays in (0, 1].
 
-Harmonic gaps H_phi - H_{phi-alpha} come from one prefix table of H_n kept as
-a double-double (hi + lo) pair, so a gap carries no phi*eps cancellation
-error. The table grows by doubling and is built on first use, never at
-import.
+harmonic(n) returns H_n only as an exact Fraction, summed by binary
+splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
+prefix table of H_n kept as a double-double (hi + lo) pair, so a gap carries
+no phi*eps cancellation error. The table grows by doubling and is built on
+first use, never at import.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "EXACT_HARMONIC_LIMIT",
     "binomial",
     "binomial_pmf",
     "binomial_rows",
@@ -36,13 +36,7 @@ __all__ = [
     "harmonic_gaps",
     "hypergeometric_pmf",
     "hypergeometric_rows",
-    "hypergeometric_support",
-    "log_binomial",
 ]
-
-EXACT_HARMONIC_LIMIT = 10_000
-
-_EULER_GAMMA = 0.5772156649015329
 
 # 40 significant digits: the binomial mass is exact to well below one ulp
 # before its single rounding to float.
@@ -63,16 +57,14 @@ def _harmonic_terms(a: int, b: int) -> tuple[int, int]:
     return p1 * q2 + p2 * q1, q1 * q2
 
 
-def harmonic(n: int) -> Fraction | float:
-    """Return H_n = sum_{i=1}^{n} 1/i, with H_0 = 0.
+def harmonic(n: int) -> Fraction:
+    """Return H_n = sum_{i=1}^{n} 1/i exactly, with H_0 = 0.
 
-    Exact rational for n <= EXACT_HARMONIC_LIMIT; asymptotic float beyond
-    (ln n + gamma + 1/2n - 1/12n^2, whose error is O(n^-4) there).
+    Floats of H_n and of its gaps come from the double-double table behind
+    harmonic_gaps, which stays fast at any n.
     """
     if n < 0:
         raise ConfigurationError(f"harmonic() needs n >= 0, got {n}")
-    if n > EXACT_HARMONIC_LIMIT:
-        return math.log(n) + _EULER_GAMMA + 1.0 / (2 * n) - 1.0 / (12 * n * n)
     if n == 0:
         return Fraction(0)
     return Fraction(*_harmonic_terms(1, n + 1))
@@ -153,18 +145,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """Return ln C(n, k), with -inf for the zero-convention cases."""
-    if n < 0 or k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def hypergeometric_support(N: int, D: int, r: int) -> range:
-    """Return the phi values with nonzero probability for (N, D, r)."""
-    return range(max(0, r - (N - D)), min(r, D) + 1)
 
 
 def hypergeometric_pmf(phi: int, N: int, D: int, r: int) -> float:

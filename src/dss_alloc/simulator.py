@@ -97,7 +97,9 @@ class SimEstimate:
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    # a uint64 array: a Python list holding an int >= 2^63 would pass through
+    # float64 and merge neighbouring keys
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _block_sizes(trials: int) -> list[int]:

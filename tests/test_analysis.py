@@ -10,6 +10,7 @@ import pytest
 from dss_alloc.analysis import (
     access_pmf,
     alpha_table,
+    expected_metrics,
     feasible_alphas,
     maximal_spreading_rate,
     minimal_spreading_rate,
@@ -144,6 +145,15 @@ def test_maximal_rate_equals_general_sum():
     access = FixedSize(10)
     assert maximal_spreading_rate(access, ScaledExp(1.0), 40, 2) == pytest.approx(
         service_rate(config, access, ScaledExp(1.0)), rel=1e-9
+    )
+
+
+def test_maximal_rate_beyond_ten_thousand_matches_the_kernel():
+    # at large r the closed form takes H_r from the same double-double table as the kernel
+    r = 10_001
+    rates, _ = expected_metrics(FixedSize(r), ScaledExp(1.5), 3 * r, 3, (r,))
+    assert maximal_spreading_rate(FixedSize(r), ScaledExp(1.5), 3 * r, 3) == pytest.approx(
+        rates[0], rel=1e-12
     )
 
 

@@ -1,23 +1,24 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dss_alloc.analysis import alpha_table, optimal_alpha
+from dss_alloc.cli import main
 from dss_alloc.conditions import (
     ConditionReport,
     classify,
-    constant_prob_m1_optimal_alpha,
     fixed_scaled_nonoptimality_threshold,
     fixed_scaled_optimality_threshold,
     fixed_shifted_nonoptimality_threshold,
     fixed_shifted_optimality_threshold,
-    optimal_alpha_profile,
     prob_scaled_nonoptimality_threshold,
     prob_scaled_optimality_threshold,
     prob_shifted_nonoptimality_threshold,
@@ -200,39 +201,12 @@ def test_scaled_m1_bracket_rejects_degenerate_p():
         scaled_prob_m1_optimal_range(1.0)
 
 
-def test_constant_m1_candidates_follow_the_stationary_point():
-    check = constant_prob_m1_optimal_alpha(0.7)
-    assert check.candidates == (2, 3)  # p/(1-p) = 7/3 sits between them
-    assert check.brute_force_alpha == 1
-    assert not check.agrees
-
-    check = constant_prob_m1_optimal_alpha(0.5)
-    assert check.candidates == (1,)
-    assert check.brute_force_alpha == 1
-    assert check.agrees
-
-    check = constant_prob_m1_optimal_alpha(0.8)
-    assert check.candidates == (4,)  # exactly 0.8/0.2 = 4 via decimal-exact p
-    assert check.brute_force_alpha == 1
-    assert not check.agrees
-
-
-def test_constant_m1_brute_force_is_the_true_argmax():
-    # alpha * (1-p)^alpha peaks near -1/ln(1-p); verify against a dense scan
-    for p in (0.3, 0.5, 0.7, 0.9):
-        check = constant_prob_m1_optimal_alpha(p, alpha_max=100)
-        best = max(range(1, 101), key=lambda a: a * (1 - p) ** a)
-        assert check.brute_force_alpha == best
-
-
 # --- conjecture probing -----------------------------------------------------------
 
 def test_optimal_alpha_profile_reports_monotone_growth():
-    profile, nondecreasing = optimal_alpha_profile(
-        ScaledExp(1.0), 40, 3, "r", [8, 10, 12, 13], "service_rate"
-    )
-    assert [alpha for _, alpha in profile] == [1, 3, 7, 13]
-    assert nondecreasing
+    # the paper's N = 40, m = 3 figure: alpha* climbs from minimal to maximal spreading
+    stars = [optimal_alpha(FixedSize(r), ScaledExp(1.0), 40, 3).alpha_star for r in (8, 10, 12, 13)]
+    assert stars == [1, 3, 7, 13]
 
 
 def test_probabilistic_access_without_room_for_alpha_2_is_optimal():
@@ -424,3 +398,59 @@ def test_verdicts_never_contradict_the_alpha_table(config):
         assert all(rate <= rate_1 + slack for rate in others)
     elif verdict == "non-optimal":
         assert any(rate >= rate_1 - slack for rate in others)
+
+
+# --- kernels beyond the float range ------------------------------------------------
+
+# the first alpha whose kernel alpha C(m alpha - 1, alpha - 1) passes 1.8e308
+FIRST_OVERFLOW = {2: 511, 3: 372, 4: 316}
+
+
+def beyond_float_range(num: int) -> bool:
+    try:
+        num / 1
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("nodes", [1100, 2000])
+@pytest.mark.parametrize("kind", ["fixed", "probabilistic"])
+def test_scaled_certificates_hold_where_the_kernel_overflows(capsys, kind, nodes, m):
+    values = (nodes // 8, nodes // 2, nodes) if kind == "fixed" else (0.05, 0.5, 0.95)
+    service = ScaledExp(1.0)
+    for value in values:
+        if kind == "fixed":
+            access, flag = FixedSize(value), ["--r", str(value)]
+        else:
+            access, flag = Probabilistic(value), ["--p", str(value)]
+        argv = ["conditions", "--nodes", str(nodes), "--m", str(m), "--access", kind, *flag,
+                "--service", "scaled", "--mu", "1", "--format", "json"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        report = classify(access, service, m, nodes=nodes)
+        assert json.loads(out)["verdict"] == report.verdict
+
+        if report.verdict != "indeterminate":  # 1e-9 slack as in criterion 5
+            rows = alpha_table(access, service, nodes, m)
+            rate_1 = rows[0].service_rate
+            slack = 1e-9 * max(1.0, rate_1)
+            if report.verdict == "optimal":
+                assert all(row.service_rate <= rate_1 + slack for row in rows[1:])
+            else:
+                assert any(row.service_rate >= rate_1 - slack for row in rows[1:])
+
+        overflowed = 0
+        with mpmath.workdps(40):
+            for alpha, term in report.optimality_terms:
+                num = alpha * math.comb(m * alpha - 1, alpha - 1)
+                if not beyond_float_range(num):
+                    continue
+                overflowed += 1
+                root = mpmath.mpf(num) ** (mpmath.mpf(1) / (alpha - 1))
+                want = 1 + (nodes - 1) / root if kind == "fixed" else 1 - 1 / root
+                assert abs(term - want) <= 1e-12 * abs(want)
+        last_alpha = len(report.optimality_terms) + 1
+        assert overflowed == max(0, last_alpha - FIRST_OVERFLOW[m] + 1)

@@ -208,3 +208,15 @@ def test_constant_service_short_circuits_to_the_exact_rate():
 def test_sim_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ConfigurationError):
         SimConfig(**kwargs)
+
+
+def test_top_up_and_large_seed_streams_are_distinct():
+    # top-up keys (seed, 2^63 + phi) and seeds >= 2^63 must not merge through float64
+    base = simulator._TOPUP_KEY_BASE
+    topups = [simulator._block_rng(1, base + phi).random() for phi in (3, 4)]
+    assert topups[0] != topups[1]
+    large = [simulator._block_rng(2**63 + k, 0).random(4) for k in (1, 2)]
+    assert not np.array_equal(large[0], large[1])
+    # block streams of ordinary seeds keep the keys they always had
+    legacy = np.random.Generator(np.random.Philox(key=[7, 3])).random(4)
+    assert np.array_equal(simulator._block_rng(7, 3).random(4), legacy)
