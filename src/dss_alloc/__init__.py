@@ -24,7 +24,6 @@ from .analysis import (
     optimal_alpha,
     recovery_probability,
     service_rate,
-    sweep,
 )
 from .conditions import (
     ConditionReport,
@@ -127,6 +126,5 @@ __all__ = [
     "sample_completion_time",
     "scaled_prob_m1_optimal_range",
     "service_rate",
-    "sweep",
     "__version__",
 ]

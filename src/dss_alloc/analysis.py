@@ -3,7 +3,8 @@
 Service rate mu_s(alpha) = sum_phi P(phi) * mu_s(alpha | phi) and recovery
 probability P_s(alpha) = P(phi >= alpha), their closed forms for minimal
 (alpha = 1) and maximal (alpha = r) spreading, exhaustive optimal-alpha
-search, and parameter sweeps.
+search, and per-alpha tables (alpha_table), which the CLI's sweeps and the
+figure presets call once per grid point.
 
 Every exact expectation goes through one NumPy kernel, expected_metrics: for
 a set of alphas it builds each alpha's access pmf once (one column of a phi x
@@ -27,7 +28,6 @@ from .models import (
     AccessModel,
     ConstantTime,
     FixedSize,
-    Probabilistic,
     ScaledExp,
     ServiceModel,
     ShiftedExp,
@@ -47,7 +47,6 @@ __all__ = [
     "optimal_alpha",
     "recovery_probability",
     "service_rate",
-    "sweep",
 ]
 
 # phi x alpha cells per kernel chunk (512 KiB per float64 matrix)
@@ -244,54 +243,3 @@ def alpha_table(
         kept.append(alpha)
     rates, recovery = expected_metrics(access, service, nodes, m, kept)
     return _rows(kept, rates, recovery)
-
-
-def sweep(
-    parameter: str,
-    values: Iterable[int | float],
-    *,
-    service: ServiceModel,
-    nodes: int,
-    access: AccessModel | None = None,
-    m: int | None = None,
-    alphas: Iterable[int] | None = None,
-) -> list[tuple[int | float, tuple[SweepRow, ...]]]:
-    """Return (value, rows) per grid point for one swept parameter.
-
-    parameter is "m", "r", "p", or "alpha"; the remaining parameters stay
-    fixed. values may be lazy; they are read one at a time. Infeasible grid
-    points are skipped with a warning instead of failing, so figure-style
-    sweeps stay total. An r or p sweep whose nodes and m admit no alpha at
-    all fails before its first point, since every point would be skipped.
-    """
-    if parameter in ("r", "p") and m is not None:
-        feasible_alphas(nodes, m)
-    alpha_list = None if alphas is None else tuple(alphas)
-    out: list[tuple[int | float, tuple[SweepRow, ...]]] = []
-    for value in values:
-        try:
-            if parameter == "m":
-                if access is None:
-                    raise ConfigurationError("sweeping m needs a fixed access model")
-                rows = alpha_table(access, service, nodes, int(value), alpha_list)
-            elif parameter == "r":
-                if m is None:
-                    raise ConfigurationError("sweeping r needs a fixed m")
-                rows = alpha_table(FixedSize(int(value)), service, nodes, m, alpha_list)
-            elif parameter == "p":
-                if m is None:
-                    raise ConfigurationError("sweeping p needs a fixed m")
-                rows = alpha_table(Probabilistic(float(value)), service, nodes, m, alpha_list)
-            elif parameter == "alpha":
-                if access is None or m is None:
-                    raise ConfigurationError("sweeping alpha needs fixed access and m")
-                rows = alpha_table(access, service, nodes, m, (int(value),))
-                if not rows:
-                    continue  # the warning was already emitted
-            else:
-                raise ConfigurationError(f"unknown sweep parameter {parameter!r}")
-        except InfeasibleError as exc:
-            warnings.warn(f"skipping {parameter}={value}: {exc}", stacklevel=2)
-            continue
-        out.append((value, rows))
-    return out

@@ -27,27 +27,19 @@ from fractions import Fraction
 from typing import Iterator, get_args
 
 from . import acceptance
-from .analysis import optimal_alpha, recovery_probability, service_rate, sweep
+from .analysis import alpha_table, expected_metrics, feasible_alphas, optimal_alpha
 from .conditions import classify
 from .errors import ConfigurationError, DssAllocError, InfeasibleError
-from .models import AccessModel, ServiceModel, SystemConfig
+from .models import AccessModel, FixedSize, Probabilistic, ServiceModel, SystemConfig
 from .presets import PRESETS, preset_rows
 from .simulator import SimConfig, estimate_service_rate, recovery_estimate
 
 __all__ = ["RunSpec", "main", "parse_run_spec", "run"]
 
 _COMMANDS = ("rate", "prob", "optimal", "conditions", "sweep", "simulate", "validate")
-
-# Fields of the plain sections; the access and service sections take a kind
-# plus the fields of the model class it names.
-_ALLOWED_KEYS = {
-    "": {"command", "system", "access", "service", "sweep_axis", "preset", "sim",
-         "output", "objective", "alpha_max", "only"},
-    "system": {"nodes", "m", "alpha"},
-    "sweep_axis": {"parameter", "start", "stop", "step"},
-    "sim": {f.name for f in fields(SimConfig)},
-    "output": {"path", "format"},
-}
+_FORMATS = ("table", "json", "csv")
+_OBJECTIVES = ("service_rate", "recovery_probability")
+_SWEEP_PARAMETERS = ("alpha", "m", "r", "p")
 
 # Each model answers to its kind and to the kind's first word ("fixed", "small").
 _KINDS = {
@@ -94,6 +86,21 @@ class RunSpec:
     objective: str = "service_rate"
     alpha_max: int | None = None
     only: tuple[int, ...] | None = None
+
+
+# Fields of the plain sections; the access and service sections take a kind
+# plus the fields of the model class it names.
+_ALLOWED_KEYS = {
+    section: {f.name for f in fields(cls)}
+    for section, cls in (("", RunSpec), ("system", SystemSpec), ("sweep_axis", SweepAxis),
+                         ("sim", SimConfig), ("output", OutputSpec))
+}
+
+
+def _alternatives(names: tuple[str, ...]) -> str:
+    """'a or b', 'a, b, or c'."""
+    *rest, last = names
+    return f"{', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}"
 
 
 def _object(value, name: str) -> dict:
@@ -177,9 +184,9 @@ def _parse_axis(data: dict) -> SweepAxis | None:
         return None
     axis = _section(data, "sweep_axis")
     parameter = axis.get("parameter")
-    if parameter not in ("alpha", "m", "r", "p"):
-        raise ConfigurationError(
-            f"sweep_axis.parameter must be alpha, m, r, or p, got {parameter!r}")
+    if parameter not in _SWEEP_PARAMETERS:
+        raise ConfigurationError(f"sweep_axis.parameter must be "
+                                 f"{_alternatives(_SWEEP_PARAMETERS)}, got {parameter!r}")
     start, stop, step = (_opt(axis, key, "sweep_axis", float) for key in ("start", "stop", "step"))
     if start is None or stop is None:
         raise ConfigurationError("sweep_axis needs start and stop")
@@ -187,6 +194,11 @@ def _parse_axis(data: dict) -> SweepAxis | None:
     # a NaN or infinite bound would never end the sweep
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ConfigurationError("sweep_axis needs finite values, step > 0 and stop >= start")
+    # alpha, m and r are integers: a fractional start or step would round
+    # several points to one value
+    if parameter != "p" and not (start.is_integer() and step.is_integer()):
+        raise ConfigurationError(f"sweeping {parameter} needs an integer start and step, "
+                                 f"got start={start:g}, step={step:g}")
     return SweepAxis(parameter, start, stop, step)
 
 
@@ -200,15 +212,15 @@ def parse_run_spec(data: dict) -> RunSpec:
     system = _section(data, "system")
     output = _section(data, "output")
     fmt = output.get("format", "table")
-    if fmt not in ("table", "json", "csv"):
-        raise ConfigurationError(f"output.format must be table, json, or csv, got {fmt!r}")
+    if fmt not in _FORMATS:
+        raise ConfigurationError(f"output.format must be {_alternatives(_FORMATS)}, got {fmt!r}")
     path = output.get("path")
     if path is not None and not isinstance(path, str):
         raise ConfigurationError(f"output.path must be a string, got {path!r}")
 
     objective = data.get("objective", "service_rate")
-    if objective not in ("service_rate", "recovery_probability"):
-        raise ConfigurationError(f"objective must be service_rate or recovery_probability, "
+    if objective not in _OBJECTIVES:
+        raise ConfigurationError(f"objective must be {_alternatives(_OBJECTIVES)}, "
                                  f"got {objective!r}")
 
     preset = data.get("preset")
@@ -340,16 +352,27 @@ def _build_config(spec: RunSpec) -> SystemConfig:
     )
 
 
+def _analytic(config: SystemConfig, access: AccessModel,
+              service: ServiceModel | None) -> tuple[float | None, float]:
+    """(service rate, recovery probability) of one allocation from one kernel call.
+
+    The rate is None when service is None; the recovery probability does not
+    depend on the service.
+    """
+    rates, recovery = expected_metrics(access, service, config.nodes, config.m, [config.alpha])
+    return None if rates is None else float(rates[0]), float(recovery[0])
+
+
 def _run_metrics(spec: RunSpec) -> int:
     """rate reports both metrics of one allocation; prob the recovery probability only."""
     config = _build_config(spec)
     access = _require(spec.access, "access")
+    service = _require(spec.service, "service") if spec.command == "rate" else None
+    rate, recovery = _analytic(config, access, service)
     summary: list[tuple[str, object]] = [("alpha", config.alpha)]
-    if spec.command == "rate":
-        service = _require(spec.service, "service")
-        summary.append(("service_rate", service_rate(config, access, service)))
-    summary += [("recovery_prob", recovery_probability(config, access)),
-                ("provenance", "analytic")]
+    if service is not None:
+        summary.append(("service_rate", rate))
+    summary += [("recovery_prob", recovery), ("provenance", "analytic")]
     null_rate = {} if spec.command == "rate" else {"service_rate": None}
     _emit(spec, summary, to_json=lambda: {**_json_pairs(summary), **null_rate})
     return 0
@@ -399,7 +422,9 @@ def _axis_values(axis: SweepAxis, nodes: int, m: int | None) -> Iterator[int | f
 
     An alpha or m sweep ends at its first point with more data nodes than
     nodes (m*alpha > nodes, or m > nodes): every later point has more still,
-    so the rest of the range is skipped with one warning.
+    so the rest of the range is skipped with one warning. An alpha sweep
+    with m < 1 or alpha < 1 ends at its first point, which the kernel
+    rejects before any later one is read.
     """
     k = 0
     while (point := axis.start + k * axis.step) <= axis.stop + 1e-9:
@@ -407,10 +432,13 @@ def _axis_values(axis: SweepAxis, nodes: int, m: int | None) -> Iterator[int | f
         if axis.parameter == "p":
             yield round(point, 10)
             continue
-        value = int(round(point))
+        value = int(point)
+        if axis.parameter == "alpha" and (m < 1 or value < 1):
+            yield value
+            return
         if axis.parameter == "m" and value > nodes:
             used = f"m={value}"
-        elif axis.parameter == "alpha" and m is not None and m * value > nodes:
+        elif axis.parameter == "alpha" and m * value > nodes:
             used = f"m*alpha={m * value}"
         else:
             yield value
@@ -431,16 +459,25 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
     axis = _require(spec.sweep_axis, "sweep_axis (or preset)")
     service = _require(spec.service, "service")
     nodes = _require(spec.system.nodes, "system.nodes")
-    points = sweep(axis.parameter, _axis_values(axis, nodes, spec.system.m), service=service,
-                   nodes=nodes, access=spec.access, m=spec.system.m)
     if axis.parameter == "alpha":
-        header = ["alpha", "service_rate", "recovery_prob"]
-        rows = [[row.alpha, row.service_rate, row.recovery_probability]
-                for _, table in points for row in table]
+        access = _require(spec.access, "access")
+        m = _require(spec.system.m, "system.m")
+        table = alpha_table(access, service, nodes, m, _axis_values(axis, nodes, m))
+        return (["alpha", "service_rate", "recovery_prob"],
+                [[row.alpha, row.service_rate, row.recovery_probability] for row in table])
+    # every other point is one alpha_table over its feasible alphas: (value, m, access)
+    if axis.parameter == "m":
+        access = _require(spec.access, "access")
+        points = ((value, value, access) for value in _axis_values(axis, nodes, None))
     else:
-        header = [axis.parameter, "alpha", "service_rate", "recovery_prob"]
-        rows = [[value, row.alpha, row.service_rate, row.recovery_probability]
-                for value, table in points for row in table]
+        m = _require(spec.system.m, "system.m")
+        feasible_alphas(nodes, m)  # no r or p admits an alpha if nodes and m do not
+        model = FixedSize if axis.parameter == "r" else Probabilistic
+        points = ((value, m, model(value)) for value in _axis_values(axis, nodes, m))
+    header = [axis.parameter, "alpha", "service_rate", "recovery_prob"]
+    rows = [[value, row.alpha, row.service_rate, row.recovery_probability]
+            for value, point_m, point_access in points
+            for row in alpha_table(point_access, service, nodes, point_m)]
     return header, rows
 
 
@@ -458,8 +495,7 @@ def _run_simulate(spec: RunSpec) -> int:
     sim = _require(spec.sim, "sim")
     rate_est = estimate_service_rate(config, access, service, sim)
     prob_est = recovery_estimate(rate_est.per_phi_counts, config.alpha, sim.trials)
-    rate_ref = service_rate(config, access, service)
-    prob_ref = recovery_probability(config, access)
+    rate_ref, prob_ref = _analytic(config, access, service)
     rate_ok = abs(rate_est.mean - rate_ref) <= 3.0 * rate_est.std_error
     prob_ok = abs(prob_est.mean - prob_ref) <= 3.0 * prob_est.std_error
     summary: list[tuple[str, object]] = [
@@ -538,7 +574,7 @@ def _flag(parser: argparse.ArgumentParser, names: str, dest: str, help: str, **k
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
     _flag(parser, "--output", "output.path", "write here instead of stdout")
-    _flag(parser, "--format", "output.format", "output format", choices=("table", "json", "csv"))
+    _flag(parser, "--format", "output.format", "output format", choices=_FORMATS)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, service=True) -> None:
@@ -546,13 +582,12 @@ def _add_common(parser: argparse.ArgumentParser, *, service=True) -> None:
     _flag(parser, "--nodes -N", "system.nodes", "node count N", type=int)
     _flag(parser, "--m", "system.m", "redundancy multiplier m", type=int)
     _flag(parser, "--alpha", "system.alpha", "spreading parameter alpha", type=int)
-    _flag(parser, "--access", "access.kind", "access model",
-          choices=("fixed", "fixed-size", "probabilistic"))
+    _flag(parser, "--access", "access.kind", "access model", choices=sorted(_KINDS["access"]))
     _flag(parser, "--r", "access.r", "accessed-node count (fixed-size access)", type=int)
     _flag(parser, "--p", "access.p", "failure probability (probabilistic access)", type=float)
     if service:
         _flag(parser, "--service", "service.kind", "service model",
-              choices=("constant", "scaled", "shifted", "small"))
+              choices=sorted(_KINDS["service"]))
         _flag(parser, "--mu", "service.mu", "service rate mu", type=float)
         _flag(parser, "--delta", "service.delta", "service shift/duration delta", type=float)
     _add_output(parser)
@@ -589,7 +624,7 @@ def _parser() -> _Parser:
     p = sub.add_parser("optimal", help="exhaustive optimal-alpha search")
     _add_common(p)
     _flag(p, "--objective", "objective", "what to maximize (default service_rate)",
-          choices=("service_rate", "recovery_probability"))
+          choices=_OBJECTIVES)
 
     p = sub.add_parser("conditions", help="minimal-spreading (non-)optimality certificates")
     _add_common(p)
@@ -599,8 +634,7 @@ def _parser() -> _Parser:
     p = sub.add_parser("sweep", help="figure-style parameter sweeps")
     _add_common(p)
     _flag(p, "--preset", "preset", "figure preset", choices=sorted(PRESETS))
-    _flag(p, "--parameter", "sweep_axis.parameter", "swept parameter",
-          choices=("alpha", "m", "r", "p"))
+    _flag(p, "--parameter", "sweep_axis.parameter", "swept parameter", choices=_SWEEP_PARAMETERS)
     _flag(p, "--start", "sweep_axis.start", "sweep start", type=float)
     _flag(p, "--stop", "sweep_axis.stop", "sweep stop (inclusive)", type=float)
     _flag(p, "--step", "sweep_axis.step", "sweep step (default 1)", type=float)

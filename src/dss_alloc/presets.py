@@ -1,8 +1,9 @@
 """Named parameter presets reproducing the reference figure sweeps.
 
 Each preset fixes the node count and service model and lists the (m, r) or
-(m, p) cases of one figure; sweeping it yields the figure's data table. The
-alpha grid mirrors each figure's x-axis where that matters: the small-file
+(m, p) cases of one figure; preset_rows evaluates each case with one
+alpha_table call, and the cases' rows together are the figure's data table.
+The alpha grid mirrors each figure's x-axis where that matters: the small-file
 r-panel caps alpha at 12 (its widest case r=14 admits alpha = 13, which lies
 outside the plotted range and would shift the recovery-probability argmax),
 and the probabilistic figures plot alpha in [1, 10].
@@ -29,15 +30,14 @@ class Preset:
     service: ServiceModel
     cases: tuple[tuple[int, int | float], ...]  # (m, r) or (m, p) pairs
     alphas: tuple[int, ...] | None  # None means the full feasible range
-    note: str
 
 
-def _fixed(name, service, cases, alphas, note):
-    return Preset(name, 40, "fixed-size", service, tuple(cases), alphas, note)
+def _fixed(name, service, cases, alphas):
+    return Preset(name, 40, "fixed-size", service, tuple(cases), alphas)
 
 
-def _prob(name, service, cases, note):
-    return Preset(name, 40, "probabilistic", service, tuple(cases), tuple(range(1, 11)), note)
+def _prob(name, service, cases):
+    return Preset(name, 40, "probabilistic", service, tuple(cases), tuple(range(1, 11)))
 
 
 PRESETS: dict[str, Preset] = {
@@ -48,66 +48,56 @@ PRESETS: dict[str, Preset] = {
             SmallExp(1.0),
             [(1, 10), (2, 10), (3, 10), (4, 10)],
             tuple(range(1, 11)),
-            "small-file exponential service, redundancy panel at r=10",
         ),
         _fixed(
             "fig3",
             SmallExp(1.0),
             [(3, 10), (3, 11), (3, 12), (3, 13), (3, 14)],
             tuple(range(1, 13)),
-            "small-file exponential service, accessed-count panel at m=3",
         ),
         _fixed(
             "fig4",
             ScaledExp(1.0),
             [(1, 10), (2, 10), (3, 10), (4, 10), (3, 8), (3, 12), (3, 13)],
             None,
-            "scaled exponential service, redundancy and accessed-count panels",
         ),
         _fixed(
             "fig5",
             ScaledExp(1.0),
             [(3, 8), (3, 10), (4, 8), (4, 10)],
             None,
-            "scaled exponential service, rate/recovery trade-off cases",
         ),
         _prob(
             "fig6",
             ScaledExp(1.0),
             [(1, 0.3), (2, 0.3), (3, 0.3), (4, 0.3), (2, 0.5), (2, 0.55), (2, 0.65), (2, 0.7)],
-            "scaled exponential service, redundancy and failure-probability panels",
         ),
         _prob(
             "fig7",
             ScaledExp(1.0),
             [(2, 0.45), (2, 0.7), (3, 0.45), (3, 0.7)],
-            "scaled exponential service, rate/recovery trade-off cases",
         ),
         _fixed(
             "fig8",
             ShiftedExp(3.0, 1.0),
             [(1, 10), (2, 10), (3, 10), (4, 10), (2, 13), (2, 17), (2, 20)],
             None,
-            "shifted exponential service, redundancy and accessed-count panels",
         ),
         _fixed(
             "fig9",
             ShiftedExp(3.0, 1.0),
             [(3, 8), (3, 10), (4, 8), (4, 10)],
             None,
-            "shifted exponential service, rate/recovery trade-off cases",
         ),
         _prob(
             "fig10",
             ShiftedExp(3.0, 1.0),
             [(1, 0.3), (2, 0.3), (3, 0.3), (4, 0.3), (2, 0.4), (2, 0.5), (2, 0.6), (2, 0.7)],
-            "shifted exponential service, redundancy and failure-probability panels",
         ),
         _prob(
             "fig11",
             ShiftedExp(3.0, 1.0),
             [(2, 0.45), (2, 0.7), (3, 0.45), (3, 0.7)],
-            "shifted exponential service, rate/recovery trade-off cases",
         ),
     )
 }

@@ -17,7 +17,6 @@ from dss_alloc.analysis import (
     optimal_alpha,
     recovery_probability,
     service_rate,
-    sweep,
 )
 from dss_alloc.errors import ConfigurationError, InfeasibleError, NoClosedFormError
 from dss_alloc.models import (
@@ -244,32 +243,18 @@ def test_alpha_table_warns_and_skips_overfull_alphas():
     assert [row.alpha for row in rows] == [1]
 
 
-def test_sweep_over_r_matches_pointwise_evaluation():
-    points = sweep("r", [4, 8], service=ScaledExp(1.0), nodes=20, m=2, alphas=[1, 2])
-    assert [value for value, _ in points] == [4, 8]
-    for r, rows in points:
-        for row in rows:
+def test_alpha_table_rows_equal_pointwise_evaluation():
+    for r in (4, 8):
+        for row in alpha_table(FixedSize(r), ScaledExp(1.0), 20, 2, alphas=[1, 2]):
             config = SystemConfig(20, 2, row.alpha)
-            assert row.service_rate == pytest.approx(
-                service_rate(config, FixedSize(r), ScaledExp(1.0)), rel=1e-15
-            )
+            assert row.service_rate == service_rate(config, FixedSize(r), ScaledExp(1.0))
+            assert row.recovery_probability == recovery_probability(config, FixedSize(r))
 
 
-def test_sweep_over_p_carries_float_values():
-    points = sweep("p", [0.1, 0.5], service=SmallExp(1.0), nodes=10, m=1, alphas=[1])
-    assert [value for value, _ in points] == [0.1, 0.5]
-    assert points[0][1][0].service_rate == pytest.approx(0.9, rel=1e-12)
-
-
-def test_sweep_skips_infeasible_points_with_a_warning():
-    with pytest.warns(UserWarning):
-        points = sweep("m", [2, 11], access=FixedSize(5), service=SmallExp(1.0), nodes=10)
-    assert [value for value, _ in points] == [2]
-
-
-def test_sweep_rejects_unknown_parameter():
-    with pytest.raises(ConfigurationError):
-        sweep("q", [1], service=SmallExp(1.0), nodes=10, m=1)
+def test_alpha_table_under_probabilistic_access_at_alpha_1():
+    for p in (0.1, 0.5):
+        (row,) = alpha_table(Probabilistic(p), SmallExp(1.0), 10, 1, alphas=[1])
+        assert row.service_rate == pytest.approx(1.0 - p, rel=1e-12)
 
 
 # --- invariants under random configurations ----------------------------------

@@ -88,6 +88,7 @@ def test_run_spec_round_trips_through_its_dict_form():
         {"command": "sweep", "sweep_axis": {"parameter": "r", "start": 1, "stop": math.nan}},
         {"command": "sweep", "preset": ["fig2"]},
         {"command": "rate", "output": {"path": 1}},
+        {"command": "sweep", "sweep_axis": {"parameter": "q", "start": 1, "stop": 2}},
     ],
 )
 def test_unknown_or_contradictory_fields_are_rejected(data):
@@ -237,6 +238,13 @@ def test_infeasible_systems_exit_with_their_own_status(capsys):
     assert err.startswith("error: infeasible:")
 
 
+def test_model_flags_take_the_full_kind_names(capsys):
+    short = run_cli(capsys, RATE_ARGS)
+    full = [{"fixed": "fixed-size", "small": "small-exp"}.get(arg, arg) for arg in RATE_ARGS]
+    assert full != RATE_ARGS
+    assert run_cli(capsys, full) == short
+
+
 def test_infinite_service_parameters_exit_with_a_config_error(capsys):
     args = list(RATE_ARGS)
     args[args.index("small")] = "scaled"
@@ -326,6 +334,203 @@ GOLDEN_TABLES = [
                          ids=[argv.split()[0] for argv, _ in GOLDEN_TABLES])
 def test_table_output_is_byte_identical_to_the_reference_layout(capsys, argv, expected):
     assert run_cli(capsys, argv.split()) == (0, expected, "")
+
+
+# one small sweep per axis; the same points in each output format
+SWEEP_AXES = {
+    "alpha": "--nodes 10 --m 2 --access fixed --r 5 --service scaled --mu 1 "
+             "--parameter alpha --start 1 --stop 3",
+    "m": "--nodes 10 --access fixed --r 5 --service scaled --mu 1 --parameter m --start 4 --stop 5",
+    "r": "--nodes 10 --m 3 --service scaled --mu 1 --parameter r --start 2 --stop 3",
+    "p": "--nodes 6 --m 3 --service shifted --delta 1 --mu 1 "
+         "--parameter p --start 0.2 --stop 0.4 --step 0.2",
+}
+GOLDEN_SWEEPS = [
+    (
+        "alpha", "table",
+        'alpha  service_rate  recovery_prob\n'
+        '1  1  0.777777777778\n'
+        '2  1.28798185941  0.738095238095\n'
+        '3  1.5297468489  0.738095238095\n',
+    ),
+    (
+        "alpha", "json",
+        '[\n'
+        '  {\n'
+        '    "alpha": 1,\n'
+        '    "service_rate": 1.0,\n'
+        '    "recovery_prob": 0.777777777778\n'
+        '  },\n'
+        '  {\n'
+        '    "alpha": 2,\n'
+        '    "service_rate": 1.28798185941,\n'
+        '    "recovery_prob": 0.738095238095\n'
+        '  },\n'
+        '  {\n'
+        '    "alpha": 3,\n'
+        '    "service_rate": 1.5297468489,\n'
+        '    "recovery_prob": 0.738095238095\n'
+        '  }\n'
+        ']\n',
+    ),
+    (
+        "alpha", "csv",
+        'alpha,service_rate,recovery_prob\n'
+        '1,1,0.777777777778\n'
+        '2,1.28798185941,0.738095238095\n'
+        '3,1.5297468489,0.738095238095\n',
+    ),
+    (
+        "m", "table",
+        'm  alpha  service_rate  recovery_prob\n'
+        '4  1  2  0.97619047619\n'
+        '4  2  3.42574955908  1\n'
+        '5  1  2.5  0.996031746032\n'
+        '5  2  4.44444444444  1\n',
+    ),
+    (
+        "m", "json",
+        '[\n'
+        '  {\n'
+        '    "m": 4,\n'
+        '    "alpha": 1,\n'
+        '    "service_rate": 2.0,\n'
+        '    "recovery_prob": 0.97619047619\n'
+        '  },\n'
+        '  {\n'
+        '    "m": 4,\n'
+        '    "alpha": 2,\n'
+        '    "service_rate": 3.42574955908,\n'
+        '    "recovery_prob": 1.0\n'
+        '  },\n'
+        '  {\n'
+        '    "m": 5,\n'
+        '    "alpha": 1,\n'
+        '    "service_rate": 2.5,\n'
+        '    "recovery_prob": 0.996031746032\n'
+        '  },\n'
+        '  {\n'
+        '    "m": 5,\n'
+        '    "alpha": 2,\n'
+        '    "service_rate": 4.44444444444,\n'
+        '    "recovery_prob": 1.0\n'
+        '  }\n'
+        ']\n',
+    ),
+    (
+        "m", "csv",
+        'm,alpha,service_rate,recovery_prob\n'
+        '4,1,2,0.97619047619\n'
+        '4,2,3.42574955908,1\n'
+        '5,1,2.5,0.996031746032\n'
+        '5,2,4.44444444444,1\n',
+    ),
+    (
+        "r", "table",
+        'r  alpha  service_rate  recovery_prob\n'
+        '2  1  0.6  0.533333333333\n'
+        '2  2  0.444444444444  0.333333333333\n'
+        '3  1  0.9  0.708333333333\n'
+        '3  2  1.06666666667  0.666666666667\n'
+        '3  3  1.14545454545  0.7\n',
+    ),
+    (
+        "r", "json",
+        '[\n'
+        '  {\n'
+        '    "r": 2,\n'
+        '    "alpha": 1,\n'
+        '    "service_rate": 0.6,\n'
+        '    "recovery_prob": 0.533333333333\n'
+        '  },\n'
+        '  {\n'
+        '    "r": 2,\n'
+        '    "alpha": 2,\n'
+        '    "service_rate": 0.444444444444,\n'
+        '    "recovery_prob": 0.333333333333\n'
+        '  },\n'
+        '  {\n'
+        '    "r": 3,\n'
+        '    "alpha": 1,\n'
+        '    "service_rate": 0.9,\n'
+        '    "recovery_prob": 0.708333333333\n'
+        '  },\n'
+        '  {\n'
+        '    "r": 3,\n'
+        '    "alpha": 2,\n'
+        '    "service_rate": 1.06666666667,\n'
+        '    "recovery_prob": 0.666666666667\n'
+        '  },\n'
+        '  {\n'
+        '    "r": 3,\n'
+        '    "alpha": 3,\n'
+        '    "service_rate": 1.14545454545,\n'
+        '    "recovery_prob": 0.7\n'
+        '  }\n'
+        ']\n',
+    ),
+    (
+        "r", "csv",
+        'r,alpha,service_rate,recovery_prob\n'
+        '2,1,0.6,0.533333333333\n'
+        '2,2,0.444444444444,0.333333333333\n'
+        '3,1,0.9,0.708333333333\n'
+        '3,2,1.06666666667,0.666666666667\n'
+        '3,3,1.14545454545,0.7\n',
+    ),
+    (
+        "p", "table",
+        'p  alpha  service_rate  recovery_prob\n'
+        '0.2  1  0.688  0.992\n'
+        '0.2  2  1.01236080972  0.9984\n'
+        '0.4  1  0.594  0.936\n'
+        '0.4  2  0.813874008097  0.95904\n',
+    ),
+    (
+        "p", "json",
+        '[\n'
+        '  {\n'
+        '    "p": 0.2,\n'
+        '    "alpha": 1,\n'
+        '    "service_rate": 0.688,\n'
+        '    "recovery_prob": 0.992\n'
+        '  },\n'
+        '  {\n'
+        '    "p": 0.2,\n'
+        '    "alpha": 2,\n'
+        '    "service_rate": 1.01236080972,\n'
+        '    "recovery_prob": 0.9984\n'
+        '  },\n'
+        '  {\n'
+        '    "p": 0.4,\n'
+        '    "alpha": 1,\n'
+        '    "service_rate": 0.594,\n'
+        '    "recovery_prob": 0.936\n'
+        '  },\n'
+        '  {\n'
+        '    "p": 0.4,\n'
+        '    "alpha": 2,\n'
+        '    "service_rate": 0.813874008097,\n'
+        '    "recovery_prob": 0.95904\n'
+        '  }\n'
+        ']\n',
+    ),
+    (
+        "p", "csv",
+        'p,alpha,service_rate,recovery_prob\n'
+        '0.2,1,0.688,0.992\n'
+        '0.2,2,1.01236080972,0.9984\n'
+        '0.4,1,0.594,0.936\n'
+        '0.4,2,0.813874008097,0.95904\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("axis, fmt, expected", GOLDEN_SWEEPS,
+                         ids=[f"{axis}-{fmt}" for axis, fmt, _ in GOLDEN_SWEEPS])
+def test_axis_sweeps_are_byte_identical_to_the_reference_output(capsys, axis, fmt, expected):
+    argv = ["sweep", *SWEEP_AXES[axis].split(), "--format", fmt]
+    assert run_cli(capsys, argv) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +640,19 @@ def test_r_and_p_sweeps_without_any_allocation_fail_before_the_first_point(param
     )
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: infeasible: no feasible alpha for nodes=3, m=5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "--m 2 --access fixed --r 4 --parameter alpha --start 1 --stop 2 --step 0.5",
+    "--m 2 --parameter r --start 2 --stop 3 --step 0.5",
+    "--access fixed --r 4 --parameter m --start 1.5 --stop 3",
+], ids=["alpha-step", "r-step", "m-start"])
+def test_integer_axes_reject_a_fractional_start_or_step(capsys, argv):
+    # rounding each point on its own would print some rows twice
+    code, out, err = run_cli(capsys, ["sweep", "--nodes", "10", "--service", "small",
+                                      *argv.split()])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: ") and err.count("\n") == 1
 
 
 def test_axis_sweep_over_m_stops_past_the_node_count(capsys):

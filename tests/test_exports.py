@@ -21,6 +21,7 @@ REMOVED = [
     "hypergeometric_support",
     "log_binomial",
     "optimal_alpha_profile",
+    "sweep",
 ]
 
 
