@@ -423,8 +423,8 @@ def _axis_values(axis: SweepAxis, nodes: int, m: int | None) -> Iterator[int | f
     An alpha or m sweep ends at its first point with more data nodes than
     nodes (m*alpha > nodes, or m > nodes): every later point has more still,
     so the rest of the range is skipped with one warning. An alpha sweep
-    with m < 1 or alpha < 1 ends at its first point, which the kernel
-    rejects before any later one is read.
+    with alpha < 1 ends at its first point, which the kernel rejects before
+    any later one is read.
     """
     k = 0
     while (point := axis.start + k * axis.step) <= axis.stop + 1e-9:
@@ -433,7 +433,7 @@ def _axis_values(axis: SweepAxis, nodes: int, m: int | None) -> Iterator[int | f
             yield round(point, 10)
             continue
         value = int(point)
-        if axis.parameter == "alpha" and (m < 1 or value < 1):
+        if axis.parameter == "alpha" and value < 1:
             yield value
             return
         if axis.parameter == "m" and value > nodes:
@@ -462,12 +462,15 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
     if axis.parameter == "alpha":
         access = _require(spec.access, "access")
         m = _require(spec.system.m, "system.m")
+        feasible_alphas(nodes, m)  # an infeasible system fails here, not as an empty table
         table = alpha_table(access, service, nodes, m, _axis_values(axis, nodes, m))
         return (["alpha", "service_rate", "recovery_prob"],
                 [[row.alpha, row.service_rate, row.recovery_probability] for row in table])
     # every other point is one alpha_table over its feasible alphas: (value, m, access)
     if axis.parameter == "m":
         access = _require(spec.access, "access")
+        if nodes < 1:
+            raise ConfigurationError(f"nodes must be positive, got nodes={nodes}")
         points = ((value, value, access) for value in _axis_values(axis, nodes, None))
     else:
         m = _require(spec.system.m, "system.m")

@@ -122,14 +122,30 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
-# Every service model has three methods, for spreading alpha and phi responsive
+# Every service model has four methods, for spreading alpha and phi responsive
 # data nodes:
-#   rate(alpha, gap)           mu_s(alpha | phi) from the harmonic gap H_phi - H_{phi-alpha};
-#                              alpha and gap may be floats or broadcastable NumPy arrays,
-#                              so the scalar conditional rate and the expectation kernel
-#                              evaluate one form
-#   bounds(alpha, phi, m)      the analytic (lower, upper) envelope of that rate
-#   sample(alpha, shape, rng)  per-node service times, an array of the given shape
+#   rate(alpha, gap)                mu_s(alpha | phi) from the harmonic gap H_phi - H_{phi-alpha};
+#                                   alpha and gap may be floats or broadcastable NumPy arrays,
+#                                   so the scalar conditional rate and the expectation kernel
+#                                   evaluate one form
+#   bounds(alpha, phi, m)           the analytic (lower, upper) envelope of that rate
+#   order_stat(alpha, phi, n, rng)  n completion times, each the alpha-th smallest of phi
+#                                   per-node times, drawn directly: the simulator's sampler
+#   sample(alpha, shape, rng)       per-node service times, an array of the given shape;
+#                                   the brute-force oracle that order_stat is tested against
+
+
+def _unit_exp_order_stat(alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n alpha-th order statistics of phi iid Exp(1) times.
+
+    That order statistic has the law of -log(1 - B) with B ~ Beta(alpha,
+    phi - alpha + 1) (David & Nagaraja, Order Statistics, 2003). Writing B
+    through its gamma pair, 1 - B = G_b / (G_a + G_b), gives log1p(G_a / G_b),
+    which keeps the upper tail that log1p(-B) would cancel.
+    """
+    g_a = rng.standard_gamma(alpha, n)
+    g_b = rng.standard_gamma(phi - alpha + 1, n)
+    return np.log1p(g_a / g_b)
 
 
 @dataclass(frozen=True)
@@ -150,6 +166,9 @@ class SmallExp(_Model):
 
     def bounds(self, alpha: int, phi: int, m: int) -> tuple[float, float]:
         return 0.0, self.mu * phi
+
+    def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return _unit_exp_order_stat(alpha, phi, n, rng) / self.mu
 
     def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / self.mu, shape)
@@ -173,6 +192,9 @@ class ScaledExp(_Model):
 
     def bounds(self, alpha: int, phi: int, m: int) -> tuple[float, float]:
         return self.mu * (phi - alpha + 1), self.mu * phi
+
+    def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return _unit_exp_order_stat(alpha, phi, n, rng) / (alpha * self.mu)
 
     def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / (alpha * self.mu), shape)
@@ -204,6 +226,9 @@ class ShiftedExp(_Model):
         lower = alpha * self.mu * (phi - alpha + 1) / (dm * (m * alpha - alpha + 1) + alpha * alpha)
         return lower, self.mu * phi / (dm + alpha)
 
+    def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.delta / alpha + _unit_exp_order_stat(alpha, phi, n, rng) / self.mu
+
     def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return self.delta / alpha + rng.exponential(1.0 / self.mu, shape)
 
@@ -228,6 +253,9 @@ class ConstantTime(_Model):
     def bounds(self, alpha: int, phi: int, m: int) -> tuple[float, float]:
         rate = alpha / self.delta
         return rate, rate
+
+    def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.full(n, self.delta / alpha)
 
     def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return np.full(shape, self.delta / alpha)

@@ -15,9 +15,13 @@ is subtracted.
 
 One seeded pass serves both estimates: it counts the draws of each phi (the
 recovery estimate is the share with phi >= alpha) and samples the
-completion times of every stratum that can serve a request. Constant
-service needs no sampling: its completion time is delta/alpha exactly, so
-the pass only counts and the rate is the exact analytic value.
+completion times of every stratum that can serve a request. Each
+completion time is one draw of the alpha-th order statistic (the service
+model's order_stat, a Beta variate from a gamma pair), so a trial costs
+two gamma draws whatever phi is; sample_completion_time draws all phi
+service times and is the brute-force oracle order_stat is tested against.
+Constant service needs no sampling: its completion time is delta/alpha
+exactly, so the pass only counts and the rate is the exact analytic value.
 
 Reproducibility: trials are split into fixed-size blocks, block i is
 generated by a counter-based Philox stream keyed (seed, i) no matter which
@@ -129,10 +133,8 @@ def _map_blocks(fn, sizes: list[int], workers: int):
 def _order_stats(service: ServiceModel, alpha: int, phi: int, n: int,
                  rng: np.random.Generator) -> tuple[float, float]:
     """Return the sum and the sum of squares of n completion times given phi."""
-    times = service.sample(alpha, (n, phi), rng)
-    times.partition(alpha - 1, axis=1)  # in place: no second (n, phi) array
-    best = times[:, alpha - 1]
-    return float(best.sum()), float(np.square(best).sum())
+    times = service.order_stat(alpha, phi, n, rng)
+    return float(times.sum()), float(np.square(times).sum())
 
 
 def _run_pass(config: SystemConfig, access: AccessModel, service: ServiceModel | None,

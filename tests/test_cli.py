@@ -311,8 +311,8 @@ GOLDEN_TABLES = [
         f"simulate {SMALL} --alpha 2 --service scaled --mu 1 --trials 2000 --seed 1 --workers 1",
         "trials                   2000\n"
         "seed                     1\n"
-        "service_rate_estimate    1.2599076758\n"
-        "service_rate_std_error   0.0239571368357\n"
+        "service_rate_estimate    1.33339367364\n"
+        "service_rate_std_error   0.025605481296\n"
         "service_rate_analytic    1.28798185941\n"
         "service_rate_within_3se  yes\n"
         "recovery_estimate        0.741\n"
@@ -323,9 +323,9 @@ GOLDEN_TABLES = [
         "phi  count  mean_time  topup\n"
         "0  46    0\n"
         "1  472    0\n"
-        "2  970  0.756019993452  0\n"
-        "3  470  0.431694546488  0\n"
-        "4  42  0.297863462927  58\n",
+        "2  970  0.728542221147  0\n"
+        "3  470  0.397264274236  0\n"
+        "4  42  0.291112499061  58\n",
     ),
 ]
 
@@ -640,6 +640,24 @@ def test_r_and_p_sweeps_without_any_allocation_fail_before_the_first_point(param
     )
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: infeasible: no feasible alpha for nodes=3, m=5\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    ("--nodes 0 --m 2 --parameter alpha", 2,
+     "error: config: nodes and m must be positive, got nodes=0, m=2\n"),
+    ("--nodes 10 --m 20 --parameter alpha", 3,
+     "error: infeasible: no feasible alpha for nodes=10, m=20\n"),
+    ("--nodes 0 --parameter m", 2, "error: config: nodes must be positive, got nodes=0\n"),
+    ("--nodes -1 --parameter m", 2, "error: config: nodes must be positive, got nodes=-1\n"),
+], ids=["alpha-no-nodes", "alpha-m-over-nodes", "m-no-nodes", "m-negative-nodes"])
+def test_alpha_and_m_sweeps_without_any_allocation_fail_like_r_and_p(capsys, argv, code, err):
+    # an empty table with a skip warning would hide that the system admits no alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        done = run_cli(capsys, ["sweep", *argv.split(), "--access", "fixed", "--r", "5",
+                                "--service", "scaled", "--mu", "1",
+                                "--start", "1", "--stop", "3", "--step", "1"])
+    assert done == (code, "", err)
 
 
 @pytest.mark.parametrize("argv", [

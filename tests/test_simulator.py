@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dss_alloc import simulator
 from dss_alloc import (
@@ -23,6 +24,7 @@ from dss_alloc import (
     sample_completion_time,
     service_rate,
 )
+from dss_alloc.numerics import harmonic_gap
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +51,8 @@ def test_completion_time_is_deterministic_for_constant_service():
     rng = np.random.default_rng(0)
     draws = {sample_completion_time(ConstantTime(2.0), 4, 5, rng) for _ in range(50)}
     assert draws == {0.5}
+    direct = ConstantTime(2.0).order_stat(4, 5, 50, rng)
+    assert direct.shape == (50,) and np.all(direct == 0.5)
 
 
 def test_completion_time_rejects_infeasible_draws():
@@ -57,6 +61,33 @@ def test_completion_time_rejects_infeasible_draws():
         sample_completion_time(SmallExp(1.0), 3, 2, rng)
     with pytest.raises(ConfigurationError):
         sample_completion_time(SmallExp(1.0), 0, 1, rng)
+
+
+EXP_SERVICES = [SmallExp(2.0), ScaledExp(1.0), ShiftedExp(2.0, 1.0)]
+
+
+@pytest.mark.parametrize("service", EXP_SERVICES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("alpha, phi", [(1, 1), (1, 7), (3, 3), (3, 8), (20, 40), (40, 40)])
+def test_order_stat_matches_the_partitioned_service_times(service, alpha, phi):
+    # two-sample KS against the brute-force draw: phi times per trial, partitioned
+    n = 20_000
+    direct = service.order_stat(alpha, phi, n, np.random.default_rng([alpha, phi, 1]))
+    times = service.sample(alpha, (n, phi), np.random.default_rng([alpha, phi, 2]))
+    brute = np.partition(times, alpha - 1, axis=1)[:, alpha - 1]
+    assert direct.shape == (n,)
+    assert stats.ks_2samp(direct, brute).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("service", EXP_SERVICES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("alpha, phi", [(1000, 1000), (1, 1000)])
+def test_order_stat_mean_is_the_exact_gap_at_large_phi(service, alpha, phi):
+    # the mean completion time is 1 / rate(alpha, H_phi - H_{phi-alpha}); at
+    # alpha = phi the draws sit in the Beta upper tail
+    draws = service.order_stat(alpha, phi, 20_000, np.random.default_rng(phi + alpha))
+    assert np.all(np.isfinite(draws))
+    se = np.std(draws) / np.sqrt(len(draws))
+    exact = 1.0 / service.rate(alpha, harmonic_gap(phi, alpha))
+    assert abs(np.mean(draws) - exact) <= 5 * se
 
 
 @pytest.mark.parametrize(
