@@ -102,9 +102,13 @@ def expected_metrics(
         recovery[start:start + step] = np.cumsum(weights, axis=0)[-1]
         if service is not None:
             gap = np.where(reached, harmonic_gaps(phi, np.minimum(alpha, phi)), 1.0)
-            with np.errstate(under="ignore"):  # tail terms below 1e-308 are 0
+            # tail terms below 1e-308 are 0; overflow is caught by the check below
+            with np.errstate(under="ignore", over="ignore", invalid="ignore"):
                 terms = weights * service.rate(alpha, gap)
             rates[start:start + step] = np.cumsum(terms, axis=0)[-1]
+    if rates is not None and not np.isfinite(rates).all():
+        params = " ".join(f"{name}={value}" for name, value in vars(service).items())
+        raise ConfigurationError(f"service rates overflow float64 at {service.kind} {params}")
     return rates, np.minimum(recovery, 1.0)
 
 

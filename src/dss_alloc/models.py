@@ -72,6 +72,51 @@ class _Model:
         return {"kind": self.kind, **vars(self)}
 
 
+# Past these sizes NumPy's O(1)-per-draw samplers (HRUA for the
+# hypergeometric, BTPE for the binomial) beat one NumPy pass per step or per
+# word: on a 2-CPU Xeon, 88 vs 104 ns/draw at k = 20 steps but 176 vs 74 at
+# k = 40, and 110 vs 172 at D = 80 trials but 220 vs 80 at D = 160.
+_SELECTION_STEPS = 16
+_BYTE_LANES = 64
+# trials per byte-Bernoulli pass: bounds its two buffers at 256 KiB each
+# (8,192 trials raised the simulate benchmark's peak RSS by about 1 MB)
+_PASS_TRIALS = 4096
+# eight 0/1 bytes of a word, times this, leave their sum in the top byte
+_BYTE_SUM = 0x0101010101010101
+
+
+def _byte_bernoulli_counts(trials: int, q: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Return n Binomial(trials, q) counts for trials <= 64 and 0 < q < 1.
+
+    In each pass of up to _PASS_TRIALS trials, lane l of trial j is byte
+    l % 8 of raw word (l // 8, j). The padding lanes of the last word are
+    masked rather than compared, since any byte value can tie floor(256 q).
+    """
+    cut = 256.0 * q
+    below = int(cut)
+    words = -(-trials // 8)
+    tail = trials - 8 * (words - 1)
+    # a tie-flag buffer shared by the passes: a fresh one this large would
+    # fault in new pages on every pass
+    tie_buf = np.empty(8 * words * min(n, _PASS_TRIALS), bool)
+    phi = np.empty(n, np.uint8)
+    for start in range(0, n, _PASS_TRIALS):
+        shape = (words, min(_PASS_TRIALS, n - start), 8)
+        lanes = rng.bit_generator.random_raw(words * shape[1]).view(np.uint8).reshape(shape)
+        ties = np.equal(lanes, below, out=tie_buf[:lanes.size].reshape(shape))
+        hits = np.less(lanes, below, out=lanes.view(bool))  # in place: the bytes are spent
+        hits[-1, :, tail:] = False
+        ties[-1, :, tail:] = False
+        # one byte in 256 ties: find the few words holding one, then their lanes
+        tie_words = np.flatnonzero(ties.view(np.uint64) != 0)
+        word, lane = np.nonzero(ties.reshape(-1, 8)[tie_words])
+        hits.reshape(-1)[tie_words[word] * 8 + lane] = rng.random(word.size) < cut - below
+        # each byte of the word sum counts at most 8 hits, so no byte carries
+        sums = hits.view(np.uint64).reshape(shape[:2]).sum(axis=0, dtype=np.uint64)
+        phi[start:start + shape[1]] = (sums * _BYTE_SUM) >> 56
+    return phi
+
+
 @dataclass(frozen=True)
 class FixedSize(_Model):
     """Access reaches a uniformly random r-subset of the nodes."""
@@ -90,8 +135,36 @@ class FixedSize(_Model):
         return hypergeometric_rows(nodes, data, self.r)
 
     def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n values of phi: the data nodes among a uniform r-subset of the nodes."""
-        return rng.hypergeometric(data, nodes - data, self.r, size=n)
+        """Draw n values of phi: the data nodes among a uniform r-subset of the nodes.
+
+        phi = |A & B| for the data nodes A and the accessed subset B. Its law
+        is symmetric in |A| and |B|, and replacing a set by its complement
+        maps phi affinely, so each set larger than N/2 is complemented and
+        the smaller of the two sizes, k = min(D, r, N - D, N - r), sets the
+        work: k steps of selection sampling (Knuth, TAOCP vol. 2, Algorithm
+        S), each one exact bounded-integer pass over all n trials. Above
+        _SELECTION_STEPS steps it falls back to rng.hypergeometric.
+        """
+        r = self.r
+        if min(data, r, nodes - data, nodes - r) > _SELECTION_STEPS:
+            return rng.hypergeometric(data, nodes - data, r, size=n)
+        flip_a, flip_b = 2 * data > nodes, 2 * r > nodes
+        a = nodes - data if flip_a else data
+        b = nodes - r if flip_b else r
+        steps, quota = min(a, b), max(a, b)
+        dtype = np.int16 if nodes < 1 << 15 else np.int64
+        # the i-th of `steps` fixed items joins the quota-subset w.p. left/(N - i)
+        left = np.full(n, quota, dtype)
+        for i in range(steps):
+            left -= rng.integers(0, nodes - i, n, dtype=dtype) < left
+        shared = quota - left  # |A' & B'| for the possibly complemented sets
+        if not flip_a and not flip_b:
+            return shared
+        if not flip_b:
+            return r - shared  # |A^c & B| = r - phi
+        if not flip_a:
+            return data - shared  # |A & B^c| = D - phi
+        return shared + (data + r - nodes)  # |A^c & B^c| = N - D - r + phi
 
 
 @dataclass(frozen=True)
@@ -110,8 +183,19 @@ class Probabilistic(_Model):
         return binomial_rows(data, 1.0 - self.p)
 
     def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n values of phi: Binomial(data, 1 - p) responsive data nodes."""
-        return rng.binomial(data, 1.0 - self.p, size=n)
+        """Draw n values of phi: Binomial(data, 1 - p) responsive data nodes.
+
+        Each of the D Bernoulli(q) trials, q = 1 - p, is one random byte:
+        a success below Q = floor(256 q), a failure above, and a tie (byte
+        == Q) settled by one uniform double against 256 q - Q, which is
+        exact in float64; eight trials share a raw 64-bit word and are
+        counted in one multiply (_byte_bernoulli_counts). When D >
+        _BYTE_LANES or q is 0 or 1 it falls back to rng.binomial.
+        """
+        q = 1.0 - self.p
+        if data > _BYTE_LANES or q in (0.0, 1.0):
+            return rng.binomial(data, q, size=n)
+        return _byte_bernoulli_counts(data, q, n, rng)
 
 
 AccessModel = FixedSize | Probabilistic

@@ -11,30 +11,41 @@ completion time empirically and combines strata as
 with the EXACT analytic access pmf P(phi) as weights; the conditional means
 are the only simulated quantity. Inverting a stratum mean is biased at order
 1/count, so the first-order delta-method correction (var / mean^3 / count)
-is subtracted.
+is subtracted. The correction and the standard error are formed from the
+scale-free var / mean^2, so no power of the mean under- or overflows; a
+stratum whose times leave the float64 range raises ConfigurationError.
 
 One seeded pass serves both estimates: it counts the draws of each phi (the
 recovery estimate is the share with phi >= alpha) and samples the
 completion times of every stratum that can serve a request. Each
 completion time is one draw of the alpha-th order statistic (the service
 model's order_stat, a Beta variate from a gamma pair), so a trial costs
-two gamma draws whatever phi is; sample_completion_time draws all phi
-service times and is the brute-force oracle order_stat is tested against.
-Constant service needs no sampling: its completion time is delta/alpha
-exactly, so the pass only counts and the rate is the exact analytic value.
+one phi draw (the access model's draw: selection sampling or byte-wise
+Bernoulli counts, one NumPy pass over the block per step) plus two gamma
+draws, whatever phi is; sample_completion_time draws all phi service times
+and is the brute-force oracle order_stat is tested against. Constant
+service needs no sampling: its completion time is delta/alpha exactly, so
+the pass only counts and the rate is the exact analytic value.
 
 Reproducibility: trials are split into fixed-size blocks, block i is
 generated by a counter-based Philox stream keyed (seed, i) no matter which
 worker runs it, and block partials are reduced in block index order, so
 estimates are a pure function of (trials, seed) whatever the worker count.
+Block sizes are generated lazily and at most _IN_FLIGHT blocks per thread
+are pending, so memory stays bounded at any trial count.
 Strata observed fewer than min_count times are topped up from dedicated
-streams keyed (seed, 2^63 + phi); top-ups feed only the time statistics and
-are recorded separately so the per-phi counts still sum to trials.
+streams keyed (seed, 2^63 + phi), at most BLOCK_TRIALS times per draw;
+top-ups feed only the time statistics and are recorded separately so the
+per-phi counts still sum to trials.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,6 +66,10 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 1 << 16
+
+# blocks queued or running per worker thread: enough to keep every thread
+# busy while the caller reduces finished blocks in order
+_IN_FLIGHT = 2
 
 # Top-up streams must never collide with block streams; block indices stay
 # far below 2^63 for any realistic trial count.
@@ -106,9 +121,11 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _block_sizes(trials: int) -> list[int]:
+def _block_sizes(trials: int) -> Iterator[int]:
     full, rest = divmod(trials, BLOCK_TRIALS)
-    return [BLOCK_TRIALS] * full + ([rest] if rest else [])
+    yield from itertools.repeat(BLOCK_TRIALS, full)
+    if rest:
+        yield rest
 
 
 def sample_completion_time(
@@ -121,20 +138,39 @@ def sample_completion_time(
     return float(np.partition(times, alpha - 1)[alpha - 1])
 
 
-def _map_blocks(fn, sizes: list[int], workers: int):
+def _map_blocks(fn, trials: int, workers: int) -> Iterator:
+    """Yield fn(i, n) for each block i of n trials, in block order.
+
+    At most _IN_FLIGHT blocks per thread are pending at a time, so memory
+    stays bounded at any trial count.
+    """
     # more threads than blocks or CPUs would only add start-up cost
-    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    threads = min(workers, -(-trials // BLOCK_TRIALS), os.cpu_count() or 1)
     if threads == 1:
-        return [fn(i, n) for i, n in enumerate(sizes)]
+        yield from itertools.starmap(fn, enumerate(_block_sizes(trials)))
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+        pending: deque = deque()
+        for i, n in enumerate(_block_sizes(trials)):
+            if len(pending) == _IN_FLIGHT * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, i, n))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _order_stats(service: ServiceModel, alpha: int, phi: int, n: int,
                  rng: np.random.Generator) -> tuple[float, float]:
-    """Return the sum and the sum of squares of n completion times given phi."""
-    times = service.order_stat(alpha, phi, n, rng)
-    return float(times.sum()), float(np.square(times).sum())
+    """Return the sum and the sum of squares of n completion times given phi.
+
+    Draws at most BLOCK_TRIALS times at once, so memory stays bounded at any n.
+    """
+    total = total2 = 0.0
+    for size in _block_sizes(n):
+        times = service.order_stat(alpha, phi, size, rng)
+        total += float(times.sum())
+        total2 += float(np.square(times).sum())
+    return total, total2
 
 
 def _run_pass(config: SystemConfig, access: AccessModel, service: ServiceModel | None,
@@ -154,7 +190,7 @@ def _run_pass(config: SystemConfig, access: AccessModel, service: ServiceModel |
 
     count_total = np.zeros(D + 1, dtype=np.int64)
     stats = {phi: [0, 0.0, 0.0] for phi in sampled}
-    for counts, block in _map_blocks(run_block, _block_sizes(sim.trials), sim.workers):
+    for counts, block in _map_blocks(run_block, sim.trials, sim.workers):
         count_total += counts
         for phi, *sums in block:
             stats[phi] = [total + x for total, x in zip(stats[phi], sums)]
@@ -184,7 +220,8 @@ def estimate_service_rate(
 
     counts, totals = _run_pass(config, access, service, sim, pmf, rate_phis)
     topups: dict[int, int] = {}
-    mean = variance = 0.0
+    mean = 0.0
+    errors = []
     mean_times: dict[int, float] = {}
     for phi in rate_phis:
         weight = pmf[phi]
@@ -195,14 +232,21 @@ def estimate_service_rate(
             more, more2 = _order_stats(service, alpha, phi, need, rng)
             c, s, s2 = c + need, s + more, s2 + more2
         t_bar = s / c
+        if not (t_bar > 0.0 and math.isfinite(s2)):
+            raise ConfigurationError(
+                f"completion times given phi={phi} leave the float64 range (mean {t_bar}); "
+                "the service parameters are too extreme to simulate"
+            )
         var = max(0.0, (s2 - s * s / c) / (c - 1))
         mean_times[phi] = t_bar
-        mean += weight * (1.0 / t_bar - var / (c * t_bar**3))
-        variance += (weight * np.sqrt(var / c) / t_bar**2) ** 2
+        # var / (c t_bar^2) is scale-free, so no power of t_bar over- or underflows
+        rel = var / t_bar / t_bar / c
+        mean += weight * (1.0 - rel) / t_bar
+        errors.append(weight * math.sqrt(rel) / t_bar)
 
     return SimEstimate(
         mean=float(mean),
-        std_error=float(np.sqrt(variance)),
+        std_error=math.hypot(*errors),
         per_phi_counts=counts,
         per_phi_mean_time=mean_times,
         trials=sim.trials,

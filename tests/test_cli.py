@@ -311,21 +311,21 @@ GOLDEN_TABLES = [
         f"simulate {SMALL} --alpha 2 --service scaled --mu 1 --trials 2000 --seed 1 --workers 1",
         "trials                   2000\n"
         "seed                     1\n"
-        "service_rate_estimate    1.33339367364\n"
-        "service_rate_std_error   0.025605481296\n"
+        "service_rate_estimate    1.25323371757\n"
+        "service_rate_std_error   0.0241720114339\n"
         "service_rate_analytic    1.28798185941\n"
         "service_rate_within_3se  yes\n"
-        "recovery_estimate        0.741\n"
-        "recovery_std_error       0.00979589199614\n"
+        "recovery_estimate        0.7375\n"
+        "recovery_std_error       0.00983854028807\n"
         "recovery_analytic        0.738095238095\n"
         "recovery_within_3se      yes\n"
         "\n"
         "phi  count  mean_time  topup\n"
-        "0  46    0\n"
-        "1  472    0\n"
-        "2  970  0.728542221147  0\n"
-        "3  470  0.397264274236  0\n"
-        "4  42  0.291112499061  58\n",
+        "0  47    0\n"
+        "1  478    0\n"
+        "2  934  0.759745702941  0\n"
+        "3  490  0.439701960597  0\n"
+        "4  51  0.275865163166  49\n",
     ),
 ]
 
@@ -669,6 +669,19 @@ def test_integer_axes_reject_a_fractional_start_or_step(capsys, argv):
     # rounding each point on its own would print some rows twice
     code, out, err = run_cli(capsys, ["sweep", "--nodes", "10", "--service", "small",
                                       *argv.split()])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["rate", "simulate --trials 1000 --workers 1"],
+                         ids=["rate", "simulate"])
+def test_overflowing_service_rates_are_config_errors(capsys, command):
+    # mu = 1e308 used to print a nan rate (rate) or end in a ZeroDivisionError (simulate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [*command.split(), "--nodes", "20", "--m", "2",
+                                          "--alpha", "3", "--access", "fixed", "--r", "8",
+                                          "--service", "scaled", "--mu", "1e308"])
     assert (code, out) == (2, "")
     assert err.startswith("error: config: ") and err.count("\n") == 1
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import Future
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -103,6 +107,110 @@ def test_access_draw_stays_on_the_support_with_the_right_mean(access, mean):
 
 
 # ---------------------------------------------------------------------------
+# phi samplers: seeded chi-square fits against pmfs built from math.comb and
+# Fraction alone, so no test here reads the analytic pmfs of dss_alloc.numerics
+
+SAMPLER_DRAWS = 200_000
+
+
+def _urn_pmf(nodes: int, data: int, r: int) -> dict[int, Fraction]:
+    total = math.comb(nodes, r)
+    return {k: Fraction(math.comb(data, k) * math.comb(nodes - data, r - k), total)
+            for k in range(max(0, data + r - nodes), min(data, r) + 1)}
+
+
+def _coin_pmf(data: int, p: float) -> dict[int, Fraction]:
+    q = 1 - Fraction(p)
+    pmf = {k: math.comb(data, k) * q**k * (1 - q) ** (data - k) for k in range(data + 1)}
+    return {k: mass for k, mass in pmf.items() if mass}  # p = 0 or 1 leaves one point
+
+
+def _assert_fits(draws: np.ndarray, pmf: dict[int, Fraction]) -> None:
+    assert draws.shape == (SAMPLER_DRAWS,)
+    assert draws.dtype.kind in "iu"
+    counts = np.bincount(draws, minlength=max(pmf) + 1)
+    assert set(np.flatnonzero(counts).tolist()) <= set(pmf)
+    if len(pmf) == 1:
+        return
+    # cells expecting fewer than 5 draws are pooled into the largest cell
+    expected = {k: float(p) * SAMPLER_DRAWS for k, p in pmf.items()}
+    cells = [k for k in pmf if expected[k] >= 5]
+    top = cells.index(max(cells, key=expected.get))
+    observed = np.array([counts[k] for k in cells], dtype=float)
+    predicted = np.array([expected[k] for k in cells])
+    observed[top] += SAMPLER_DRAWS - observed.sum()
+    predicted[top] += SAMPLER_DRAWS - predicted.sum()
+    assert stats.chisquare(observed, predicted).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("nodes, data, r", [
+    (20, 6, 8),  # D < r
+    (20, 8, 6),  # D > r
+    (20, 6, 15),  # r > N/2: the accessed set is complemented
+    (20, 14, 8),  # D > N/2: the data set is complemented
+    (20, 15, 17),  # both complemented
+    (10, 2, 4),
+    (20, 4, 10),
+    (20, 6, 20),  # r = N
+    (10, 10, 4),  # D = N
+    (20, 6, 1),  # r = 1
+    (40, 16, 20),  # k = 16 steps, the last selection-sampling size
+    (40, 17, 20),  # k = 17 steps: rng.hypergeometric
+    (40000, 3, 25000),  # N past the int16 range
+])
+def test_fixed_size_draw_fits_the_hypergeometric_pmf(nodes, data, r):
+    rng = np.random.default_rng([nodes, data, r])
+    _assert_fits(FixedSize(r).draw(nodes, data, SAMPLER_DRAWS, rng), _urn_pmf(nodes, data, r))
+
+
+@pytest.mark.parametrize("data, p", [
+    (6, 0.5),  # 256 q is an integer: ties never succeed
+    (4, 0.3),
+    (40, 0.3),
+    (12, 0.25),
+    (1, 0.3),
+    (7, 0.001),  # q >= 255/256: Q = 255, which unmasked padding bytes would tie
+    (9, 0.999),  # Q = 0
+    (64, 0.3),  # the last byte-Bernoulli size
+    (65, 0.3),  # rng.binomial
+    (5, 0.0),
+    (5, 1.0),
+])
+def test_probabilistic_draw_fits_the_binomial_pmf(data, p):
+    rng = np.random.default_rng([data, int(p * 1000)])
+    _assert_fits(Probabilistic(p).draw(0, data, SAMPLER_DRAWS, rng), _coin_pmf(data, p))
+
+
+@pytest.mark.parametrize("access, nodes, data, fallback", [
+    (FixedSize(20), 40, 16, False),
+    (FixedSize(20), 40, 17, True),
+    (Probabilistic(0.3), 0, 64, False),
+    (Probabilistic(0.3), 0, 65, True),
+    (Probabilistic(0.0), 0, 5, True),
+    (Probabilistic(1.0), 0, 5, True),
+])
+def test_samplers_fall_back_to_numpy_past_their_limits(access, nodes, data, fallback):
+    draws = access.draw(nodes, data, 1000, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    if isinstance(access, FixedSize):
+        numpy_draws = rng.hypergeometric(data, nodes - data, access.r, size=1000)
+    else:
+        numpy_draws = rng.binomial(data, 1.0 - access.p, size=1000)
+    assert np.array_equal(draws, numpy_draws) == fallback
+    if not fallback:
+        assert draws.dtype.itemsize <= 2
+
+
+@pytest.mark.parametrize("access", [FixedSize(8), Probabilistic(0.3)])
+def test_phi_draws_do_not_depend_on_the_worker_count(access):
+    config = SystemConfig(20, 2, 3)
+    counts = [estimate_recovery_probability(
+        config, access, SimConfig(trials=150_000, seed=11, workers=workers)).per_phi_counts
+        for workers in (1, 2)]
+    assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
 # bulk estimators
 
 
@@ -177,8 +285,10 @@ def test_threads_never_exceed_blocks_or_cpus(monkeypatch, cpus, threads):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
@@ -186,6 +296,93 @@ def test_threads_never_exceed_blocks_or_cpus(monkeypatch, cpus, threads):
     sim = SimConfig(trials=3 * simulator.BLOCK_TRIALS, seed=1, workers=100_000)
     estimate_recovery_probability(config, FixedSize(5), sim)
     assert started == [threads]
+
+
+class _Stop(Exception):
+    """Raised by a stand-in sampler to end a run that would take hours."""
+
+
+def test_huge_trial_counts_are_drawn_block_by_block(monkeypatch):
+    sizes = []
+
+    def draw(self, nodes, data, n, rng):
+        sizes.append(n)
+        if len(sizes) == 3:
+            raise _Stop
+        return np.full(n, data)
+
+    monkeypatch.setattr(FixedSize, "draw", draw)
+    sim = SimConfig(trials=10**15, seed=1, workers=1)
+    with pytest.raises(_Stop):
+        estimate_service_rate(SystemConfig(20, 2, 3), FixedSize(8), ScaledExp(1.0), sim)
+    assert sizes == [simulator.BLOCK_TRIALS] * 3
+
+
+def test_threaded_blocks_run_a_bounded_window_ahead(monkeypatch):
+    submitted = []
+
+    class EagerPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except _Stop as exc:
+                future.set_exception(exc)
+            return future
+
+    def draw(self, nodes, data, n, rng):
+        raise _Stop
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", EagerPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(FixedSize, "draw", draw)
+    sim = SimConfig(trials=10**15, seed=1, workers=2)
+    with pytest.raises(_Stop):
+        estimate_recovery_probability(SystemConfig(20, 2, 3), FixedSize(8), sim)
+    assert len(submitted) == 2 * simulator._IN_FLIGHT
+
+
+def test_huge_top_ups_are_drawn_block_by_block(monkeypatch):
+    sizes = []
+    order_stat = ScaledExp.order_stat
+
+    def recording_order_stat(self, alpha, phi, n, rng):
+        sizes.append(n)
+        if len(sizes) == 8:
+            raise _Stop
+        return order_stat(self, alpha, phi, n, rng)
+
+    monkeypatch.setattr(ScaledExp, "order_stat", recording_order_stat)
+    sim = SimConfig(trials=1000, seed=1, workers=1, min_count=10**12)
+    with pytest.raises(_Stop):
+        estimate_service_rate(SystemConfig(20, 2, 3), FixedSize(8), ScaledExp(1.0), sim)
+    assert max(sizes) == sizes[-1] == simulator.BLOCK_TRIALS
+
+
+@pytest.mark.parametrize("mu", [1e-150, 1e150])
+def test_rate_estimate_holds_at_extreme_service_scales(mu):
+    # t_bar^3 would under- or overflow here; the estimator works scale-free
+    config = SystemConfig(20, 2, 3)
+    access, service = FixedSize(8), ScaledExp(mu)
+    est = estimate_service_rate(config, access, service, SimConfig(trials=20_000, seed=8))
+    assert 0.0 < est.std_error < math.inf
+    assert abs(est.mean - service_rate(config, access, service)) <= 3 * est.std_error
+
+
+def test_overflowing_completion_times_are_configuration_errors():
+    config = SystemConfig(20, 2, 3)
+    with pytest.raises(ConfigurationError, match="float64"):
+        estimate_service_rate(config, FixedSize(8), ScaledExp(1e308), SimConfig(trials=1000))
 
 
 @pytest.mark.parametrize("access", [FixedSize(6), Probabilistic(0.4)])
