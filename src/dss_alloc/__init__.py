@@ -27,16 +27,7 @@ from .analysis import (
 )
 from .conditions import (
     ConditionReport,
-    ThresholdResult,
     classify,
-    fixed_scaled_nonoptimality_threshold,
-    fixed_scaled_optimality_threshold,
-    fixed_shifted_nonoptimality_threshold,
-    fixed_shifted_optimality_threshold,
-    prob_scaled_nonoptimality_threshold,
-    prob_scaled_optimality_threshold,
-    prob_shifted_nonoptimality_threshold,
-    prob_shifted_optimality_threshold,
     scaled_prob_m1_optimal_range,
 )
 from .errors import (
@@ -94,7 +85,6 @@ __all__ = [
     "SmallExp",
     "SweepRow",
     "SystemConfig",
-    "ThresholdResult",
     "access_pmf",
     "alpha_table",
     "binomial",
@@ -106,10 +96,6 @@ __all__ = [
     "estimate_service_rate",
     "expected_metrics",
     "feasible_alphas",
-    "fixed_scaled_nonoptimality_threshold",
-    "fixed_scaled_optimality_threshold",
-    "fixed_shifted_nonoptimality_threshold",
-    "fixed_shifted_optimality_threshold",
     "harmonic",
     "harmonic_gap",
     "hypergeometric_pmf",
@@ -117,10 +103,6 @@ __all__ = [
     "minimal_spreading_rate",
     "optimal_alpha",
     "preset_rows",
-    "prob_scaled_nonoptimality_threshold",
-    "prob_scaled_optimality_threshold",
-    "prob_shifted_nonoptimality_threshold",
-    "prob_shifted_optimality_threshold",
     "recovery_probability",
     "run_all",
     "sample_completion_time",

@@ -1,12 +1,12 @@
 """Minimal-spreading (non-)optimality certificates.
 
-Each threshold answers one question about the minimal spreading allocation
-(alpha = 1) under a large-file service model: below/above which access
-intensity is it certainly the best (or certainly beatable)? Fixed-size
-thresholds bound the accessed-node count r; probabilistic thresholds bound
-the failure probability p. Every threshold is an extremum of per-alpha terms
-over candidate alternatives alpha >= 2; the witness records which alpha
-attains it.
+classify answers one question about the minimal spreading allocation
+(alpha = 1) under a large-file service model: is it certainly the best,
+certainly beatable, or neither? Each certificate is a threshold on the
+access intensity (the accessed-node count r under fixed-size access, the
+failure probability p under probabilistic access): an extremum of per-alpha
+terms over the candidate alternatives alpha >= 2, whose witness records which
+alpha attains it. _KERNELS states every formula.
 
 Only the alpha = 2 term (integral exponent) is a rational, an exact Fraction,
 so verdict comparisons at boundary values like r <= 7.5 never hinge on float
@@ -23,42 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InfeasibleError
 from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp
 from .numerics import binomial
 
 __all__ = [
     "ConditionReport",
-    "ThresholdResult",
     "classify",
-    "fixed_scaled_nonoptimality_threshold",
-    "fixed_scaled_optimality_threshold",
-    "fixed_shifted_nonoptimality_threshold",
-    "fixed_shifted_optimality_threshold",
-    "prob_scaled_nonoptimality_threshold",
-    "prob_scaled_optimality_threshold",
-    "prob_shifted_nonoptimality_threshold",
-    "prob_shifted_optimality_threshold",
     "scaled_prob_m1_optimal_range",
 ]
 
 Number = Fraction | float
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """An extremum of per-alpha threshold terms and the alpha attaining it.
-
-    witness_alpha is None when no candidate alpha exists or the condition is
-    unreachable; terms lists every evaluated (alpha, term) pair.
-    """
-
-    value: Number
-    witness_alpha: int | None
-    terms: tuple[tuple[int, Number], ...]
 
 
 @dataclass(frozen=True)
@@ -74,6 +53,42 @@ class ConditionReport:
     verdict: str
     optimality_terms: tuple[tuple[int, Number], ...]
     nonoptimality_terms: tuple[tuple[int, Number], ...]
+
+
+# The certificates of each service, for m copies over N nodes. With
+# K = m alpha - alpha + 1, C = C(m alpha - 1, alpha - 1) and dm = delta*mu = a/b,
+# each entry holds the (optimality, non-optimality) kernel of alpha as an exact
+# ratio (num, den), and whether the optimality term divides by its root:
+#
+#   scaled-exp    optimality  alpha C                                (divides)
+#                 non-opt.    m / K
+#   shifted-exp   optimality  (dm + alpha) / (alpha (dm m + 1) C)
+#                 non-opt.    m (dm K + alpha^2) / (alpha (dm + 1) K)
+#
+# With root = kernel^{1/(alpha-1)}, the thresholds are
+#
+#   fixed-size      optimal iff r <= min_alpha 1 + (N-1) root   (divides: 1 + (N-1)/root)
+#                   beaten  iff r >= min_alpha root (N-alpha+1) + alpha - 1
+#   probabilistic   optimal iff p >= max_alpha 1 - root         (divides: 1 - 1/root)
+#                   beaten  iff p <= max_alpha 1 - root
+#
+# over 2 <= alpha <= min(r, N // m) (fixed-size) or alpha_max (probabilistic).
+# A probabilistic non-optimality term may be negative (vacuous); if every one
+# is, the condition is unreachable and its threshold is 0 with no witness.
+_KERNELS = {
+    ScaledExp: (
+        lambda m, a, b, alpha: (alpha * binomial(m * alpha - 1, alpha - 1), 1),
+        lambda m, a, b, alpha: (m, m * alpha - alpha + 1),
+        True,
+    ),
+    ShiftedExp: (
+        lambda m, a, b, alpha: (a + alpha * b,
+                                alpha * (a * m + b) * binomial(m * alpha - 1, alpha - 1)),
+        lambda m, a, b, alpha: (m * (a * (m * alpha - alpha + 1) + alpha * alpha * b),
+                                alpha * (a + b) * (m * alpha - alpha + 1)),
+        False,
+    ),
+}
 
 
 def _terms(alphas: range, kernel, term) -> list[tuple[int, Number]]:
@@ -101,184 +116,20 @@ def _terms(alphas: range, kernel, term) -> list[tuple[int, Number]]:
     return out
 
 
-def _pick(terms: Sequence[tuple[int, Number]], best) -> ThresholdResult:
-    """Return the first term attaining the extremum best (min or max).
+def _pick(terms: Sequence[tuple[int, Number]], best) -> tuple[Number, int | None]:
+    """Return the first term attaining the extremum best (min or max) and its alpha.
 
     The float terms (alpha >= 3) are scanned among themselves and their
     extremum is compared with the exact alpha = 2 term once; min and max keep
     the first of equal terms, so this picks the same term as one exact scan.
+    With no terms the extremum is the empty one (inf for min, -inf for max).
     """
     if not terms:
-        empty = math.inf if best is min else -math.inf
-        return ThresholdResult(empty, None, ())
+        return (math.inf if best is min else -math.inf), None
     first, rest = terms[0], terms[1:]
     if rest:
         first = best(first, best(rest, key=itemgetter(1)), key=itemgetter(1))
-    return ThresholdResult(first[1], first[0], tuple(terms))
-
-
-def _validate_fixed(nodes: int, m: int, r_max: int) -> range:
-    if nodes < 2 or m < 1:
-        raise ConfigurationError(f"need nodes >= 2 and m >= 1, got nodes={nodes}, m={m}")
-    if not 2 <= r_max <= nodes:
-        raise ConfigurationError(f"need 2 <= r_max <= nodes, got r_max={r_max}, nodes={nodes}")
-    # alternatives must be realizable: alpha <= r and m*alpha <= N
-    return range(2, min(r_max, nodes // m) + 1)
-
-
-def _validate_prob(m: int, alpha_max: int) -> range:
-    if m < 1:
-        raise ConfigurationError(f"need m >= 1, got m={m}")
-    if alpha_max < 2:
-        raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
-    return range(2, alpha_max + 1)
-
-
-def _spreading_kernel(m: int):
-    """alpha C(m alpha - 1, alpha - 1) as a ratio over 1."""
-    return lambda alpha: (alpha * binomial(m * alpha - 1, alpha - 1), 1)
-
-
-def _scaled_kernel(m: int):
-    """m / (m alpha - alpha + 1)."""
-    return lambda alpha: (m, m * alpha - alpha + 1)
-
-
-def fixed_scaled_optimality_threshold(nodes: int, m: int, r_max: int) -> ThresholdResult:
-    """Minimal spreading is optimal under fixed-size access and scaled-exponential
-    service for every r <= threshold.
-
-    threshold = min over alpha of 1 + (N-1) / (alpha C(m alpha - 1, alpha - 1))^{1/(alpha-1)}
-    """
-    terms = _terms(_validate_fixed(nodes, m, r_max), _spreading_kernel(m),
-                   lambda alpha, root: 1 + (nodes - 1) / root)
-    return _pick(terms, min)
-
-
-def fixed_scaled_nonoptimality_threshold(nodes: int, m: int, r_max: int) -> ThresholdResult:
-    """Minimal spreading is non-optimal under fixed-size access and
-    scaled-exponential service for every r >= threshold.
-
-    threshold = min over alpha of (m/(m alpha - alpha + 1))^{1/(alpha-1)} (N-alpha+1) + alpha - 1
-    """
-    terms = _terms(_validate_fixed(nodes, m, r_max), _scaled_kernel(m),
-                   lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1)
-    return _pick(terms, min)
-
-
-def prob_scaled_optimality_threshold(m: int, alpha_max: int) -> ThresholdResult:
-    """Minimal spreading is optimal under probabilistic access and
-    scaled-exponential service for every p >= threshold.
-
-    threshold = max over alpha of 1 - 1 / (alpha C(m alpha - 1, alpha - 1))^{1/(alpha-1)}
-    """
-    terms = _terms(_validate_prob(m, alpha_max), _spreading_kernel(m),
-                   lambda alpha, root: 1 - 1 / root)
-    return _pick(terms, max)
-
-
-def prob_scaled_nonoptimality_threshold(m: int, alpha_max: int) -> ThresholdResult:
-    """Minimal spreading is non-optimal under probabilistic access and
-    scaled-exponential service for every p <= threshold.
-
-    threshold = max over alpha of 1 - (m/(m alpha - alpha + 1))^{1/(alpha-1)}
-    """
-    terms = _terms(_validate_prob(m, alpha_max), _scaled_kernel(m),
-                   lambda alpha, root: 1 - root)
-    return _pick(terms, max)
-
-
-def _shifted_product(delta: float, mu: float) -> tuple[int, int]:
-    """Return dm = delta*mu as an exact integer ratio (a, b)."""
-    if delta < 0 or mu <= 0:
-        raise ConfigurationError(f"need delta >= 0 and mu > 0, got delta={delta}, mu={mu}")
-    dm = Fraction(delta) * Fraction(mu)
-    return dm.numerator, dm.denominator
-
-
-def _t10_kernel(m: int, delta: float, mu: float):
-    """(dm+alpha)/(alpha (dm m + 1) C(m alpha - 1, alpha - 1)) with dm = a/b."""
-    a, b = _shifted_product(delta, mu)
-    return lambda alpha: (a + alpha * b,
-                          alpha * (a * m + b) * binomial(m * alpha - 1, alpha - 1))
-
-
-def _shifted_nonopt_kernel(m: int, delta: float, mu: float):
-    """m (dm K + alpha^2)/(alpha (dm+1) K) with K = m alpha - alpha + 1 and dm = a/b."""
-    a, b = _shifted_product(delta, mu)
-
-    def kernel(alpha: int) -> tuple[int, int]:
-        K = m * alpha - alpha + 1
-        return m * (a * K + alpha * alpha * b), alpha * (a + b) * K
-
-    return kernel
-
-
-def fixed_shifted_optimality_threshold(
-    nodes: int, m: int, delta: float, mu: float, r_max: int
-) -> ThresholdResult:
-    """Minimal spreading is optimal under fixed-size access and
-    shifted-exponential service for every r <= threshold.
-
-    threshold = min over alpha of
-        1 + ((dm+alpha)/(alpha (dm m + 1) C(m alpha - 1, alpha - 1)))^{1/(alpha-1)} (N-1),
-    with dm = delta*mu.
-    """
-    kernel = _t10_kernel(m, delta, mu)
-    terms = _terms(_validate_fixed(nodes, m, r_max), kernel,
-                   lambda alpha, root: 1 + root * (nodes - 1))
-    return _pick(terms, min)
-
-
-def fixed_shifted_nonoptimality_threshold(
-    nodes: int, m: int, delta: float, mu: float, r_max: int
-) -> ThresholdResult:
-    """Minimal spreading is non-optimal under fixed-size access and
-    shifted-exponential service for every r >= threshold.
-
-    threshold = min over alpha of
-        ((dm m K + m alpha^2)/(alpha (dm+1) K))^{1/(alpha-1)} (N-alpha+1) + alpha - 1,
-    with K = m alpha - alpha + 1 and dm = delta*mu.
-    """
-    kernel = _shifted_nonopt_kernel(m, delta, mu)
-    terms = _terms(_validate_fixed(nodes, m, r_max), kernel,
-                   lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1)
-    return _pick(terms, min)
-
-
-def prob_shifted_optimality_threshold(
-    m: int, delta: float, mu: float, alpha_max: int
-) -> ThresholdResult:
-    """Minimal spreading is optimal under probabilistic access and
-    shifted-exponential service for every p >= threshold.
-
-    threshold = max over alpha of
-        1 - ((dm+alpha)/(alpha (dm m + 1) C(m alpha - 1, alpha - 1)))^{1/(alpha-1)},
-    with dm = delta*mu.
-    """
-    kernel = _t10_kernel(m, delta, mu)
-    terms = _terms(_validate_prob(m, alpha_max), kernel, lambda alpha, root: 1 - root)
-    return _pick(terms, max)
-
-
-def prob_shifted_nonoptimality_threshold(
-    m: int, delta: float, mu: float, alpha_max: int
-) -> ThresholdResult:
-    """Minimal spreading is non-optimal under probabilistic access and
-    shifted-exponential service for every p <= threshold.
-
-    threshold = max over alpha of
-        1 - (m (dm K + alpha^2)/(alpha (dm+1) K))^{1/(alpha-1)},
-    with K = m alpha - alpha + 1 and dm = delta*mu. Per-alpha terms may be
-    negative (vacuous); if every term is negative the condition is
-    unreachable and the threshold is reported as 0 with no witness.
-    """
-    kernel = _shifted_nonopt_kernel(m, delta, mu)
-    terms = _terms(_validate_prob(m, alpha_max), kernel, lambda alpha, root: 1 - root)
-    result = _pick(terms, max)
-    if result.witness_alpha is not None and result.value < 0:
-        return ThresholdResult(Fraction(0), None, result.terms)
-    return result
+    return first[1], first[0]
 
 
 def classify(
@@ -302,68 +153,73 @@ def classify(
     one of the two must be given. When that default leaves no alpha >= 2,
     alpha = 1 is the only allocation and the verdict is optimal with no
     terms, as under fixed-size access; an explicit alpha_max below 2 is an
-    error.
+    error. A system with fewer nodes than m admits no allocation at all.
     """
-    if not isinstance(service, (ScaledExp, ShiftedExp)):
+    kernels = _KERNELS.get(type(service))
+    if kernels is None:
         raise ConfigurationError(
             "conditions cover the scaled and shifted exponential service models, "
             f"not {service.kind!r}"
         )
+    opt_kernel, non_kernel, divides = kernels
     if m < 1:
         raise ConfigurationError(f"need m >= 1, got m={m}")
+    if nodes is not None:
+        if nodes < 1:
+            raise ConfigurationError(f"need nodes >= 1, got nodes={nodes}")
+        if m > nodes:
+            raise InfeasibleError(f"no feasible alpha for nodes={nodes}, m={m}")
+    dm = Fraction(getattr(service, "delta", 0)) * Fraction(service.mu)  # scaled-exp: no shift
+    a, b = dm.numerator, dm.denominator
 
-    if isinstance(access, FixedSize):
+    fixed = isinstance(access, FixedSize)
+    if fixed:
         if nodes is None:
             raise ConfigurationError("fixed-size conditions need the node count")
-        r = access.r
-        if not 2 <= r <= nodes:
-            raise ConfigurationError(f"need 2 <= r <= nodes, got r={r}, nodes={nodes}")
-        if isinstance(service, ScaledExp):
-            opt = fixed_scaled_optimality_threshold(nodes, m, r)
-            non = fixed_scaled_nonoptimality_threshold(nodes, m, r)
-        else:
-            opt = fixed_shifted_optimality_threshold(nodes, m, service.delta, service.mu, r)
-            non = fixed_shifted_nonoptimality_threshold(nodes, m, service.delta, service.mu, r)
-        if r <= opt.value:
-            verdict = "optimal"
-        elif non.witness_alpha is not None and r >= non.value:
-            verdict = "non-optimal"
-        else:
-            verdict = "indeterminate"
+        x = access.r
+        if not 2 <= x <= nodes:
+            raise ConfigurationError(f"need 2 <= r <= nodes, got r={x}, nodes={nodes}")
+        # alternatives must be realizable: alpha <= r and m*alpha <= N
+        alphas, best = range(2, min(x, nodes // m) + 1), min
+        opt_term = ((lambda alpha, root: 1 + (nodes - 1) / root) if divides
+                    else (lambda alpha, root: 1 + (nodes - 1) * root))
+        non_term = lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1
     else:
-        p = access.p
-        if nodes is not None and nodes < 1:
-            raise ConfigurationError(f"need nodes >= 1, got nodes={nodes}")
-        if nodes is None and alpha_max is None:
-            raise ConfigurationError("probabilistic conditions need the node count or alpha_max")
-        amax = alpha_max if alpha_max is not None else nodes // m
-        if alpha_max is None and amax < 2:
-            # no alternative alpha fits in the nodes (as under fixed-size access
-            # with 2m > N): both extrema run over no terms and alpha = 1 stands
-            opt = non = _pick((), max)
-        elif isinstance(service, ScaledExp):
-            opt = prob_scaled_optimality_threshold(m, amax)
-            non = prob_scaled_nonoptimality_threshold(m, amax)
-        else:
-            opt = prob_shifted_optimality_threshold(m, service.delta, service.mu, amax)
-            non = prob_shifted_nonoptimality_threshold(m, service.delta, service.mu, amax)
-        if p >= opt.value:
-            verdict = "optimal"
-        elif non.witness_alpha is not None and p <= non.value:
-            verdict = "non-optimal"
-        else:
-            verdict = "indeterminate"
+        x = access.p
+        if alpha_max is None:
+            if nodes is None:
+                raise ConfigurationError(
+                    "probabilistic conditions need the node count or alpha_max")
+            alpha_max = nodes // m
+        elif alpha_max < 2:
+            raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
+        alphas, best = range(2, alpha_max + 1), max
+        opt_term = (lambda alpha, root: 1 - 1 / root) if divides else (lambda alpha, root: 1 - root)
+        non_term = lambda alpha, root: 1 - root
+
+    opt_terms = _terms(alphas, partial(opt_kernel, m, a, b), opt_term)
+    non_terms = _terms(alphas, partial(non_kernel, m, a, b), non_term)
+    opt, opt_witness = _pick(opt_terms, best)
+    non, non_witness = _pick(non_terms, best)
+    if not fixed and non_witness is not None and non < 0:
+        non, non_witness = Fraction(0), None
+    if (x <= opt) if fixed else (x >= opt):
+        verdict = "optimal"
+    elif non_witness is not None and (x >= non if fixed else x <= non):
+        verdict = "non-optimal"
+    else:
+        verdict = "indeterminate"
 
     return ConditionReport(
         access_kind=access.kind,
         service_kind=service.kind,
-        optimality_threshold=opt.value,
-        nonoptimality_threshold=non.value,
-        witness_alpha_opt=opt.witness_alpha,
-        witness_alpha_nonopt=non.witness_alpha,
+        optimality_threshold=opt,
+        nonoptimality_threshold=non,
+        witness_alpha_opt=opt_witness,
+        witness_alpha_nonopt=non_witness,
         verdict=verdict,
-        optimality_terms=opt.terms,
-        nonoptimality_terms=non.terms,
+        optimality_terms=tuple(opt_terms),
+        nonoptimality_terms=tuple(non_terms),
     )
 
 

@@ -11,9 +11,13 @@ completion time empirically and combines strata as
 with the EXACT analytic access pmf P(phi) as weights; the conditional means
 are the only simulated quantity. Inverting a stratum mean is biased at order
 1/count, so the first-order delta-method correction (var / mean^3 / count)
-is subtracted. The correction and the standard error are formed from the
-scale-free var / mean^2, so no power of the mean under- or overflows; a
-stratum whose times leave the float64 range raises ConfigurationError.
+is subtracted. Each stratum sums its times and their squares in units of
+2^-k, a power of two near its exact conditional mean fixed before the pass,
+so times near 1e-160 or 1e160 keep their squares and a rescaling changes
+no rounding. The correction and the standard error are formed from the
+scale-free var / mean^2 in those units, and only the mean time is scaled
+back; a stratum whose times leave the float64 range raises
+ConfigurationError.
 
 One seeded pass serves both estimates: it counts the draws of each phi (the
 recovery estimate is the share with phi >= alpha) and samples the
@@ -53,7 +57,7 @@ import numpy as np
 
 from .analysis import access_pmf, service_rate
 from .errors import ConfigurationError
-from .models import AccessModel, ConstantTime, ServiceModel, SystemConfig
+from .models import AccessModel, ConstantTime, ServiceModel, SystemConfig, conditional_rate
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -159,17 +163,21 @@ def _map_blocks(fn, trials: int, workers: int) -> Iterator:
             yield pending.popleft().result()
 
 
-def _order_stats(service: ServiceModel, alpha: int, phi: int, n: int,
+def _order_stats(service: ServiceModel, alpha: int, phi: int, k: int, n: int,
                  rng: np.random.Generator) -> tuple[float, float]:
-    """Return the sum and the sum of squares of n completion times given phi.
+    """Return the sum and the sum of squares of n completion times given phi,
+    in units of 2^-k.
 
-    Draws at most BLOCK_TRIALS times at once, so memory stays bounded at any n.
+    A time beyond the float64 range makes the sums infinite, without a
+    warning, for the caller to reject. Draws at most BLOCK_TRIALS times at
+    once, so memory stays bounded at any n.
     """
     total = total2 = 0.0
-    for size in _block_sizes(n):
-        times = service.order_stat(alpha, phi, size, rng)
-        total += float(times.sum())
-        total2 += float(np.square(times).sum())
+    with np.errstate(over="ignore"):
+        for size in _block_sizes(n):
+            times = np.ldexp(service.order_stat(alpha, phi, size, rng), k)
+            total += float(times.sum())
+            total2 += float(np.square(times).sum())
     return total, total2
 
 
@@ -177,16 +185,18 @@ def _run_pass(config: SystemConfig, access: AccessModel, service: ServiceModel |
               sim: SimConfig, support, sampled) -> tuple[dict[int, int], dict[int, list]]:
     """Draw sim.trials values of phi in seeded blocks.
 
-    Returns the draw count of each phi in support and, for each phi in
-    sampled, [n, sum, sum of squares] of its completion times in the pass.
+    sampled maps each phi whose times are drawn to the exponent k of its
+    units 2^-k. Returns the draw count of each phi in support and, for each
+    phi in sampled, [n, sum, sum of squares] of its completion times in the
+    pass, in those units.
     """
     alpha, D = config.alpha, config.data_nodes
 
     def run_block(index: int, n: int):
         rng = _block_rng(sim.seed, index)
         counts = np.bincount(access.draw(config.nodes, D, n, rng), minlength=D + 1)
-        return counts, [(phi, c, *_order_stats(service, alpha, phi, c, rng))
-                        for phi in sampled if (c := int(counts[phi]))]
+        return counts, [(phi, c, *_order_stats(service, alpha, phi, k, c, rng))
+                        for phi, k in sampled.items() if (c := int(counts[phi]))]
 
     count_total = np.zeros(D + 1, dtype=np.int64)
     stats = {phi: [0, 0.0, 0.0] for phi in sampled}
@@ -209,7 +219,7 @@ def estimate_service_rate(
     rate_phis = [phi for phi in range(alpha, max(pmf) + 1) if pmf.get(phi, 0.0) > 0.0]
     if isinstance(service, ConstantTime):
         # every completion time is exactly delta/alpha: nothing to sample
-        counts, _ = _run_pass(config, access, service, sim, pmf, ())
+        counts, _ = _run_pass(config, access, service, sim, pmf, {})
         return SimEstimate(
             mean=service_rate(config, access, service),
             std_error=0.0,
@@ -218,7 +228,10 @@ def estimate_service_rate(
             trials=sim.trials,
         )
 
-    counts, totals = _run_pass(config, access, service, sim, pmf, rate_phis)
+    # 2^-k with k the binary exponent of the exact conditional rate is within
+    # a factor of two of the exact mean time 1/rate
+    units = {phi: math.frexp(conditional_rate(service, alpha, phi))[1] for phi in rate_phis}
+    counts, totals = _run_pass(config, access, service, sim, pmf, units)
     topups: dict[int, int] = {}
     mean = 0.0
     errors = []
@@ -229,9 +242,10 @@ def estimate_service_rate(
         if c < sim.min_count:
             topups[phi] = need = sim.min_count - c
             rng = _block_rng(sim.seed, _TOPUP_KEY_BASE + phi)
-            more, more2 = _order_stats(service, alpha, phi, need, rng)
+            more, more2 = _order_stats(service, alpha, phi, units[phi], need, rng)
             c, s, s2 = c + need, s + more, s2 + more2
-        t_bar = s / c
+        t_unit = s / c
+        t_bar = math.ldexp(t_unit, -units[phi])
         if not (t_bar > 0.0 and math.isfinite(s2)):
             raise ConfigurationError(
                 f"completion times given phi={phi} leave the float64 range (mean {t_bar}); "
@@ -239,8 +253,8 @@ def estimate_service_rate(
             )
         var = max(0.0, (s2 - s * s / c) / (c - 1))
         mean_times[phi] = t_bar
-        # var / (c t_bar^2) is scale-free, so no power of t_bar over- or underflows
-        rel = var / t_bar / t_bar / c
+        # var / (c t_bar^2) is scale-free, so it is formed in units of 2^-k
+        rel = var / t_unit / t_unit / c
         mean += weight * (1.0 - rel) / t_bar
         errors.append(weight * math.sqrt(rel) / t_bar)
 
@@ -276,5 +290,5 @@ def estimate_recovery_probability(
     config: SystemConfig, access: AccessModel, sim: SimConfig
 ) -> SimEstimate:
     """Estimate P_s(alpha) as the fraction of trials with phi >= alpha."""
-    counts, _ = _run_pass(config, access, None, sim, dict(access_pmf(config, access)), ())
+    counts, _ = _run_pass(config, access, None, sim, dict(access_pmf(config, access)), {})
     return recovery_estimate(counts, config.alpha, sim.trials)

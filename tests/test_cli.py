@@ -686,6 +686,32 @@ def test_overflowing_service_rates_are_config_errors(capsys, command):
     assert err.startswith("error: config: ") and err.count("\n") == 1
 
 
+SIM_ARGS = ["simulate", "--nodes", "20", "--m", "2", "--alpha", "3", "--access", "fixed",
+            "--r", "8", "--service", "scaled", "--trials", "1000", "--workers", "1"]
+
+
+@pytest.mark.parametrize("mu", ["1e-300", "1e-160", "1e200", "1e300"])
+def test_simulate_keeps_its_standard_error_at_extreme_service_scales(capsys, mu):
+    # squared completion times leave float64 here, but no time does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [*SIM_ARGS, "--mu", mu, "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert 0.0 < payload["service_rate_std_error"] < math.inf
+    assert payload["service_rate_within_3se"] is True
+
+
+@pytest.mark.parametrize("mu", ["1e-308", "1e-320"])
+def test_simulate_rejects_completion_times_beyond_float64_in_one_line(capsys, mu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [*SIM_ARGS, "--mu", mu])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: completion times given phi=")
+    assert err.count("\n") == 1
+
+
 def test_axis_sweep_over_m_stops_past_the_node_count(capsys):
     with pytest.warns(UserWarning, match="skipping m=11 through 1e\\+09") as record:
         code, out, _ = run_cli(
@@ -760,6 +786,14 @@ def test_probabilistic_conditions_without_room_for_alpha_2_report_optimal(capsys
     code, _, err = run_cli(capsys, args + ["--alpha-max", "1"])
     assert code == 2
     assert err == "error: config: need alpha_max >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("access", ["--access fixed --r 2", "--access probabilistic --p 0.3"])
+def test_conditions_without_any_allocation_fail_like_optimal(capsys, access):
+    # m > nodes admits no alpha at all, so no certificate can call alpha = 1 optimal
+    argv = ["conditions", "--nodes", "3", "--m", "5", *access.split(), "--service", "scaled"]
+    assert run_cli(capsys, argv) == (
+        3, "", "error: infeasible: no feasible alpha for nodes=3, m=5\n")
 
 
 def test_probabilistic_conditions_need_the_node_count_or_a_cutoff(capsys):

@@ -12,20 +12,8 @@ from hypothesis import strategies as st
 
 from dss_alloc.analysis import alpha_table, optimal_alpha
 from dss_alloc.cli import main
-from dss_alloc.conditions import (
-    ConditionReport,
-    classify,
-    fixed_scaled_nonoptimality_threshold,
-    fixed_scaled_optimality_threshold,
-    fixed_shifted_nonoptimality_threshold,
-    fixed_shifted_optimality_threshold,
-    prob_scaled_nonoptimality_threshold,
-    prob_scaled_optimality_threshold,
-    prob_shifted_nonoptimality_threshold,
-    prob_shifted_optimality_threshold,
-    scaled_prob_m1_optimal_range,
-)
-from dss_alloc.errors import ConfigurationError
+from dss_alloc.conditions import ConditionReport, classify, scaled_prob_m1_optimal_range
+from dss_alloc.errors import ConfigurationError, InfeasibleError
 from dss_alloc.models import FixedSize, Probabilistic, ScaledExp, ShiftedExp, SmallExp
 
 
@@ -42,85 +30,91 @@ def prob_shifted_nonopt_term(m: int, dm: float, alpha: int) -> float:
 
 
 # --- scaled-exponential thresholds -------------------------------------------
+# fixed-size terms run over alpha <= min(r, nodes // m), probabilistic ones over
+# alpha <= alpha_max
 
 def test_fixed_scaled_optimality_reference_value():
-    result = fixed_scaled_optimality_threshold(40, 2, 20)
-    assert result.value == Fraction(15, 2)
-    assert result.witness_alpha == 2
+    report = classify(FixedSize(20), ScaledExp(1.0), 2, nodes=40)
+    assert report.optimality_threshold == Fraction(15, 2)
+    assert report.witness_alpha_opt == 2
     # terms match the formula recomputed independently
-    for alpha, term in result.terms:
+    for alpha, term in report.optimality_terms:
         assert float(term) == pytest.approx(fixed_scaled_opt_term(40, 2, alpha), rel=1e-12)
 
 
 def test_fixed_scaled_nonoptimality_reference_value():
-    result = fixed_scaled_nonoptimality_threshold(40, 2, 20)
-    assert result.value == 27
-    assert result.witness_alpha == 2
+    report = classify(FixedSize(20), ScaledExp(1.0), 2, nodes=40)
+    assert report.nonoptimality_threshold == 27
+    assert report.witness_alpha_nonopt == 2
 
 
 def test_prob_scaled_reference_values():
-    opt = prob_scaled_optimality_threshold(2, 20)
-    assert opt.value == Fraction(5, 6)
-    assert opt.witness_alpha == 2
-    non = prob_scaled_nonoptimality_threshold(2, 20)
-    assert non.value == Fraction(1, 3)
-    assert non.witness_alpha == 2
+    report = classify(Probabilistic(0.5), ScaledExp(1.0), 2, alpha_max=20)
+    assert report.optimality_threshold == Fraction(5, 6)
+    assert report.witness_alpha_opt == 2
+    assert report.nonoptimality_threshold == Fraction(1, 3)
+    assert report.witness_alpha_nonopt == 2
 
 
 def test_prob_scaled_m1_nonoptimality_is_vacuous():
     # the kernel collapses to 1 for m = 1, so every term is 0
-    result = prob_scaled_nonoptimality_threshold(1, 15)
-    assert result.value == 0
-    assert all(term == 0 for _, term in result.terms)
+    report = classify(Probabilistic(0.5), ScaledExp(1.0), 1, alpha_max=15)
+    assert report.nonoptimality_threshold == 0
+    assert len(report.nonoptimality_terms) == 14
+    assert all(term == 0 for _, term in report.nonoptimality_terms)
 
 
 # --- shifted-exponential thresholds ------------------------------------------
 
 def test_fixed_shifted_optimality_reference_value():
-    result = fixed_shifted_optimality_threshold(40, 2, 3.0, 1.0, 20)
-    assert result.value == Fraction(79, 14)
-    assert result.witness_alpha == 2
+    report = classify(FixedSize(20), ShiftedExp(3.0, 1.0), 2, nodes=40)
+    assert report.optimality_threshold == Fraction(79, 14)
+    assert report.witness_alpha_opt == 2
 
 
 def test_fixed_shifted_nonoptimality_reference_value():
-    result = fixed_shifted_nonoptimality_threshold(40, 2, 3.0, 1.0, 20)
-    assert result.witness_alpha == 4
-    assert float(result.value) == pytest.approx(0.775 ** (1 / 3) * 37 + 3, rel=1e-12)
-    terms = dict(result.terms)
+    report = classify(FixedSize(20), ShiftedExp(3.0, 1.0), 2, nodes=40)
+    assert report.witness_alpha_nonopt == 4
+    assert float(report.nonoptimality_threshold) == pytest.approx(0.775 ** (1 / 3) * 37 + 3,
+                                                                  rel=1e-12)
+    terms = dict(report.nonoptimality_terms)
     assert terms[2] == Fraction(173, 4)  # 13/12 * 39 + 1 stays exact at alpha = 2
 
 
 def test_prob_shifted_optimality_reference_value():
-    result = prob_shifted_optimality_threshold(2, 3.0, 1.0, 20)
-    assert result.value == Fraction(37, 42)
-    assert result.witness_alpha == 2
+    report = classify(Probabilistic(0.5), ShiftedExp(3.0, 1.0), 2, alpha_max=20)
+    assert report.optimality_threshold == Fraction(37, 42)
+    assert report.witness_alpha_opt == 2
 
 
 def test_prob_shifted_nonoptimality_reference_value():
-    result = prob_shifted_nonoptimality_threshold(2, 3.0, 1.0, 20)
-    assert result.witness_alpha == 4
-    assert float(result.value) == pytest.approx(1 - 0.775 ** (1 / 3), rel=1e-12)
-    terms = dict(result.terms)
+    report = classify(Probabilistic(0.5), ShiftedExp(3.0, 1.0), 2, alpha_max=20)
+    assert report.witness_alpha_nonopt == 4
+    assert float(report.nonoptimality_threshold) == pytest.approx(1 - 0.775 ** (1 / 3),
+                                                                  rel=1e-12)
+    terms = dict(report.nonoptimality_terms)
     assert terms[2] == Fraction(-1, 12)  # negative terms are reported, not clipped
-    for alpha, term in result.terms:
+    for alpha, term in report.nonoptimality_terms:
         assert float(term) == pytest.approx(prob_shifted_nonopt_term(2, 3.0, alpha), rel=1e-9)
 
 
 def test_prob_shifted_m1_nonoptimality_can_fire():
     # m = 1 keeps a genuine threshold here: alpha = 2 beats alpha = 1 for small p
-    result = prob_shifted_nonoptimality_threshold(1, 3.0, 1.0, 10)
-    assert result.value == Fraction(1, 8)
-    assert result.witness_alpha == 2
+    report = classify(Probabilistic(0.05), ShiftedExp(3.0, 1.0), 1, alpha_max=10)
+    assert report.nonoptimality_threshold == Fraction(1, 8)
+    assert report.witness_alpha_nonopt == 2
+    assert report.verdict == "non-optimal"
     better = optimal_alpha(Probabilistic(0.05), ShiftedExp(3.0, 1.0), 20, 1)
     assert better.alpha_star > 1
 
 
 def test_prob_shifted_all_negative_terms_mean_no_witness():
     # delta = 0 collapses to the memoryless model where alpha = 1 always wins
-    result = prob_shifted_nonoptimality_threshold(1, 0.0, 1.0, 10)
-    assert result.value == 0
-    assert result.witness_alpha is None
-    assert all(term < 0 for _, term in result.terms)
+    report = classify(Probabilistic(0.05), ShiftedExp(0.0, 1.0), 1, alpha_max=10)
+    assert report.nonoptimality_threshold == 0
+    assert report.witness_alpha_nonopt is None
+    assert len(report.nonoptimality_terms) == 9
+    assert all(term < 0 for _, term in report.nonoptimality_terms)
 
 
 def test_zero_shift_classifies_as_always_optimal():
@@ -220,6 +214,13 @@ def test_probabilistic_access_without_room_for_alpha_2_is_optimal():
         classify(Probabilistic(0.3), ScaledExp(1.0), 2, nodes=3, alpha_max=1)
     with pytest.raises(ConfigurationError):
         classify(Probabilistic(0.3), ScaledExp(1.0), 2, nodes=0)
+
+
+@pytest.mark.parametrize("access", [FixedSize(2), Probabilistic(0.3)])
+def test_classify_rejects_a_system_with_fewer_nodes_than_m(access):
+    # m = 5 copies do not fit in 3 nodes: no allocation exists, not even alpha = 1
+    with pytest.raises(InfeasibleError, match="no feasible alpha for nodes=3, m=5"):
+        classify(access, ScaledExp(1.0), 5, nodes=3)
 
 
 # --- identity with an all-Fraction evaluation ------------------------------------

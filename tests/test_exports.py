@@ -17,10 +17,19 @@ MODULES = ["dss_alloc"] + [
 REMOVED = [
     "CandidateCheck",
     "EXACT_HARMONIC_LIMIT",
+    "ThresholdResult",
     "constant_prob_m1_optimal_alpha",
+    "fixed_scaled_nonoptimality_threshold",
+    "fixed_scaled_optimality_threshold",
+    "fixed_shifted_nonoptimality_threshold",
+    "fixed_shifted_optimality_threshold",
     "hypergeometric_support",
     "log_binomial",
     "optimal_alpha_profile",
+    "prob_scaled_nonoptimality_threshold",
+    "prob_scaled_optimality_threshold",
+    "prob_shifted_nonoptimality_threshold",
+    "prob_shifted_optimality_threshold",
     "sweep",
 ]
 

@@ -379,6 +379,21 @@ def test_rate_estimate_holds_at_extreme_service_scales(mu):
     assert abs(est.mean - service_rate(config, access, service)) <= 3 * est.std_error
 
 
+@pytest.mark.parametrize("shift", [-1000, -600, 600, 1000])
+def test_rate_estimate_scales_exactly_with_a_power_of_two_mu(shift):
+    # squares of times near 2^-600 underflow and near 2^600 overflow in float64;
+    # strata are summed in units of a power of two, which scales every rounding
+    config, access = SystemConfig(20, 2, 3), FixedSize(8)
+    sim = SimConfig(trials=20_000, seed=8, min_count=3000)  # tops up phi = 4, 5, 6
+    base = estimate_service_rate(config, access, ScaledExp(1.0), sim)
+    far = estimate_service_rate(config, access, ScaledExp(math.ldexp(1.0, shift)), sim)
+    assert base.topup_counts and far.topup_counts == base.topup_counts
+    assert far.mean == math.ldexp(base.mean, shift)
+    assert far.std_error == math.ldexp(base.std_error, shift) > 0.0
+    assert far.per_phi_mean_time == {phi: math.ldexp(t, -shift)
+                                     for phi, t in base.per_phi_mean_time.items()}
+
+
 def test_overflowing_completion_times_are_configuration_errors():
     config = SystemConfig(20, 2, 3)
     with pytest.raises(ConfigurationError, match="float64"):
