@@ -49,7 +49,6 @@ from .models import (
 )
 from .numerics import (
     binomial,
-    binomial_pmf,
     harmonic,
     harmonic_gap,
     hypergeometric_pmf,
@@ -88,7 +87,6 @@ __all__ = [
     "access_pmf",
     "alpha_table",
     "binomial",
-    "binomial_pmf",
     "classify",
     "conditional_rate",
     "conditional_rate_bounds",

@@ -632,7 +632,7 @@ def _parser() -> _Parser:
     p = sub.add_parser("conditions", help="minimal-spreading (non-)optimality certificates")
     _add_common(p)
     _flag(p, "--alpha-max", "alpha_max",
-          "largest alternative alpha for probabilistic thresholds", type=int)
+          "largest alternative alpha for the thresholds", type=int)
 
     p = sub.add_parser("sweep", help="figure-style parameter sweeps")
     _add_common(p)

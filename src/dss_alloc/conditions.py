@@ -24,12 +24,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, InfeasibleError
 from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp
-from .numerics import binomial
+from .numerics import spread_binomials
 
 __all__ = [
     "ConditionReport",
@@ -72,18 +73,19 @@ class ConditionReport:
 #   probabilistic   optimal iff p >= max_alpha 1 - root         (divides: 1 - 1/root)
 #                   beaten  iff p <= max_alpha 1 - root
 #
-# over 2 <= alpha <= min(r, N // m) (fixed-size) or alpha_max (probabilistic).
+# over 2 <= alpha <= min(r, N // m, alpha_max) (fixed-size) or alpha_max,
+# by default N // m (probabilistic). C is stepped from one alpha to the next
+# (numerics.spread_binomials) and handed to each optimality kernel.
 # A probabilistic non-optimality term may be negative (vacuous); if every one
 # is, the condition is unreachable and its threshold is 0 with no witness.
 _KERNELS = {
     ScaledExp: (
-        lambda m, a, b, alpha: (alpha * binomial(m * alpha - 1, alpha - 1), 1),
+        lambda m, a, b, alpha, c: (alpha * c, 1),
         lambda m, a, b, alpha: (m, m * alpha - alpha + 1),
         True,
     ),
     ShiftedExp: (
-        lambda m, a, b, alpha: (a + alpha * b,
-                                alpha * (a * m + b) * binomial(m * alpha - 1, alpha - 1)),
+        lambda m, a, b, alpha, c: (a + alpha * b, alpha * (a * m + b) * c),
         lambda m, a, b, alpha: (m * (a * (m * alpha - alpha + 1) + alpha * alpha * b),
                                 alpha * (a + b) * (m * alpha - alpha + 1)),
         False,
@@ -91,10 +93,11 @@ _KERNELS = {
 }
 
 
-def _terms(alphas: range, kernel, term) -> list[tuple[int, Number]]:
+def _terms(alphas: range, kernels: Iterable[tuple[int, int]], term) -> list[tuple[int, Number]]:
     """Return (alpha, term(alpha, root)) for each alpha.
 
-    kernel(alpha) is an exact ratio (num, den) and root its (alpha-1)-th root.
+    kernels yields each alpha's kernel as an exact ratio (num, den); root is
+    its (alpha-1)-th root.
     At alpha = 2 the root is the kernel itself, kept as an exact Fraction;
     elsewhere num / den is rounded once (int/int true division rounds
     correctly, as float(Fraction) does) and the root is taken in floats. A
@@ -103,8 +106,7 @@ def _terms(alphas: range, kernel, term) -> list[tuple[int, Number]]:
     logarithms of the exact integers instead.
     """
     out: list[tuple[int, Number]] = []
-    for alpha in alphas:
-        num, den = kernel(alpha)
+    for alpha, (num, den) in zip(alphas, kernels):
         if alpha == 2:
             root = Fraction(num, den)
         else:
@@ -150,10 +152,11 @@ def classify(
     with a gap, not a partition.
 
     Probabilistic alternatives run up to alpha_max, by default nodes // m;
-    one of the two must be given. When that default leaves no alpha >= 2,
+    one of the two must be given. Fixed-size ones run up to min(r, nodes // m),
+    capped at alpha_max when it is given. When the default leaves no alpha >= 2,
     alpha = 1 is the only allocation and the verdict is optimal with no
-    terms, as under fixed-size access; an explicit alpha_max below 2 is an
-    error. A system with fewer nodes than m admits no allocation at all.
+    terms; an explicit alpha_max below 2 is an error. A system with fewer
+    nodes than m admits no allocation at all.
     """
     kernels = _KERNELS.get(type(service))
     if kernels is None:
@@ -169,6 +172,8 @@ def classify(
             raise ConfigurationError(f"need nodes >= 1, got nodes={nodes}")
         if m > nodes:
             raise InfeasibleError(f"no feasible alpha for nodes={nodes}, m={m}")
+    if alpha_max is not None and alpha_max < 2:
+        raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
     dm = Fraction(getattr(service, "delta", 0)) * Fraction(service.mu)  # scaled-exp: no shift
     a, b = dm.numerator, dm.denominator
 
@@ -180,7 +185,8 @@ def classify(
         if not 2 <= x <= nodes:
             raise ConfigurationError(f"need 2 <= r <= nodes, got r={x}, nodes={nodes}")
         # alternatives must be realizable: alpha <= r and m*alpha <= N
-        alphas, best = range(2, min(x, nodes // m) + 1), min
+        top = min(x, nodes // m) if alpha_max is None else min(x, nodes // m, alpha_max)
+        alphas, best = range(2, top + 1), min
         opt_term = ((lambda alpha, root: 1 + (nodes - 1) / root) if divides
                     else (lambda alpha, root: 1 + (nodes - 1) * root))
         non_term = lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1
@@ -191,14 +197,13 @@ def classify(
                 raise ConfigurationError(
                     "probabilistic conditions need the node count or alpha_max")
             alpha_max = nodes // m
-        elif alpha_max < 2:
-            raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
         alphas, best = range(2, alpha_max + 1), max
         opt_term = (lambda alpha, root: 1 - 1 / root) if divides else (lambda alpha, root: 1 - root)
         non_term = lambda alpha, root: 1 - root
 
-    opt_terms = _terms(alphas, partial(opt_kernel, m, a, b), opt_term)
-    non_terms = _terms(alphas, partial(non_kernel, m, a, b), non_term)
+    spread = islice(spread_binomials(m), 1, None)  # C(m alpha - 1, alpha - 1) from alpha = 2
+    opt_terms = _terms(alphas, map(partial(opt_kernel, m, a, b), alphas, spread), opt_term)
+    non_terms = _terms(alphas, map(partial(non_kernel, m, a, b), alphas), non_term)
     opt, opt_witness = _pick(opt_terms, best)
     non, non_witness = _pick(non_terms, best)
     if not fixed and non_witness is not None and non < 0:

@@ -1,12 +1,15 @@
 """Harmonic numbers, binomial coefficients, and the two access distributions.
 
 Access is hypergeometric for fixed-size requests and binomial for
-probabilistic ones. Scalar probability masses are one exact ratio rounded
-once: an integer quotient for the hypergeometric pmf, a 40-digit decimal
-product for the binomial pmf. The vectorised forms used by the expectation
-kernel take such a mass at each distribution's mode and fill the rest of the
+probabilistic ones. The vectorised forms used by the expectation kernel take
+each column's mass at its distribution's mode and fill the rest of the
 support with the ratio recurrence P(phi+1)/P(phi), walking away from the
-mode so that every partial product stays in (0, 1].
+mode so that every partial product stays in (0, 1]. The mode masses
+themselves come from one walk over the columns (_walk_anchors): a mantissa
+of _WIDTH bits is carried from one column's mode to the next by the exact
+rational ratio of the two masses and rounded to float once per column. The
+scalar hypergeometric_pmf is one exact integer quotient, the ratio the walk
+restarts from.
 
 harmonic(n) returns H_n only as an exact Fraction, summed by binary
 splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
@@ -17,11 +20,11 @@ first use, never at import.
 
 from __future__ import annotations
 
-import decimal
 import math
 import threading
-from decimal import Decimal
 from fractions import Fraction
+from math import perm
+from typing import Iterator
 
 import numpy as np
 
@@ -29,18 +32,20 @@ from .errors import ConfigurationError
 
 __all__ = [
     "binomial",
-    "binomial_pmf",
     "binomial_rows",
     "harmonic",
     "harmonic_gap",
     "harmonic_gaps",
     "hypergeometric_pmf",
     "hypergeometric_rows",
+    "spread_binomials",
 ]
 
-# 40 significant digits: the binomial mass is exact to well below one ulp
-# before its single rounding to float.
-_DECIMAL = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+# Bits of the anchor walk's mantissa. Each column costs one truncating
+# division, a relative error below 2^-190, and a binomial restart over D
+# trials less than D * 2^-190, so a walk over n columns strays less than
+# (D + n) * 2^-190 from the exact mass.
+_WIDTH = 192
 
 _MIN_TABLE = 1024
 _table: tuple[np.ndarray, np.ndarray] = (np.zeros(1), np.zeros(1))
@@ -147,6 +152,30 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def spread_binomials(m: int) -> Iterator[int]:
+    """Yield C(m alpha - 1, alpha - 1) exactly for alpha = 1, 2, 3, ...
+
+    Each coefficient is stepped from the one before,
+
+        C(m(alpha+1) - 1, alpha) = C(m alpha - 1, alpha - 1) (m alpha + m - 1)_m
+                                   / (alpha ((m-1)(alpha+1))_(m-1)),
+
+    with (n)_j = n! / (n-j)! the falling factorial; the division is exact.
+    A step costs a few products of the coefficient with small integers, where
+    a math.comb per alpha builds each big coefficient anew.
+    """
+    c, alpha = 1, 1
+    while True:
+        yield c
+        c = c * perm(m * alpha + m - 1, m) // (alpha * perm((m - 1) * (alpha + 1), m - 1))
+        alpha += 1
+
+
+def _hypergeometric_ratio(phi: int, N: int, D: int, r: int) -> tuple[int, int]:
+    """Return hypergeometric P(phi) as the exact integers (C(D, phi) C(N-D, r-phi), C(N, r))."""
+    return binomial(D, phi) * binomial(N - D, r - phi), math.comb(N, r)
+
+
 def hypergeometric_pmf(phi: int, N: int, D: int, r: int) -> float:
     """Return P(phi) = C(D, phi) C(N-D, r-phi) / C(N, r).
 
@@ -158,30 +187,81 @@ def hypergeometric_pmf(phi: int, N: int, D: int, r: int) -> float:
         raise ConfigurationError(f"hypergeometric_pmf() needs 0 <= D <= N, got D={D}, N={N}")
     if not 0 <= r <= N:
         raise ConfigurationError(f"hypergeometric_pmf() needs 0 <= r <= N, got r={r}, N={N}")
-    return binomial(D, phi) * binomial(N - D, r - phi) / math.comb(N, r)
+    num, den = _hypergeometric_ratio(phi, N, D, r)
+    return num / den
 
 
-def binomial_pmf(phi: int, n: int, q: float) -> float:
-    """Return P(phi) = C(n, phi) q^phi (1-q)^(n-phi); 0 outside [0, n].
+def _truncated_power(base: int, n: int) -> tuple[int, int]:
+    """Return (x, ex) with base^n = x * 2^ex to _WIDTH bits, by square-and-multiply.
 
-    q is taken at its exact binary value and the product is formed to 40
-    significant digits, then rounded to float once.
+    Each product is truncated to _WIDTH bits; a squaring doubles the relative
+    error so far, so the result is off by less than 4n * 2^-_WIDTH relative.
     """
-    if n < 0:
-        raise ConfigurationError(f"binomial_pmf() needs n >= 0, got {n}")
-    if not 0.0 <= q <= 1.0:
-        raise ConfigurationError(f"binomial_pmf() needs 0 <= q <= 1, got {q}")
-    if phi < 0 or phi > n:
-        return 0.0
-    # q in {0, 1} would need 0^0, which Decimal rejects; resolve those exactly
-    if q == 0.0:
-        return 1.0 if phi == 0 else 0.0
-    if q == 1.0:
-        return 1.0 if phi == n else 0.0
-    ctx = _DECIMAL
-    exact_q = Decimal(q)
-    mass = ctx.multiply(Decimal(math.comb(n, phi)), ctx.power(exact_q, phi))
-    return float(ctx.multiply(mass, ctx.power(ctx.subtract(1, exact_q), n - phi)))
+    x, ex = 1, 0
+    for bit in bin(n)[2:]:
+        x, ex = x * x, 2 * ex
+        if bit == "1":
+            x *= base
+        drop = max(0, x.bit_length() - _WIDTH)
+        x, ex = x >> drop, ex + drop
+    return x, ex
+
+
+def _walk_anchors(data: list, mode: list, N: int, r: int, q: float | None) -> list[float]:
+    """Return P(mode[c]) for each column c, walking from one column to the next.
+
+    Column c is hypergeometric(N, data[c], r) when q is None, else
+    binomial(data[c], q) with q = a / 2^e at its exact binary value, so
+    P(k; D) = C(D, k) a^k b^(D-k) / 2^(eD) with b = 2^e - a. The walk holds
+    the current mass as x * 2^ex, x an integer of _WIDTH or _WIDTH + 1 bits.
+    From (D, k) to the next column's (D1, k1), with g = D1 - D, h = k1 - k,
+    d = g - h, u = D - k, v = N - r - D + k and (n)_j = n! / (n-j)! (math.perm),
+    the mass changes by the exact ratio
+
+        hypergeometric   (D1)_g (r-k)_h (v)_d / ((N-D)_g (k1)_h (u+d)_d)
+        binomial         (D1)_g a^h b^d / ((k1)_h (u+d)_d 2^(eg)),
+
+    applied by one floor division that truncates x. A mode rises by at most
+    as much as its data count (0 <= h <= g), so for columns in data order the
+    ratio always has this form, and it never passes through a (D, k) outside
+    the support. The first column, and any column behind the current one
+    (as in an unsorted alpha list), restarts from the exact mass. x * 2^ex
+    is rounded to float once, when int x converts; ldexp is then exact,
+    because a mode mass, at least 1/(D+1), is a normal float.
+    """
+    if q is not None:
+        a, scale = q.as_integer_ratio()
+        b, e = scale - a, scale.bit_length() - 1
+    anchors = []
+    D = k = -1
+    x = ex = 0
+    for D1, k1 in zip(data, mode):
+        g, h = D1 - D, k1 - k
+        if D < 0 or not 0 <= h <= g:
+            x = 1
+            if q is None:
+                num, den = _hypergeometric_ratio(k1, N, D1, r)
+                ex = 0
+            else:
+                (ax, aex), (bx, bex) = _truncated_power(a, k1), _truncated_power(b, D1 - k1)
+                num, den = math.comb(D1, k1) * ax * bx, 1
+                ex = aex + bex - e * D1
+        else:
+            d = g - h
+            if q is None:
+                num = perm(D1, g) * perm(r - k, h) * perm(N - r - D + k, d)
+                den = perm(N - D, g) * perm(k1, h) * perm(D - k + d, d)
+            else:
+                num = perm(D1, g) * a**h * b**d
+                den = perm(k1, h) * perm(D - k + d, d)
+                ex -= e * g
+        D, k = D1, k1
+        y = x * num
+        shift = _WIDTH + den.bit_length() - y.bit_length()
+        x = (y << shift if shift >= 0 else y >> -shift) // den
+        ex -= shift
+        anchors.append(math.ldexp(x, ex))
+    return anchors
 
 
 def _rows_from_mode(lo, hi, mode, anchors, num, den) -> np.ndarray:
@@ -210,7 +290,7 @@ def hypergeometric_rows(N: int, data, r: int) -> tuple[np.ndarray, np.ndarray, n
     lo = np.maximum(0, r - (N - data))
     hi = np.minimum(r, data)
     mode = np.minimum(np.maximum((r + 1) * (data + 1) // (N + 2), lo), hi)
-    anchors = [hypergeometric_pmf(k, N, D, r) for k, D in zip(mode.tolist(), data.tolist())]
+    anchors = _walk_anchors(data.tolist(), mode.tolist(), N, r, None)
     phi = np.arange(int(hi.max()) + 1, dtype=np.float64)[:, None]
     num = (data - phi) * (r - phi)
     den = (phi + 1) * (N - data - r + phi + 1)
@@ -222,7 +302,7 @@ def binomial_rows(data, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     data = np.asarray(data, dtype=np.int64)
     lo = np.zeros_like(data)
     mode = np.minimum(np.floor((data + 1) * q).astype(np.int64), data)
-    anchors = [binomial_pmf(k, D, q) for k, D in zip(mode.tolist(), data.tolist())]
+    anchors = _walk_anchors(data.tolist(), mode.tolist(), 0, 0, q)
     phi = np.arange(int(data.max()) + 1, dtype=np.float64)[:, None]
     num = (data - phi) * q
     den = (phi + 1) * (1.0 - q)

@@ -788,6 +788,21 @@ def test_probabilistic_conditions_without_room_for_alpha_2_report_optimal(capsys
     assert err == "error: config: need alpha_max >= 2, got 1\n"
 
 
+def test_fixed_size_conditions_stop_at_the_alpha_cap(capsys):
+    args = ["conditions", "--nodes", "20", "--m", "2", "--access", "fixed", "--r", "6",
+            "--service", "scaled", "--format", "csv"]
+    code, capped, _ = run_cli(capsys, args + ["--alpha-max", "3"])
+    assert code == 0
+    assert capped == ("alpha,optimality_term,nonoptimality_term\n"
+                      "2,4.16666666667,13.6666666667\n"
+                      "3,4.46890953087,14.7279220614\n")
+    _, full, _ = run_cli(capsys, args)
+    assert [line.split(",")[0] for line in full.splitlines()[1:]] == ["2", "3", "4", "5", "6"]
+    assert full.startswith(capped)
+    assert run_cli(capsys, args + ["--alpha-max", "1"]) == (
+        2, "", "error: config: need alpha_max >= 2, got 1\n")
+
+
 @pytest.mark.parametrize("access", ["--access fixed --r 2", "--access probabilistic --p 0.3"])
 def test_conditions_without_any_allocation_fail_like_optimal(capsys, access):
     # m > nodes admits no alpha at all, so no certificate can call alpha = 1 optimal

@@ -18,6 +18,7 @@ REMOVED = [
     "CandidateCheck",
     "EXACT_HARMONIC_LIMIT",
     "ThresholdResult",
+    "binomial_pmf",
     "constant_prob_m1_optimal_alpha",
     "fixed_scaled_nonoptimality_threshold",
     "fixed_scaled_optimality_threshold",

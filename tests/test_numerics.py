@@ -9,14 +9,18 @@ import pytest
 
 from dss_alloc.errors import ConfigurationError
 from dss_alloc.numerics import (
+    _walk_anchors,
     binomial,
-    binomial_pmf,
+    binomial_rows,
     harmonic,
     harmonic_gap,
     harmonic_gaps,
     hypergeometric_pmf,
     hypergeometric_rows,
+    spread_binomials,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 rng = random.Random(20240817)
 
@@ -41,6 +45,31 @@ def pascal_triangle(rows: int) -> list[list[int]]:
 def support_from_rows(N: int, D: int, r: int) -> range:
     lo, hi, _ = hypergeometric_rows(N, [D], r)
     return range(int(lo[0]), int(hi[0]) + 1)
+
+
+# exact masses as (numerator, denominator); int true division rounds such a
+# ratio once, as float(Fraction(numerator, denominator)) does, without the gcd
+
+def hypergeometric_ratio(phi: int, N: int, D: int, r: int) -> tuple[int, int]:
+    return math.comb(D, phi) * math.comb(N - D, r - phi), math.comb(N, r)
+
+
+def binomial_ratio(phi: int, n: int, q: float) -> tuple[int, int]:
+    a, scale = q.as_integer_ratio()  # the float's binary value, as the pmf reads it
+    return math.comb(n, phi) * a**phi * (scale - a) ** (n - phi), scale**n
+
+
+def binomial_column(n: int, q: float):
+    _, _, probs = binomial_rows([n], q)
+    return probs[:, 0]
+
+
+def hypergeometric_modes(N: int, data: list[int], r: int) -> list[int]:
+    return [min(max((r + 1) * (D + 1) // (N + 2), r - (N - D), 0), r, D) for D in data]
+
+
+def binomial_modes(data: list[int], q: float) -> list[int]:
+    return [min(math.floor((D + 1) * q), D) for D in data]
 
 
 def hypergeometric_by_enumeration(phi: int, N: int, D: int, r: int) -> float:
@@ -85,6 +114,12 @@ def test_harmonic_gap_is_a_partial_sum(phi, alpha):
 
 
 # --- binomial coefficients -----------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_spread_binomials_step_to_the_direct_coefficients(m):
+    want = [math.comb(m * alpha - 1, alpha - 1) for alpha in range(1, 301)]
+    assert list(itertools.islice(spread_binomials(m), 300)) == want
+
 
 def test_binomial_matches_pascal_triangle():
     triangle = pascal_triangle(40)
@@ -173,7 +208,7 @@ def test_hypergeometric_pmf_rejects_bad_parameters(N, D, r):
     ],
 )
 def test_binomial_pmf_small_cases(phi, n, q, want):
-    assert binomial_pmf(phi, n, q) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert binomial_column(n, q)[phi] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -181,21 +216,80 @@ def test_binomial_pmf_sums_to_one(seed):
     local = random.Random(seed)
     n = local.randint(0, 80)
     q = local.random()
-    assert sum(binomial_pmf(phi, n, q) for phi in range(n + 1)) == pytest.approx(1.0, abs=1e-12)
+    assert binomial_column(n, q).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_binomial_pmf_matches_exact_rational(seed):
     local = random.Random(seed)
     n = local.randint(1, 20)
-    q = Fraction(local.randint(1, 9), 10)
+    q = local.randint(1, 9) / 10
+    column = binomial_column(n, q)
     for phi in range(n + 1):
-        want = float(math.comb(n, phi) * q**phi * (1 - q) ** (n - phi))
-        assert binomial_pmf(phi, n, float(q)) == pytest.approx(want, rel=1e-9)
+        assert column[phi] == pytest.approx(float(Fraction(*binomial_ratio(phi, n, q))), rel=1e-12)
 
 
-def test_binomial_pmf_rejects_bad_parameters():
-    with pytest.raises(ConfigurationError):
-        binomial_pmf(0, -1, 0.5)
-    with pytest.raises(ConfigurationError):
-        binomial_pmf(0, 3, 1.5)
+# --- mode anchors: the walk over the columns ------------------------------
+#
+# Each anchor must be the exact mass rounded once, bit for bit.
+
+def assert_anchors_exact(data, N, r, q, checked=None):
+    """Walk every column of data; compare the columns in checked (default all)."""
+    if q is None:
+        modes = hypergeometric_modes(N, data, r)
+        exact = lambda c: hypergeometric_ratio(modes[c], N, data[c], r)
+    else:
+        modes = binomial_modes(data, q)
+        exact = lambda c: binomial_ratio(modes[c], data[c], q)
+    anchors = _walk_anchors(data, modes, N, r, q)
+    for c in range(len(data)) if checked is None else checked:
+        num, den = exact(c)
+        assert anchors[c] == num / den, (data[c], modes[c])
+
+
+def seeded_grid(seed: int):
+    local = random.Random(seed)
+    N = local.randint(1, 400)
+    m = local.randint(1, min(4, N))
+    r = local.choice([1, N, max(1, N - 1), local.randint(1, N)])
+    q = local.choice([0.0, 1.0, round(0.05 * local.randint(1, 19), 2), local.random()])
+    return N, [m * alpha for alpha in range(1, N // m + 1)], r, q
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_hypergeometric_anchors_are_the_exact_ratio_rounded_once(seed):
+    N, data, r, _ = seeded_grid(seed)
+    assert_anchors_exact(data, N, r, None)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_binomial_anchors_are_the_exact_ratio_rounded_once(seed):
+    _, data, _, q = seeded_grid(seed)
+    assert_anchors_exact(data, 0, 0, q)
+
+
+@pytest.mark.parametrize("N, r", [(5, 5), (12, 11), (40, 40), (40, 39), (300, 299), (300, 1)])
+def test_hypergeometric_anchors_hold_where_the_mode_sits_on_the_support_edge(N, r):
+    # r near N pins each mode to the lower support end r - (N - D)
+    for m in (1, 2, 3):
+        assert_anchors_exact([m * alpha for alpha in range(1, N // m + 1)], N, r, None)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 1.0 - 0.3, 1.0 - 0.999, 2.0**-40])
+def test_binomial_anchors_hold_at_extreme_q(q):
+    assert_anchors_exact(list(range(1, 401)), 0, 0, q)
+
+
+@pytest.mark.parametrize("N, r, q, checked", [
+    (1000, 300, None, None),  # the search-scale column sets, every column
+    (1000, 0, 1.0 - 0.3, None),
+    (10_000, 3_000, None, 30),  # ten thousand nodes: a seeded sample of the columns
+    (10_000, 0, 1.0 - 0.3, 30),
+])
+def test_anchors_are_exact_along_the_search_scale_walks(N, r, q, checked):
+    alphas = range(1, (min(r, N // 3) if q is None else N // 3) + 1)
+    data = [3 * alpha for alpha in alphas]
+    if checked is not None:
+        checked = [0, len(data) - 1] + random.Random(N).sample(range(len(data)), checked)
+    assert_anchors_exact(data, N, r, q, checked)
+

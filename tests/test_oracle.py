@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from dss_alloc import analysis
-from dss_alloc.analysis import expected_metrics, optimal_alpha, service_rate
+from dss_alloc.analysis import (
+    alpha_table,
+    expected_metrics,
+    optimal_alpha,
+    recovery_probability,
+    service_rate,
+)
 from dss_alloc.models import FixedSize, Probabilistic, ScaledExp, ShiftedExp, SystemConfig
 from dss_alloc.numerics import binomial_rows, harmonic_gap, harmonic_gaps, hypergeometric_rows
 
@@ -89,6 +95,32 @@ def test_pmf_columns_sum_to_one_at_ten_thousand_nodes(rows):
     for column in range(probs.shape[1]):
         assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
         assert abs(probs[:, column].sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda data: hypergeometric_rows(30_000, data, 9_000),
+        lambda data: binomial_rows(data, 1.0 - 0.3),
+    ],
+)
+def test_pmf_columns_sum_to_one_at_thirty_thousand_nodes(rows):
+    lo, hi, probs = rows([3, 7_500, 22_500, 30_000])
+    for column in range(probs.shape[1]):
+        assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
+        assert abs(probs[:, column].sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes, m, alphas", [(40, 4, [9, 2, 2, 5]),
+                                              (1000, 3, [300, 2, 2, 150, 299, 1])])
+@pytest.mark.parametrize("access, service", [(FixedSize(20), ScaledExp(1.0)),
+                                             (Probabilistic(0.3), ShiftedExp(3.0, 1.0))])
+def test_unsorted_alpha_tables_equal_their_one_alpha_calls(nodes, m, alphas, access, service):
+    # a column behind the walk restarts it, so the order of alphas changes no bit
+    for row in alpha_table(access, service, nodes, m, alphas):
+        config = SystemConfig(nodes, m, row.alpha)
+        assert row.service_rate == service_rate(config, access, service)
+        assert row.recovery_probability == recovery_probability(config, access)
 
 
 @pytest.mark.parametrize("access, service, oracle_access, oracle_service", SEARCHES)
