@@ -51,13 +51,11 @@ from .numerics import (
     binomial,
     harmonic,
     harmonic_gap,
-    hypergeometric_pmf,
 )
 from .presets import PRESETS, Preset, preset_rows
 from .simulator import (
     SimConfig,
     SimEstimate,
-    estimate_recovery_probability,
     estimate_service_rate,
     sample_completion_time,
 )
@@ -90,13 +88,11 @@ __all__ = [
     "classify",
     "conditional_rate",
     "conditional_rate_bounds",
-    "estimate_recovery_probability",
     "estimate_service_rate",
     "expected_metrics",
     "feasible_alphas",
     "harmonic",
     "harmonic_gap",
-    "hypergeometric_pmf",
     "maximal_spreading_rate",
     "minimal_spreading_rate",
     "optimal_alpha",

@@ -10,9 +10,9 @@ Every exact expectation goes through one NumPy kernel, expected_metrics: for
 a set of alphas it builds each alpha's access pmf once (one column of a phi x
 alpha matrix, see numerics), weights it by the conditional rates, and sums
 each column in phi order, so both metrics come from one pmf pass and a
-scalar service_rate is bit-identical to the matching row of a search. Alphas
-are processed in chunks of at most _CHUNK_CELLS matrix cells, which bounds
-the kernel's memory at any N.
+scalar service_rate is bit-identical to the matching row of a search. The
+access model hands the matrix over in chunks of consecutive alphas (numerics
+owns their size), so the kernel's memory stays bounded at any N.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ __all__ = [
     "recovery_probability",
     "service_rate",
 ]
-
-# phi x alpha cells per kernel chunk (512 KiB per float64 matrix)
-_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,24 +85,24 @@ def expected_metrics(
     recovery = np.zeros(len(alphas))
     if not len(alphas):
         return rates, recovery
-    largest = int(alphas.max())
     SystemConfig(nodes, m, int(alphas.min()))  # validates nodes, m and every alpha
-    SystemConfig(nodes, m, largest)
-    step = max(1, _CHUNK_CELLS // (m * largest + 1))
-    for start in range(0, len(alphas), step):
-        alpha = alphas[start:start + step]
-        _, _, probs = access.rows(nodes, m * alpha)
+    SystemConfig(nodes, m, int(alphas.max()))
+    start = 0
+    for _, _, probs in access.rows(nodes, m * alphas):
+        stop = start + probs.shape[1]
+        alpha = alphas[start:stop]
         phi = np.arange(probs.shape[0])[:, None]
         reached = phi >= alpha
         # cumsum adds in phi order whatever the chunk shape; its last row is the sum
         weights = np.where(reached, probs, 0.0)
-        recovery[start:start + step] = np.cumsum(weights, axis=0)[-1]
+        recovery[start:stop] = np.cumsum(weights, axis=0)[-1]
         if service is not None:
             gap = np.where(reached, harmonic_gaps(phi, np.minimum(alpha, phi)), 1.0)
             # tail terms below 1e-308 are 0; overflow is caught by the check below
             with np.errstate(under="ignore", over="ignore", invalid="ignore"):
                 terms = weights * service.rate(alpha, gap)
-            rates[start:start + step] = np.cumsum(terms, axis=0)[-1]
+            rates[start:stop] = np.cumsum(terms, axis=0)[-1]
+        start = stop
     if rates is not None and not np.isfinite(rates).all():
         params = " ".join(f"{name}={value}" for name, value in vars(service).items())
         raise ConfigurationError(f"service rates overflow float64 at {service.kind} {params}")
@@ -114,7 +111,7 @@ def expected_metrics(
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:
     """Return (phi, P(phi)) pairs over the access model's full phi support."""
-    lo, hi, probs = access.rows(config.nodes, [config.data_nodes])
+    (lo, hi, probs), = access.rows(config.nodes, [config.data_nodes])
     return [(phi, float(probs[phi, 0])) for phi in range(int(lo[0]), int(hi[0]) + 1)]
 
 
@@ -193,6 +190,7 @@ def feasible_alphas(nodes: int, m: int, access: AccessModel | None = None) -> ra
         raise ConfigurationError(f"nodes and m must be positive, got nodes={nodes}, m={m}")
     if nodes < m:
         raise InfeasibleError(f"no feasible alpha for nodes={nodes}, m={m}")
+    SystemConfig(nodes, m, 1)  # validates the node count before any alpha is listed
     upper = nodes // m
     if isinstance(access, FixedSize):
         upper = min(upper, access.r)

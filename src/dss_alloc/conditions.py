@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, InfeasibleError
-from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp
+from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp, SystemConfig
 from .numerics import spread_binomials
 
 __all__ = [
@@ -73,9 +73,10 @@ class ConditionReport:
 #   probabilistic   optimal iff p >= max_alpha 1 - root         (divides: 1 - 1/root)
 #                   beaten  iff p <= max_alpha 1 - root
 #
-# over 2 <= alpha <= min(r, N // m, alpha_max) (fixed-size) or alpha_max,
-# by default N // m (probabilistic). C is stepped from one alpha to the next
-# (numerics.spread_binomials) and handed to each optimality kernel.
+# over 2 <= alpha <= min(r, N // m, alpha_max) (fixed-size) or
+# min(N // m, alpha_max) (probabilistic), each cap taken when it is given.
+# C is stepped from one alpha to the next (numerics.spread_binomials) and
+# handed to each optimality kernel.
 # A probabilistic non-optimality term may be negative (vacuous); if every one
 # is, the condition is unreachable and its threshold is 0 with no witness.
 _KERNELS = {
@@ -151,8 +152,8 @@ def classify(
     in between is indeterminate: the certificates are sufficient conditions
     with a gap, not a partition.
 
-    Probabilistic alternatives run up to alpha_max, by default nodes // m;
-    one of the two must be given. Fixed-size ones run up to min(r, nodes // m),
+    Probabilistic alternatives run up to min(nodes // m, alpha_max); one of
+    the two must be given. Fixed-size ones run up to min(r, nodes // m),
     capped at alpha_max when it is given. When the default leaves no alpha >= 2,
     alpha = 1 is the only allocation and the verdict is optimal with no
     terms; an explicit alpha_max below 2 is an error. A system with fewer
@@ -172,11 +173,16 @@ def classify(
             raise ConfigurationError(f"need nodes >= 1, got nodes={nodes}")
         if m > nodes:
             raise InfeasibleError(f"no feasible alpha for nodes={nodes}, m={m}")
+        SystemConfig(nodes, m, 1)  # validates the node count
     if alpha_max is not None and alpha_max < 2:
         raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
     dm = Fraction(getattr(service, "delta", 0)) * Fraction(service.mu)  # scaled-exp: no shift
     a, b = dm.numerator, dm.denominator
 
+    # the alternatives are the allocations within every given cap
+    cap = alpha_max
+    if nodes is not None:
+        cap = nodes // m if alpha_max is None else min(nodes // m, alpha_max)
     fixed = isinstance(access, FixedSize)
     if fixed:
         if nodes is None:
@@ -184,23 +190,18 @@ def classify(
         x = access.r
         if not 2 <= x <= nodes:
             raise ConfigurationError(f"need 2 <= r <= nodes, got r={x}, nodes={nodes}")
-        # alternatives must be realizable: alpha <= r and m*alpha <= N
-        top = min(x, nodes // m) if alpha_max is None else min(x, nodes // m, alpha_max)
-        alphas, best = range(2, top + 1), min
+        top, best = min(x, cap), min  # alternatives must also satisfy alpha <= r
         opt_term = ((lambda alpha, root: 1 + (nodes - 1) / root) if divides
                     else (lambda alpha, root: 1 + (nodes - 1) * root))
         non_term = lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1
     else:
-        x = access.p
-        if alpha_max is None:
-            if nodes is None:
-                raise ConfigurationError(
-                    "probabilistic conditions need the node count or alpha_max")
-            alpha_max = nodes // m
-        alphas, best = range(2, alpha_max + 1), max
+        if cap is None:
+            raise ConfigurationError("probabilistic conditions need the node count or alpha_max")
+        x, top, best = access.p, cap, max
         opt_term = (lambda alpha, root: 1 - 1 / root) if divides else (lambda alpha, root: 1 - root)
         non_term = lambda alpha, root: 1 - root
 
+    alphas = range(2, top + 1)
     spread = islice(spread_binomials(m), 1, None)  # C(m alpha - 1, alpha - 1) from alpha = 2
     opt_terms = _terms(alphas, map(partial(opt_kernel, m, a, b), alphas, spread), opt_term)
     non_terms = _terms(alphas, map(partial(non_kernel, m, a, b), alphas), non_term)

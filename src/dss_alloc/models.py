@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class SystemConfig:
                 "nodes, m, and alpha must be positive, got "
                 f"nodes={self.nodes}, m={self.m}, alpha={self.alpha}"
             )
+        if self.nodes >= 2**63:  # data-node counts fill int64 arrays
+            raise ConfigurationError(f"nodes must be below 2^63, got nodes={self.nodes}")
         if self.m * self.alpha > self.nodes:
             raise InfeasibleError(
                 f"alpha={self.alpha} needs m*alpha={self.m * self.alpha} data nodes "
@@ -128,8 +130,8 @@ class FixedSize(_Model):
         if self.r < 1:
             raise ConfigurationError(f"r must be positive, got {self.r}")
 
-    def rows(self, nodes: int, data) -> tuple:
-        """Return (lo, hi, P): the pmf of phi for each data-node count, one column each."""
+    def rows(self, nodes: int, data) -> Iterator[tuple]:
+        """Yield (lo, hi, P) chunks: the pmf of phi for each data-node count, one column each."""
         if self.r > nodes:
             raise ConfigurationError(f"r={self.r} exceeds nodes={nodes}")
         return hypergeometric_rows(nodes, data, self.r)
@@ -178,8 +180,8 @@ class Probabilistic(_Model):
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"p must lie in [0, 1], got {self.p}")
 
-    def rows(self, nodes: int, data) -> tuple:
-        """Return (lo, hi, P): the pmf of phi for each data-node count, one column each."""
+    def rows(self, nodes: int, data) -> Iterator[tuple]:
+        """Yield (lo, hi, P) chunks: the pmf of phi for each data-node count, one column each."""
         return binomial_rows(data, 1.0 - self.p)
 
     def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Harmonic numbers, binomial coefficients, and the two access distributions.
 
 Access is hypergeometric for fixed-size requests and binomial for
-probabilistic ones. The vectorised forms used by the expectation kernel take
-each column's mass at its distribution's mode and fill the rest of the
-support with the ratio recurrence P(phi+1)/P(phi), walking away from the
-mode so that every partial product stays in (0, 1]. The mode masses
-themselves come from one walk over the columns (_walk_anchors): a mantissa
-of _WIDTH bits is carried from one column's mode to the next by the exact
-rational ratio of the two masses and rounded to float once per column. The
-scalar hypergeometric_pmf is one exact integer quotient, the ratio the walk
-restarts from.
+probabilistic ones, each built as a phi x column pmf matrix, one column per
+data-node count (hypergeometric_rows, binomial_rows). Each column takes its
+mass at its distribution's mode and fills the rest of the support with the
+ratio recurrence P(phi+1)/P(phi), walking away from the mode so that every
+partial product stays in (0, 1]. The mode masses of one call come from one
+walk over its columns in data order (_walk_anchors): the first column's mass
+is exact, and a mantissa of _WIDTH bits is carried from one column's mode to
+the next by the exact rational ratio of the two masses and rounded to float
+once per column. The builders own the chunking: they yield the matrix in
+chunks of consecutive columns of at most _CHUNK_CELLS cells each, which
+bounds the expectation kernel's memory at any N.
 
 harmonic(n) returns H_n only as an exact Fraction, summed by binary
 splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
@@ -36,16 +38,18 @@ __all__ = [
     "harmonic",
     "harmonic_gap",
     "harmonic_gaps",
-    "hypergeometric_pmf",
     "hypergeometric_rows",
     "spread_binomials",
 ]
 
 # Bits of the anchor walk's mantissa. Each column costs one truncating
-# division, a relative error below 2^-190, and a binomial restart over D
+# division, a relative error below 2^-190, and the binomial start over D
 # trials less than D * 2^-190, so a walk over n columns strays less than
 # (D + n) * 2^-190 from the exact mass.
 _WIDTH = 192
+
+# phi x column cells per pmf chunk (512 KiB per float64 matrix)
+_CHUNK_CELLS = 1 << 16
 
 _MIN_TABLE = 1024
 _table: tuple[np.ndarray, np.ndarray] = (np.zeros(1), np.zeros(1))
@@ -171,26 +175,6 @@ def spread_binomials(m: int) -> Iterator[int]:
         alpha += 1
 
 
-def _hypergeometric_ratio(phi: int, N: int, D: int, r: int) -> tuple[int, int]:
-    """Return hypergeometric P(phi) as the exact integers (C(D, phi) C(N-D, r-phi), C(N, r))."""
-    return binomial(D, phi) * binomial(N - D, r - phi), math.comb(N, r)
-
-
-def hypergeometric_pmf(phi: int, N: int, D: int, r: int) -> float:
-    """Return P(phi) = C(D, phi) C(N-D, r-phi) / C(N, r).
-
-    The chance that a uniform r-subset of N nodes contains exactly phi of the
-    D data-holding nodes; 0 outside the support. Integer true division rounds
-    the exact ratio once.
-    """
-    if not 0 <= D <= N:
-        raise ConfigurationError(f"hypergeometric_pmf() needs 0 <= D <= N, got D={D}, N={N}")
-    if not 0 <= r <= N:
-        raise ConfigurationError(f"hypergeometric_pmf() needs 0 <= r <= N, got r={r}, N={N}")
-    num, den = _hypergeometric_ratio(phi, N, D, r)
-    return num / den
-
-
 def _truncated_power(base: int, n: int) -> tuple[int, int]:
     """Return (x, ex) with base^n = x * 2^ex to _WIDTH bits, by square-and-multiply.
 
@@ -208,59 +192,60 @@ def _truncated_power(base: int, n: int) -> tuple[int, int]:
 
 
 def _walk_anchors(data: list, mode: list, N: int, r: int, q: float | None) -> list[float]:
-    """Return P(mode[c]) for each column c, walking from one column to the next.
+    """Return P(mode[c]) for each column c, walking the columns in data order.
 
     Column c is hypergeometric(N, data[c], r) when q is None, else
     binomial(data[c], q) with q = a / 2^e at its exact binary value, so
     P(k; D) = C(D, k) a^k b^(D-k) / 2^(eD) with b = 2^e - a. The walk holds
     the current mass as x * 2^ex, x an integer of _WIDTH or _WIDTH + 1 bits.
-    From (D, k) to the next column's (D1, k1), with g = D1 - D, h = k1 - k,
-    d = g - h, u = D - k, v = N - r - D + k and (n)_j = n! / (n-j)! (math.perm),
-    the mass changes by the exact ratio
+    It starts from the exact mass of the column with the fewest data nodes,
+    C(D, k) C(N-D, r-k) / C(N, r) or C(D, k) a^k b^(D-k) (powers by
+    _truncated_power), and visits the columns in ascending data order, writing
+    each anchor back to its own column. From (D, k) to the next column's
+    (D1, k1), with g = D1 - D, h = k1 - k, d = g - h, u = D - k,
+    v = N - r - D + k and (n)_j = n! / (n-j)! (math.perm), the mass changes
+    by the exact ratio
 
         hypergeometric   (D1)_g (r-k)_h (v)_d / ((N-D)_g (k1)_h (u+d)_d)
         binomial         (D1)_g a^h b^d / ((k1)_h (u+d)_d 2^(eg)),
 
     applied by one floor division that truncates x. A mode rises by at most
-    as much as its data count (0 <= h <= g), so for columns in data order the
-    ratio always has this form, and it never passes through a (D, k) outside
-    the support. The first column, and any column behind the current one
-    (as in an unsorted alpha list), restarts from the exact mass. x * 2^ex
-    is rounded to float once, when int x converts; ldexp is then exact,
-    because a mode mass, at least 1/(D+1), is a normal float.
+    as much as its data count (0 <= h <= g), so in data order the ratio
+    always has this form, and it never passes through a (D, k) outside the
+    support. x * 2^ex is rounded to float once, when int x converts; ldexp
+    is then exact, because a mode mass, at least 1/(D+1), is a normal float.
     """
     if q is not None:
         a, scale = q.as_integer_ratio()
         b, e = scale - a, scale.bit_length() - 1
-    anchors = []
-    D = k = -1
-    x = ex = 0
-    for D1, k1 in zip(data, mode):
+    order = sorted(range(len(data)), key=data.__getitem__)
+    D, k = data[order[0]], mode[order[0]]
+    # the first column's exact mass, num / den * 2^ex
+    if q is None:
+        num, den, ex = math.comb(D, k) * math.comb(N - D, r - k), math.comb(N, r), 0
+    else:
+        (ax, aex), (bx, bex) = _truncated_power(a, k), _truncated_power(b, D - k)
+        num, den, ex = math.comb(D, k) * ax * bx, 1, aex + bex - e * D
+    x = 1
+    anchors = [0.0] * len(data)
+    for c in order:  # the first column steps from itself, by the ratio 1
+        D1, k1 = data[c], mode[c]
         g, h = D1 - D, k1 - k
-        if D < 0 or not 0 <= h <= g:
-            x = 1
-            if q is None:
-                num, den = _hypergeometric_ratio(k1, N, D1, r)
-                ex = 0
-            else:
-                (ax, aex), (bx, bex) = _truncated_power(a, k1), _truncated_power(b, D1 - k1)
-                num, den = math.comb(D1, k1) * ax * bx, 1
-                ex = aex + bex - e * D1
+        d = g - h
+        if q is None:
+            num *= perm(D1, g) * perm(r - k, h) * perm(N - r - D + k, d)
+            den *= perm(N - D, g) * perm(k1, h) * perm(D - k + d, d)
         else:
-            d = g - h
-            if q is None:
-                num = perm(D1, g) * perm(r - k, h) * perm(N - r - D + k, d)
-                den = perm(N - D, g) * perm(k1, h) * perm(D - k + d, d)
-            else:
-                num = perm(D1, g) * a**h * b**d
-                den = perm(k1, h) * perm(D - k + d, d)
-                ex -= e * g
+            num *= perm(D1, g) * a**h * b**d
+            den *= perm(k1, h) * perm(D - k + d, d)
+            ex -= e * g
         D, k = D1, k1
         y = x * num
         shift = _WIDTH + den.bit_length() - y.bit_length()
         x = (y << shift if shift >= 0 else y >> -shift) // den
         ex -= shift
-        anchors.append(math.ldexp(x, ex))
+        anchors[c] = math.ldexp(x, ex)
+        num = den = 1
     return anchors
 
 
@@ -278,32 +263,52 @@ def _rows_from_mode(lo, hi, mode, anchors, num, den) -> np.ndarray:
     with np.errstate(under="ignore"):  # far tails may underflow to 0, as P does
         np.divide(num[:-1], den[:-1], out=rise[1:], where=(phi[:-1] >= mode) & (phi[:-1] < hi))
         np.divide(den, num, out=fall, where=(phi >= lo) & (phi < mode))
-        return np.asarray(anchors) * np.cumprod(rise, axis=0) * np.cumprod(fall[::-1], axis=0)[::-1]
+        return anchors * np.cumprod(rise, axis=0) * np.cumprod(fall[::-1], axis=0)[::-1]
 
 
-def hypergeometric_rows(N: int, data, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (lo, hi, P) for hypergeometric(N, D, r) with one column per D in data.
+def _chunked(data, lo, hi, mode, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
+    """Yield (lo, hi, P) for chunks of consecutive columns of data, in order.
 
-    P[phi, c] is the pmf of column c and lo/hi its support ends.
+    One _walk_anchors pass over all the columns anchors every chunk, and
+    _rows_from_mode fills each one, with ratio(phi, D) the (num, den) arrays
+    of P(phi+1)/P(phi) for the chunk's data counts D. A chunk is as tall as
+    its tallest column (hi + 1 cells) and holds at most _CHUNK_CELLS cells
+    unless it is one column: its width allows every column the D + 1 cells
+    of the largest D.
+    """
+    columns = data.tolist()
+    anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
+    heights = hi.tolist()
+    step = max(1, _CHUNK_CELLS // (max(columns) + 1))
+    if step >= len(columns):  # one chunk: slicing cost an N = 40 call 2% on a 2-CPU Xeon
+        phi = np.arange(max(heights) + 1, dtype=np.float64)[:, None]
+        yield lo, hi, _rows_from_mode(lo, hi, mode, anchors, *ratio(phi, data))
+        return
+    for start in range(0, len(columns), step):
+        c = slice(start, start + step)
+        phi = np.arange(max(heights[c]) + 1, dtype=np.float64)[:, None]
+        lo_c, hi_c = lo[c], hi[c]
+        yield lo_c, hi_c, _rows_from_mode(lo_c, hi_c, mode[c], anchors[c], *ratio(phi, data[c]))
+
+
+def hypergeometric_rows(N: int, data, r: int) -> Iterator[tuple]:
+    """Return the (lo, hi, P) chunks of hypergeometric(N, D, r), one column per D in data.
+
+    The chunks hold consecutive columns of data in order: P[phi, c] is the
+    pmf of a chunk's column c and lo/hi its support ends.
     """
     data = np.asarray(data, dtype=np.int64)
-    lo = np.maximum(0, r - (N - data))
+    lo = np.maximum(0, (r - N) + data)
     hi = np.minimum(r, data)
     mode = np.minimum(np.maximum((r + 1) * (data + 1) // (N + 2), lo), hi)
-    anchors = _walk_anchors(data.tolist(), mode.tolist(), N, r, None)
-    phi = np.arange(int(hi.max()) + 1, dtype=np.float64)[:, None]
-    num = (data - phi) * (r - phi)
-    den = (phi + 1) * (N - data - r + phi + 1)
-    return lo, hi, _rows_from_mode(lo, hi, mode, anchors, num, den)
+    return _chunked(data, lo, hi, mode,
+                    lambda phi, D: ((D - phi) * (r - phi), (phi + 1) * ((N - r) - D + phi + 1)),
+                    N, r, None)
 
 
-def binomial_rows(data, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (lo, hi, P) for binomial(D, q) with one column per D in data."""
+def binomial_rows(data, q: float) -> Iterator[tuple]:
+    """Return the (lo, hi, P) chunks of binomial(D, q), one column per D in data, as above."""
     data = np.asarray(data, dtype=np.int64)
-    lo = np.zeros_like(data)
-    mode = np.minimum(np.floor((data + 1) * q).astype(np.int64), data)
-    anchors = _walk_anchors(data.tolist(), mode.tolist(), 0, 0, q)
-    phi = np.arange(int(data.max()) + 1, dtype=np.float64)[:, None]
-    num = (data - phi) * q
-    den = (phi + 1) * (1.0 - q)
-    return lo, data, _rows_from_mode(lo, data, mode, anchors, num, den)
+    mode = np.minimum(((data + 1) * q).astype(np.int64), data)  # truncation floors: q >= 0
+    return _chunked(data, np.zeros_like(data), data, mode,
+                    lambda phi, D: ((D - phi) * q, (phi + 1) * (1.0 - q)), 0, 0, q)

@@ -63,7 +63,6 @@ __all__ = [
     "BLOCK_TRIALS",
     "SimConfig",
     "SimEstimate",
-    "estimate_recovery_probability",
     "estimate_service_rate",
     "recovery_estimate",
     "sample_completion_time",
@@ -181,7 +180,7 @@ def _order_stats(service: ServiceModel, alpha: int, phi: int, k: int, n: int,
     return total, total2
 
 
-def _run_pass(config: SystemConfig, access: AccessModel, service: ServiceModel | None,
+def _run_pass(config: SystemConfig, access: AccessModel, service: ServiceModel,
               sim: SimConfig, support, sampled) -> tuple[dict[int, int], dict[int, list]]:
     """Draw sim.trials values of phi in seeded blocks.
 
@@ -284,11 +283,3 @@ def recovery_estimate(per_phi_counts: dict[int, int], alpha: int, trials: int) -
         per_phi_mean_time={},
         trials=trials,
     )
-
-
-def estimate_recovery_probability(
-    config: SystemConfig, access: AccessModel, sim: SimConfig
-) -> SimEstimate:
-    """Estimate P_s(alpha) as the fraction of trials with phi >= alpha."""
-    counts, _ = _run_pass(config, access, None, sim, dict(access_pmf(config, access)), {})
-    return recovery_estimate(counts, config.alpha, sim.trials)

@@ -811,6 +811,16 @@ def test_conditions_without_any_allocation_fail_like_optimal(capsys, access):
         3, "", "error: infeasible: no feasible alpha for nodes=3, m=5\n")
 
 
+def test_probabilistic_conditions_ignore_a_cutoff_beyond_the_node_count(capsys):
+    # alpha = 7 would need 21 data nodes of the 10
+    args = ["conditions", "--nodes", "10", "--m", "3", "--access", "probabilistic", "--p", "0.05",
+            "--service", "shifted", "--delta", "3", "--mu", "1", "--format", "json"]
+    code, default, _ = run_cli(capsys, args)
+    assert code == 0 and json.loads(default)["verdict"] == "indeterminate"
+    assert run_cli(capsys, args + ["--alpha-max", "30"]) == (0, default, "")
+    assert [term["alpha"] for term in json.loads(default)["terms"]] == [2, 3]
+
+
 def test_probabilistic_conditions_need_the_node_count_or_a_cutoff(capsys):
     args = ["conditions", "--m", "2", "--access", "probabilistic", "--p", "0.3",
             "--service", "scaled"]
@@ -818,6 +828,22 @@ def test_probabilistic_conditions_need_the_node_count_or_a_cutoff(capsys):
         2, "", "error: config: probabilistic conditions need the node count or alpha_max\n")
     assert run_cli(capsys, args + ["--alpha-max", "5"])[0] == 0
     assert run_cli(capsys, args + ["--nodes", "40"])[0] == 0
+
+
+@pytest.mark.parametrize("command", [
+    "rate --alpha 1 --service scaled", "prob --alpha 1", "optimal --service scaled",
+    "conditions --service scaled", "sweep --service scaled --parameter alpha --start 1 --stop 2",
+    "simulate --alpha 1 --service scaled --trials 1000 --workers 1",
+], ids=["rate", "prob", "optimal", "conditions", "sweep", "simulate"])
+@pytest.mark.parametrize("access", ["--access fixed --r 2", "--access probabilistic --p 0.3"],
+                         ids=["fixed", "probabilistic"])
+def test_node_counts_beyond_int64_are_config_errors(capsys, command, access):
+    # they used to end in an OverflowError traceback
+    argv = [*command.split(), "--nodes", str(10**20), "--m", "1", *access.split()]
+    assert run_cli(capsys, argv) == (
+        2, "", f"error: config: nodes must be below 2^63, got nodes={10**20}\n")
+    argv[argv.index("--m") + 1] = str(5 * 10**19)
+    assert run_cli(capsys, argv)[0] == 2
 
 
 # ---------------------------------------------------------------------------

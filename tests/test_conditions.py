@@ -302,7 +302,7 @@ def ref_classify(access, service, m, nodes, alpha_max=None):
         else:
             verdict = "indeterminate"
     else:
-        opt, non = ref_prob(m, alpha_max if alpha_max is not None else nodes // m, dm)
+        opt, non = ref_prob(m, nodes // m if alpha_max is None else min(nodes // m, alpha_max), dm)
         p = access.p
         if opt[1] is not None and p >= opt[0]:
             verdict = "optimal"
@@ -361,6 +361,19 @@ def test_classify_matches_the_all_fraction_reference():
         got = classify(access, service, m, nodes=nodes, alpha_max=alpha_max)
         want = ref_classify(access, service, m, nodes, alpha_max)
         assert report_shape(got) == report_shape(want), (access, service, m, nodes, alpha_max)
+
+
+@pytest.mark.parametrize("service", [ScaledExp(1.0), ShiftedExp(3.0, 1.0)])
+@pytest.mark.parametrize("nodes, m", [(10, 3), (40, 2), (40, 4), (25, 1), (5, 3)])
+def test_probabilistic_cutoffs_beyond_the_node_count_change_nothing(nodes, m, service):
+    # an alternative alpha > N // m needs more data nodes than N: no cutoff reaches it
+    for p in (0.01, 0.05, 0.3, 0.7):
+        default = classify(Probabilistic(p), service, m, nodes=nodes)
+        for alpha_max in (max(2, nodes // m), nodes // m + 1, 30, 10 * nodes):
+            report = classify(Probabilistic(p), service, m, nodes=nodes, alpha_max=alpha_max)
+            assert report == default, (p, alpha_max)
+            for witness in (report.witness_alpha_opt, report.witness_alpha_nonopt):
+                assert witness is None or witness <= nodes // m
 
 
 # --- properties ------------------------------------------------------------------

@@ -20,10 +20,12 @@ REMOVED = [
     "ThresholdResult",
     "binomial_pmf",
     "constant_prob_m1_optimal_alpha",
+    "estimate_recovery_probability",
     "fixed_scaled_nonoptimality_threshold",
     "fixed_scaled_optimality_threshold",
     "fixed_shifted_nonoptimality_threshold",
     "fixed_shifted_optimality_threshold",
+    "hypergeometric_pmf",
     "hypergeometric_support",
     "log_binomial",
     "optimal_alpha_profile",

@@ -195,9 +195,9 @@ def access_columns(draw):
 @given(access_columns())
 def test_every_pmf_column_sums_to_one(case):
     access, nodes, data = case
-    _, _, probs = access.rows(nodes, np.array(data))
-    assert np.all(probs >= 0)
-    assert np.abs(probs.sum(axis=0) - 1.0).max() <= 1e-12
+    for _, _, probs in access.rows(nodes, np.array(data)):
+        assert np.all(probs >= 0)
+        assert np.abs(probs.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 @st.composite

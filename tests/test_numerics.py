@@ -5,9 +5,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dss_alloc.errors import ConfigurationError
+from dss_alloc import numerics
+from dss_alloc.analysis import access_pmf
+from dss_alloc.errors import ConfigurationError, InfeasibleError
+from dss_alloc.models import FixedSize, SystemConfig
 from dss_alloc.numerics import (
     _walk_anchors,
     binomial,
@@ -15,7 +19,6 @@ from dss_alloc.numerics import (
     harmonic,
     harmonic_gap,
     harmonic_gaps,
-    hypergeometric_pmf,
     hypergeometric_rows,
     spread_binomials,
 )
@@ -43,7 +46,7 @@ def pascal_triangle(rows: int) -> list[list[int]]:
 
 
 def support_from_rows(N: int, D: int, r: int) -> range:
-    lo, hi, _ = hypergeometric_rows(N, [D], r)
+    (lo, hi, _), = hypergeometric_rows(N, [D], r)
     return range(int(lo[0]), int(hi[0]) + 1)
 
 
@@ -60,7 +63,12 @@ def binomial_ratio(phi: int, n: int, q: float) -> tuple[int, int]:
 
 
 def binomial_column(n: int, q: float):
-    _, _, probs = binomial_rows([n], q)
+    (_, _, probs), = binomial_rows([n], q)
+    return probs[:, 0]
+
+
+def hypergeometric_column(N: int, D: int, r: int):
+    (_, _, probs), = hypergeometric_rows(N, [D], r)
     return probs[:, 0]
 
 
@@ -164,14 +172,17 @@ def test_hypergeometric_support_bounds():
     ],
 )
 def test_hypergeometric_pmf_small_cases(phi, N, D, r, want):
-    assert hypergeometric_pmf(phi, N, D, r) == pytest.approx(want, rel=1e-12)
+    assert hypergeometric_column(N, D, r)[phi] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("N,D,r", [(6, 2, 3), (7, 4, 5), (8, 8, 3), (9, 1, 9)])
 def test_hypergeometric_pmf_matches_enumeration(N, D, r):
+    column = hypergeometric_column(N, D, r)
     for phi in support_from_rows(N, D, r):
         want = hypergeometric_by_enumeration(phi, N, D, r)
-        assert hypergeometric_pmf(phi, N, D, r) == pytest.approx(want, rel=1e-12)
+        assert column[phi] == pytest.approx(want, rel=1e-12)
+        assert column[phi] == pytest.approx(float(Fraction(*hypergeometric_ratio(phi, N, D, r))),
+                                            rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -180,19 +191,29 @@ def test_hypergeometric_pmf_sums_to_one(seed):
     N = local.randint(1, 120)
     D = local.randint(0, N)
     r = local.randint(0, N)
-    total = sum(hypergeometric_pmf(phi, N, D, r) for phi in support_from_rows(N, D, r))
+    column = hypergeometric_column(N, D, r)
+    support = support_from_rows(N, D, r)
+    total = sum(column[phi] for phi in support)
     assert total == pytest.approx(1.0, abs=1e-12)
+    assert not column[:support.start].any() and len(column) == support.stop
 
 
 def test_hypergeometric_pmf_zero_off_support():
-    assert hypergeometric_pmf(5, 10, 4, 3) == 0.0
-    assert hypergeometric_pmf(1, 10, 4, 8) == 0.0
+    # phi = 5 lies past the support end min(r, D) = 3, where the column ends
+    assert len(hypergeometric_column(10, 4, 3)) == 4
+    # phi = 1 lies below the support start r - (N - D) = 2
+    assert hypergeometric_column(10, 4, 8)[:2].tolist() == [0.0, 0.0]
+    # a taller column in the same chunk pads a shorter one with zeros
+    (_, hi, probs), = hypergeometric_rows(10, [2, 4], 3)
+    assert hi.tolist() == [2, 3] and probs[3, 0] == 0.0
 
 
 @pytest.mark.parametrize("N,D,r", [(5, 6, 2), (5, 2, 6), (-1, 0, 0), (5, -1, 2)])
 def test_hypergeometric_pmf_rejects_bad_parameters(N, D, r):
-    with pytest.raises(ConfigurationError):
-        hypergeometric_pmf(0, N, D, r)
+    # the models refuse these before any pmf is built: D = m alpha > N,
+    # r > N, a non-positive N or r, and a negative D
+    with pytest.raises((ConfigurationError, InfeasibleError)):
+        access_pmf(SystemConfig(N, 1, D), FixedSize(r))
 
 
 # --- binomial pmf ---------------------------------------------------------
@@ -293,3 +314,38 @@ def test_anchors_are_exact_along_the_search_scale_walks(N, r, q, checked):
         checked = [0, len(data) - 1] + random.Random(N).sample(range(len(data)), checked)
     assert_anchors_exact(data, N, r, q, checked)
 
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unsorted_columns_get_the_anchors_of_their_own_data(seed):
+    # the walk visits the columns in data order and writes each anchor back
+    N, data, r, q = seeded_grid(seed)
+    data = data + data[:3]
+    random.Random(seed).shuffle(data)
+    assert_anchors_exact(data, N, r, None)
+    assert_anchors_exact(data, 0, 0, q)
+
+
+# --- chunks: the builders split one call's matrix -------------------------
+
+@pytest.mark.parametrize("cells", [None, 4096, 1], ids=["default", "4096", "1"])
+@pytest.mark.parametrize("build", [
+    lambda data: hypergeometric_rows(900, data, 270),
+    lambda data: binomial_rows(data, 0.7),
+], ids=["hypergeometric", "binomial"])
+def test_each_chunk_holds_at_most_the_chunk_cells_or_one_column(monkeypatch, cells, build):
+    if cells is not None:
+        monkeypatch.setattr(numerics, "_CHUNK_CELLS", cells)
+    data = [3 * alpha for alpha in range(1, 301)] + [899, 5, 5, 400]
+    chunks = list(build(data))
+    assert len(chunks) >= (1 if cells is None else 3)
+    columns = []
+    for lo, hi, probs in chunks:
+        assert probs.size <= numerics._CHUNK_CELLS or probs.shape[1] == 1
+        assert probs.shape == (hi.max() + 1, len(lo))  # as tall as its tallest column
+        columns += [probs[:hi[c] + 1, c] for c in range(len(lo))]
+    # consecutive columns in data order, each the one-column build bit for bit
+    assert len(columns) == len(data)
+    for D, column in zip(data, columns):
+        (_, _, alone), = build([D])
+        assert np.array_equal(column, alone[:, 0]), D

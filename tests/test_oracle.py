@@ -7,14 +7,17 @@ reads them.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from dss_alloc import analysis
+from dss_alloc import numerics
 from dss_alloc.analysis import (
     alpha_table,
     expected_metrics,
+    feasible_alphas,
     optimal_alpha,
     recovery_probability,
     service_rate,
@@ -90,11 +93,11 @@ def test_search_scale_rows_match_the_oracle(access, service, oracle_access, orac
     ],
 )
 def test_pmf_columns_sum_to_one_at_ten_thousand_nodes(rows):
-    lo, hi, probs = rows([1, 2_500, 10_000])
-    assert np.all(probs >= 0.0)
-    for column in range(probs.shape[1]):
-        assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
-        assert abs(probs[:, column].sum() - 1.0) <= 1e-12
+    for lo, hi, probs in rows([1, 2_500, 10_000]):
+        assert np.all(probs >= 0.0)
+        for column in range(probs.shape[1]):
+            assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
+            assert abs(probs[:, column].sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -105,10 +108,10 @@ def test_pmf_columns_sum_to_one_at_ten_thousand_nodes(rows):
     ],
 )
 def test_pmf_columns_sum_to_one_at_thirty_thousand_nodes(rows):
-    lo, hi, probs = rows([3, 7_500, 22_500, 30_000])
-    for column in range(probs.shape[1]):
-        assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
-        assert abs(probs[:, column].sum() - 1.0) <= 1e-12
+    for lo, hi, probs in rows([3, 7_500, 22_500, 30_000]):
+        for column in range(probs.shape[1]):
+            assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
+            assert abs(probs[:, column].sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("nodes, m, alphas", [(40, 4, [9, 2, 2, 5]),
@@ -116,7 +119,7 @@ def test_pmf_columns_sum_to_one_at_thirty_thousand_nodes(rows):
 @pytest.mark.parametrize("access, service", [(FixedSize(20), ScaledExp(1.0)),
                                              (Probabilistic(0.3), ShiftedExp(3.0, 1.0))])
 def test_unsorted_alpha_tables_equal_their_one_alpha_calls(nodes, m, alphas, access, service):
-    # a column behind the walk restarts it, so the order of alphas changes no bit
+    # the walk visits the columns in data order, so the order of alphas changes no bit
     for row in alpha_table(access, service, nodes, m, alphas):
         config = SystemConfig(nodes, m, row.alpha)
         assert row.service_rate == service_rate(config, access, service)
@@ -136,9 +139,34 @@ def test_kernel_results_do_not_depend_on_the_chunk_size(monkeypatch):
     access, service = SEARCHES[1][:2]
     alphas = list(range(1, 334))
     whole = expected_metrics(access, service, 1000, 3, alphas)
-    monkeypatch.setattr(analysis, "_CHUNK_CELLS", 1)  # one alpha per chunk
+    monkeypatch.setattr(numerics, "_CHUNK_CELLS", 1)  # one alpha per chunk
     single = expected_metrics(access, service, 1000, 3, alphas)
     assert np.array_equal(whole[0], single[0]) and np.array_equal(whole[1], single[1])
+
+
+def counting(calls: list, name: str, fn):
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("access, service", [search[:2] for search in SEARCHES])
+def test_a_kernel_call_walks_its_anchors_once_across_chunks(monkeypatch, access, service):
+    calls: list = []
+    for name in ("_walk_anchors", "_truncated_power", "_rows_from_mode"):
+        monkeypatch.setattr(numerics, name, counting(calls, name, getattr(numerics, name)))
+    monkeypatch.setattr(numerics.math, "comb", counting(calls, "comb", math.comb))
+    monkeypatch.setattr(numerics, "_CHUNK_CELLS", 4096)
+    expected_metrics(access, service, 1000, 3, feasible_alphas(1000, 3, access))
+    assert calls.count("_rows_from_mode") >= 3  # one per chunk
+    assert calls.count("_walk_anchors") == 1
+    # one exact start: C(D, k) C(N-D, r-k) / C(N, r), or two powers and C(D, k)
+    starts = [call for call in calls if call in ("comb", "_truncated_power")]
+    if isinstance(access, Probabilistic):
+        assert starts == ["_truncated_power", "_truncated_power", "comb"]
+    else:
+        assert starts == ["comb"] * 3
 
 
 def test_tail_underflow_is_silent_under_strict_numpy_error_state():

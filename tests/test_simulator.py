@@ -22,7 +22,6 @@ from dss_alloc import (
     SmallExp,
     SystemConfig,
     access_pmf,
-    estimate_recovery_probability,
     estimate_service_rate,
     recovery_probability,
     sample_completion_time,
@@ -204,9 +203,10 @@ def test_samplers_fall_back_to_numpy_past_their_limits(access, nodes, data, fall
 @pytest.mark.parametrize("access", [FixedSize(8), Probabilistic(0.3)])
 def test_phi_draws_do_not_depend_on_the_worker_count(access):
     config = SystemConfig(20, 2, 3)
-    counts = [estimate_recovery_probability(
-        config, access, SimConfig(trials=150_000, seed=11, workers=workers)).per_phi_counts
-        for workers in (1, 2)]
+    # constant service makes the rate pass a count-only pass
+    counts = [estimate_service_rate(
+        config, access, ConstantTime(1.0), SimConfig(trials=150_000, seed=11, workers=workers)
+    ).per_phi_counts for workers in (1, 2)]
     assert counts[0] == counts[1]
 
 
@@ -223,10 +223,16 @@ def test_service_rate_estimate_agrees_with_the_analytic_value():
         assert est.mean == pytest.approx(service_rate(config, access, ScaledExp(1.0)), abs=3 * est.std_error)
 
 
+def estimate_recovery(config, access, sim):
+    """P_s(alpha) from the phi counts of a count-only (constant service) rate pass."""
+    counts = estimate_service_rate(config, access, ConstantTime(1.0), sim).per_phi_counts
+    return simulator.recovery_estimate(counts, config.alpha, sim.trials)
+
+
 def test_recovery_estimate_agrees_with_the_analytic_value():
     config = SystemConfig(10, 2, 2)
     access = FixedSize(5)
-    est = estimate_recovery_probability(config, access, SimConfig(trials=200_000, seed=5))
+    est = estimate_recovery(config, access, SimConfig(trials=200_000, seed=5))
     assert est.std_error > 0.0
     assert est.mean == pytest.approx(recovery_probability(config, access), abs=3 * est.std_error)
     assert est.per_phi_mean_time == {}
@@ -234,7 +240,7 @@ def test_recovery_estimate_agrees_with_the_analytic_value():
 
 def test_recovery_estimate_is_exact_when_every_node_is_accessed():
     config = SystemConfig(10, 2, 2)
-    est = estimate_recovery_probability(config, FixedSize(10), SimConfig(trials=10_000, seed=1))
+    est = estimate_recovery(config, FixedSize(10), SimConfig(trials=10_000, seed=1))
     assert est.mean == 1.0
     assert est.std_error == 0.0
 
@@ -262,15 +268,6 @@ def test_worker_count_does_not_change_the_estimate():
     assert serial == threaded
 
 
-def test_recovery_from_the_rate_pass_equals_the_recovery_pass():
-    config = SystemConfig(20, 2, 3)
-    sim = SimConfig(trials=150_000, seed=12, workers=2)
-    for access in (FixedSize(8), Probabilistic(0.3)):
-        rate = estimate_service_rate(config, access, ScaledExp(1.0), sim)
-        derived = simulator.recovery_estimate(rate.per_phi_counts, config.alpha, sim.trials)
-        assert derived == estimate_recovery_probability(config, access, sim)
-
-
 @pytest.mark.parametrize("cpus, threads", [(2, 2), (64, 3)])
 def test_threads_never_exceed_blocks_or_cpus(monkeypatch, cpus, threads):
     started = []
@@ -294,7 +291,7 @@ def test_threads_never_exceed_blocks_or_cpus(monkeypatch, cpus, threads):
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
     config = SystemConfig(10, 2, 2)
     sim = SimConfig(trials=3 * simulator.BLOCK_TRIALS, seed=1, workers=100_000)
-    estimate_recovery_probability(config, FixedSize(5), sim)
+    estimate_service_rate(config, FixedSize(5), ConstantTime(1.0), sim)
     assert started == [threads]
 
 
@@ -348,7 +345,7 @@ def test_threaded_blocks_run_a_bounded_window_ahead(monkeypatch):
     monkeypatch.setattr(FixedSize, "draw", draw)
     sim = SimConfig(trials=10**15, seed=1, workers=2)
     with pytest.raises(_Stop):
-        estimate_recovery_probability(SystemConfig(20, 2, 3), FixedSize(8), sim)
+        estimate_service_rate(SystemConfig(20, 2, 3), FixedSize(8), ConstantTime(1.0), sim)
     assert len(submitted) == 2 * simulator._IN_FLIGHT
 
 
