@@ -17,13 +17,12 @@ owns their size), so the kernel's memory stays bounded at any N.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleError, NoClosedFormError
+from .errors import ConfigurationError, NoClosedFormError
 from .models import (
     AccessModel,
     ConstantTime,
@@ -32,6 +31,7 @@ from .models import (
     ServiceModel,
     ShiftedExp,
     SystemConfig,
+    feasible_alphas,
 )
 from .numerics import binomial, harmonic_gaps
 
@@ -77,13 +77,17 @@ def expected_metrics(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Return (service rates, recovery probabilities), one entry per alpha.
 
-    The rates are None when service is None. Every alpha must admit an
-    allocation (1 <= alpha, m*alpha <= nodes). The cost is O(nodes) per alpha.
+    The rates are None when service is None. The system (nodes, m, access)
+    must pass feasible_alphas, even for an empty list, and every alpha must
+    be an allocation, SystemConfig(nodes, m, alpha); alphas beyond r under
+    fixed-size access are allowed and have zero metrics. The cost is
+    O(nodes) per alpha.
     """
     alphas = np.asarray(list(alphas), dtype=np.int64)
     rates = None if service is None else np.zeros(len(alphas))
     recovery = np.zeros(len(alphas))
     if not len(alphas):
+        feasible_alphas(nodes, m, access)  # what the checks below and rows make otherwise
         return rates, recovery
     SystemConfig(nodes, m, int(alphas.min()))  # validates nodes, m and every alpha
     SystemConfig(nodes, m, int(alphas.max()))
@@ -142,13 +146,12 @@ def minimal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: in
     The shifted-exponential model has no closed form (only bounds), which
     raises NoClosedFormError.
     """
-    SystemConfig(nodes, m, 1)  # validates positivity and m <= nodes
+    SystemConfig(nodes, m, 1)
     if isinstance(service, ShiftedExp):
         raise NoClosedFormError("no closed form for mu_s(1) under shifted-exponential service")
     if isinstance(access, FixedSize):
+        access.check_nodes(nodes)
         r = access.r
-        if r > nodes:
-            raise ConfigurationError(f"r={r} exceeds nodes={nodes}")
         if isinstance(service, ConstantTime):
             miss = binomial(nodes - m, r) / binomial(nodes, r)  # access avoids all data nodes
             return (1.0 - miss) / service.delta
@@ -164,37 +167,20 @@ def maximal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: in
         fixed-size + scaled exp   mu * r * C(rm, r) / (H_r * C(N, r))
         fixed-size + constant     r * C(rm, r) / (delta * C(N, r))
 
-    Only fixed-size access is covered, and rm <= N is required for the
-    allocation to exist.
+    Only fixed-size access is covered, and SystemConfig(nodes, m, r) must be
+    an allocation.
     """
     if not isinstance(access, FixedSize):
         raise NoClosedFormError("maximal spreading closed form needs fixed-size access")
+    feasible_alphas(nodes, m, access)
     r = access.r
-    if r > nodes:
-        raise ConfigurationError(f"r={r} exceeds nodes={nodes}")
-    if r * m > nodes:
-        raise InfeasibleError(
-            f"alpha=r={r} needs m*r={m * r} data nodes but the system has only {nodes}"
-        )
+    SystemConfig(nodes, m, r)
     if isinstance(service, ScaledExp):
         ratio = binomial(r * m, r) / binomial(nodes, r)  # the exact ratio, rounded once
         return service.mu * r * ratio / float(harmonic_gaps(r, r))
     if isinstance(service, ConstantTime):
         return r * binomial(r * m, r) / (service.delta * binomial(nodes, r))
     raise NoClosedFormError(f"no maximal spreading closed form for {service.kind} service")
-
-
-def feasible_alphas(nodes: int, m: int, access: AccessModel | None = None) -> range:
-    """Return the alpha values admitting an allocation (and a nonempty phi range)."""
-    if nodes < 1 or m < 1:
-        raise ConfigurationError(f"nodes and m must be positive, got nodes={nodes}, m={m}")
-    if nodes < m:
-        raise InfeasibleError(f"no feasible alpha for nodes={nodes}, m={m}")
-    SystemConfig(nodes, m, 1)  # validates the node count before any alpha is listed
-    upper = nodes // m
-    if isinstance(access, FixedSize):
-        upper = min(upper, access.r)
-    return range(1, upper + 1)
 
 
 def optimal_alpha(
@@ -232,16 +218,11 @@ def alpha_table(
 ) -> tuple[SweepRow, ...]:
     """Return one SweepRow per alpha.
 
-    With alphas=None the feasible range is used. An explicit alpha list may
-    exceed r under fixed-size access (those rows carry zero metrics); alphas
-    with no allocation at all (m*alpha > nodes) are skipped with a warning.
+    With alphas=None the range is feasible_alphas(nodes, m, access). An
+    explicit list is checked as expected_metrics checks it: it may exceed r
+    under fixed-size access (those rows carry zero metrics), but an alpha
+    without an allocation (m*alpha > nodes) raises InfeasibleError.
     """
-    kept = []
-    for alpha in feasible_alphas(nodes, m, access) if alphas is None else alphas:
-        if m * alpha > nodes:
-            warnings.warn(f"skipping alpha={alpha}: m*alpha={m * alpha} exceeds nodes={nodes}",
-                          stacklevel=2)
-            continue
-        kept.append(alpha)
-    rates, recovery = expected_metrics(access, service, nodes, m, kept)
-    return _rows(kept, rates, recovery)
+    alphas = feasible_alphas(nodes, m, access) if alphas is None else list(alphas)
+    rates, recovery = expected_metrics(access, service, nodes, m, alphas)
+    return _rows(alphas, rates, recovery)

@@ -417,14 +417,13 @@ def _run_conditions(spec: RunSpec) -> int:
     return 0
 
 
-def _axis_values(axis: SweepAxis, nodes: int, m: int | None) -> Iterator[int | float]:
+def _axis_values(axis: SweepAxis, limit: int | None) -> Iterator[int | float]:
     """Yield the grid start, start + step, ... up to stop, one point at a time.
 
-    An alpha or m sweep ends at its first point with more data nodes than
-    nodes (m*alpha > nodes, or m > nodes): every later point has more still,
-    so the rest of the range is skipped with one warning. An alpha sweep
-    with alpha < 1 ends at its first point, which the kernel rejects before
-    any later one is read.
+    An integer sweep ends at its first point above limit, the largest value
+    with an allocation (every later point is larger still), so the rest of
+    the range is skipped with one warning. It also ends at its first point
+    below 1, which the caller rejects before any later one is read.
     """
     k = 0
     while (point := axis.start + k * axis.step) <= axis.stop + 1e-9:
@@ -433,19 +432,13 @@ def _axis_values(axis: SweepAxis, nodes: int, m: int | None) -> Iterator[int | f
             yield round(point, 10)
             continue
         value = int(point)
-        if axis.parameter == "alpha" and value < 1:
-            yield value
+        if limit is not None and value > limit:
+            warnings.warn(f"skipping {axis.parameter}={value} through {axis.stop:g}: "
+                          f"no allocation has {axis.parameter} > {limit}")
             return
-        if axis.parameter == "m" and value > nodes:
-            used = f"m={value}"
-        elif axis.parameter == "alpha" and m * value > nodes:
-            used = f"m*alpha={m * value}"
-        else:
-            yield value
-            continue
-        warnings.warn(f"skipping {axis.parameter}={value} through {axis.stop:g}: "
-                      f"{used} exceeds nodes={nodes}")
-        return
+        yield value
+        if value < 1:
+            return
 
 
 def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
@@ -462,8 +455,9 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
     if axis.parameter == "alpha":
         access = _require(spec.access, "access")
         m = _require(spec.system.m, "system.m")
-        feasible_alphas(nodes, m)  # an infeasible system fails here, not as an empty table
-        table = alpha_table(access, service, nodes, m, _axis_values(axis, nodes, m))
+        # an infeasible system fails here, not as an empty table
+        table = alpha_table(access, service, nodes, m,
+                            _axis_values(axis, feasible_alphas(nodes, m)[-1]))
         return (["alpha", "service_rate", "recovery_prob"],
                 [[row.alpha, row.service_rate, row.recovery_probability] for row in table])
     # every other point is one alpha_table over its feasible alphas: (value, m, access)
@@ -471,12 +465,12 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
         access = _require(spec.access, "access")
         if nodes < 1:
             raise ConfigurationError(f"nodes must be positive, got nodes={nodes}")
-        points = ((value, value, access) for value in _axis_values(axis, nodes, None))
+        points = ((value, value, access) for value in _axis_values(axis, nodes))
     else:
         m = _require(spec.system.m, "system.m")
         feasible_alphas(nodes, m)  # no r or p admits an alpha if nodes and m do not
         model = FixedSize if axis.parameter == "r" else Probabilistic
-        points = ((value, m, model(value)) for value in _axis_values(axis, nodes, m))
+        points = ((value, m, model(value)) for value in _axis_values(axis, None))
     header = [axis.parameter, "alpha", "service_rate", "recovery_prob"]
     rows = [[value, row.alpha, row.service_rate, row.recovery_probability]
             for value, point_m, point_access in points

@@ -28,8 +28,8 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import ConfigurationError, InfeasibleError
-from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp, SystemConfig
+from .errors import ConfigurationError
+from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp, feasible_alphas
 from .numerics import spread_binomials
 
 __all__ = [
@@ -152,12 +152,14 @@ def classify(
     in between is indeterminate: the certificates are sufficient conditions
     with a gap, not a partition.
 
-    Probabilistic alternatives run up to min(nodes // m, alpha_max); one of
-    the two must be given. Fixed-size ones run up to min(r, nodes // m),
-    capped at alpha_max when it is given. When the default leaves no alpha >= 2,
-    alpha = 1 is the only allocation and the verdict is optimal with no
-    terms; an explicit alpha_max below 2 is an error. A system with fewer
-    nodes than m admits no allocation at all.
+    The alternatives are feasible_alphas(nodes, m, access) from alpha = 2,
+    capped at alpha_max when it is given: at most min(nodes // m, alpha_max),
+    and r under fixed-size access. Without nodes, fixed-size access is an
+    error and probabilistic alternatives run up to alpha_max, which must then
+    be given. When no alpha >= 2 is left, alpha = 1 is the only allocation
+    and the verdict is optimal with no terms; an explicit alpha_max below 2
+    is an error, and so is r < 2. A system without any allocation raises as
+    feasible_alphas does.
     """
     kernels = _KERNELS.get(type(service))
     if kernels is None:
@@ -166,42 +168,34 @@ def classify(
             f"not {service.kind!r}"
         )
     opt_kernel, non_kernel, divides = kernels
-    if m < 1:
-        raise ConfigurationError(f"need m >= 1, got m={m}")
+    fixed = isinstance(access, FixedSize)
     if nodes is not None:
-        if nodes < 1:
-            raise ConfigurationError(f"need nodes >= 1, got nodes={nodes}")
-        if m > nodes:
-            raise InfeasibleError(f"no feasible alpha for nodes={nodes}, m={m}")
-        SystemConfig(nodes, m, 1)  # validates the node count
+        alphas = feasible_alphas(nodes, m, access)[1:alpha_max]
+    elif fixed:
+        raise ConfigurationError("fixed-size conditions need the node count")
+    elif alpha_max is None:
+        raise ConfigurationError("probabilistic conditions need the node count or alpha_max")
+    elif m < 1:
+        raise ConfigurationError(f"need m >= 1, got m={m}")
+    else:
+        alphas = range(2, alpha_max + 1)
     if alpha_max is not None and alpha_max < 2:
         raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
     dm = Fraction(getattr(service, "delta", 0)) * Fraction(service.mu)  # scaled-exp: no shift
     a, b = dm.numerator, dm.denominator
 
-    # the alternatives are the allocations within every given cap
-    cap = alpha_max
-    if nodes is not None:
-        cap = nodes // m if alpha_max is None else min(nodes // m, alpha_max)
-    fixed = isinstance(access, FixedSize)
     if fixed:
-        if nodes is None:
-            raise ConfigurationError("fixed-size conditions need the node count")
-        x = access.r
-        if not 2 <= x <= nodes:
-            raise ConfigurationError(f"need 2 <= r <= nodes, got r={x}, nodes={nodes}")
-        top, best = min(x, cap), min  # alternatives must also satisfy alpha <= r
+        x, best = access.r, min
+        if x < 2:
+            raise ConfigurationError(f"need r >= 2, got r={x}")
         opt_term = ((lambda alpha, root: 1 + (nodes - 1) / root) if divides
                     else (lambda alpha, root: 1 + (nodes - 1) * root))
         non_term = lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1
     else:
-        if cap is None:
-            raise ConfigurationError("probabilistic conditions need the node count or alpha_max")
-        x, top, best = access.p, cap, max
+        x, best = access.p, max
         opt_term = (lambda alpha, root: 1 - 1 / root) if divides else (lambda alpha, root: 1 - root)
         non_term = lambda alpha, root: 1 - root
 
-    alphas = range(2, top + 1)
     spread = islice(spread_binomials(m), 1, None)  # C(m alpha - 1, alpha - 1) from alpha = 2
     opt_terms = _terms(alphas, map(partial(opt_kernel, m, a, b), alphas, spread), opt_term)
     non_terms = _terms(alphas, map(partial(non_kernel, m, a, b), alphas), non_term)

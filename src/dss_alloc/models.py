@@ -30,6 +30,7 @@ __all__ = [
     "SystemConfig",
     "conditional_rate",
     "conditional_rate_bounds",
+    "feasible_alphas",
 ]
 
 
@@ -39,6 +40,10 @@ class SystemConfig:
 
     No rate formula depends on the file's block count: the per-chunk cost is
     folded into the service model's scaling.
+
+    This is the one statement of the allocation rules, checked in this order:
+    nodes, m and alpha are positive (ConfigurationError), nodes < 2^63
+    (ConfigurationError), m <= nodes and m*alpha <= nodes (InfeasibleError).
     """
 
     nodes: int
@@ -46,13 +51,15 @@ class SystemConfig:
     alpha: int
 
     def __post_init__(self) -> None:
-        if self.nodes < 1 or self.m < 1 or self.alpha < 1:
+        if self.nodes < 1 or self.m < 1:
             raise ConfigurationError(
-                "nodes, m, and alpha must be positive, got "
-                f"nodes={self.nodes}, m={self.m}, alpha={self.alpha}"
-            )
+                f"nodes and m must be positive, got nodes={self.nodes}, m={self.m}")
+        if self.alpha < 1:
+            raise ConfigurationError(f"alpha must be positive, got alpha={self.alpha}")
         if self.nodes >= 2**63:  # data-node counts fill int64 arrays
             raise ConfigurationError(f"nodes must be below 2^63, got nodes={self.nodes}")
+        if self.m > self.nodes:
+            raise InfeasibleError(f"no feasible alpha for nodes={self.nodes}, m={self.m}")
         if self.m * self.alpha > self.nodes:
             raise InfeasibleError(
                 f"alpha={self.alpha} needs m*alpha={self.m * self.alpha} data nodes "
@@ -62,6 +69,22 @@ class SystemConfig:
     @property
     def data_nodes(self) -> int:
         return self.m * self.alpha
+
+
+def feasible_alphas(nodes: int, m: int, access: AccessModel | None = None) -> range:
+    """Return the alphas 1, ..., nodes // m of every allocation of m copies over nodes.
+
+    Under fixed-size access the range also stops at r, past which no access
+    reaches alpha data nodes, and r <= nodes is checked. The range is never
+    empty: a system without an allocation raises as SystemConfig(nodes, m, 1)
+    does.
+    """
+    SystemConfig(nodes, m, 1)
+    upper = nodes // m
+    if isinstance(access, FixedSize):
+        access.check_nodes(nodes)
+        upper = min(upper, access.r)
+    return range(1, upper + 1)
 
 
 class _Model:
@@ -130,10 +153,14 @@ class FixedSize(_Model):
         if self.r < 1:
             raise ConfigurationError(f"r must be positive, got {self.r}")
 
-    def rows(self, nodes: int, data) -> Iterator[tuple]:
-        """Yield (lo, hi, P) chunks: the pmf of phi for each data-node count, one column each."""
+    def check_nodes(self, nodes: int) -> None:
+        """Raise ConfigurationError unless one access fits the system: r <= nodes."""
         if self.r > nodes:
             raise ConfigurationError(f"r={self.r} exceeds nodes={nodes}")
+
+    def rows(self, nodes: int, data) -> Iterator[tuple]:
+        """Yield (lo, hi, P) chunks: the pmf of phi for each data-node count, one column each."""
+        self.check_nodes(nodes)
         return hypergeometric_rows(nodes, data, self.r)
 
     def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:

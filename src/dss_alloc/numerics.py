@@ -159,19 +159,20 @@ def binomial(n: int, k: int) -> int:
 def spread_binomials(m: int) -> Iterator[int]:
     """Yield C(m alpha - 1, alpha - 1) exactly for alpha = 1, 2, 3, ...
 
-    Each coefficient is stepped from the one before,
+    Each coefficient is stepped from the one before. With t = m alpha + m - 1
+    and j = min(m, alpha),
 
-        C(m(alpha+1) - 1, alpha) = C(m alpha - 1, alpha - 1) (m alpha + m - 1)_m
-                                   / (alpha ((m-1)(alpha+1))_(m-1)),
+        C(t, alpha) = C(m alpha - 1, alpha - 1) (t)_j / (alpha (t - max(m, alpha))_(j-1)),
 
     with (n)_j = n! / (n-j)! the falling factorial; the division is exact.
-    A step costs a few products of the coefficient with small integers, where
-    a math.comb per alpha builds each big coefficient anew.
+    The factors common to both sides cancel, so a step takes 2 min(m, alpha) - 1
+    small factors, where a math.comb per alpha builds each big coefficient anew.
     """
     c, alpha = 1, 1
     while True:
         yield c
-        c = c * perm(m * alpha + m - 1, m) // (alpha * perm((m - 1) * (alpha + 1), m - 1))
+        t, j = m * alpha + m - 1, min(m, alpha)
+        c = c * perm(t, j) // (alpha * perm(t - max(m, alpha), j - 1))
         alpha += 1
 
 

@@ -237,10 +237,10 @@ def test_alpha_table_explicit_alphas_beyond_r_give_zero_rows():
     assert rows[1].recovery_probability == 0.0
 
 
-def test_alpha_table_warns_and_skips_overfull_alphas():
-    with pytest.warns(UserWarning):
-        rows = alpha_table(FixedSize(10), SmallExp(1.0), 10, 2, alphas=[1, 6])
-    assert [row.alpha for row in rows] == [1]
+def test_alpha_table_rejects_overfull_alphas():
+    # alpha = 6 has no allocation in 10 nodes with m = 2, as in SystemConfig(10, 2, 6)
+    with pytest.raises(InfeasibleError, match="alpha=6 needs m\\*alpha=12 data nodes"):
+        alpha_table(FixedSize(10), SmallExp(1.0), 10, 2, alphas=[1, 6])
 
 
 def test_alpha_table_rows_equal_pointwise_evaluation():

@@ -660,6 +660,16 @@ def test_alpha_and_m_sweeps_without_any_allocation_fail_like_r_and_p(capsys, arg
     assert done == (code, "", err)
 
 
+@pytest.mark.parametrize("start", ["1", "6"])
+def test_alpha_sweeps_check_r_wherever_they_start(capsys, start):
+    # from alpha = 6 no point has an allocation, so no kernel call would check r
+    with pytest.warns(UserWarning, match="skipping alpha=6 through 8"):
+        done = run_cli(capsys, ["sweep", "--nodes", "10", "--m", "2", "--access", "fixed",
+                                "--r", "11", "--service", "scaled", "--parameter", "alpha",
+                                "--start", start, "--stop", "8"])
+    assert done == (2, "", "error: config: r=11 exceeds nodes=10\n")
+
+
 @pytest.mark.parametrize("argv", [
     "--m 2 --access fixed --r 4 --parameter alpha --start 1 --stop 2 --step 0.5",
     "--m 2 --parameter r --start 2 --stop 3 --step 0.5",

@@ -7,6 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dss_alloc.analysis import (
+    access_pmf,
+    alpha_table,
+    expected_metrics,
+    feasible_alphas,
+    maximal_spreading_rate,
+    minimal_spreading_rate,
+    optimal_alpha,
+)
+from dss_alloc.conditions import classify
 from dss_alloc.errors import ConfigurationError, InfeasibleError
 from dss_alloc.models import (
     ConstantTime,
@@ -42,6 +52,72 @@ def test_system_config_rejects_overfull_allocations():
 def test_system_config_rejects_nonpositive_parameters(nodes, m, alpha):
     with pytest.raises(ConfigurationError):
         SystemConfig(nodes, m, alpha)
+
+
+# --- the allocation rules, one class and one message at every entry point ------
+# A system (nodes, m, alpha, access) breaking one rule; the other values are valid.
+
+BAD_SYSTEMS = {
+    "no-nodes": ((0, 2, 1, 2), ConfigurationError,
+                 "nodes and m must be positive, got nodes=0, m=2"),
+    "negative-nodes": ((-1, 2, 1, 2), ConfigurationError,
+                       "nodes and m must be positive, got nodes=-1, m=2"),
+    "nodes-beyond-int64": ((2**63, 2, 1, 2), ConfigurationError,
+                           f"nodes must be below 2^63, got nodes={2**63}"),
+    "no-m": ((10, 0, 1, 2), ConfigurationError, "nodes and m must be positive, got nodes=10, m=0"),
+    "negative-m": ((10, -1, 1, 2), ConfigurationError,
+                   "nodes and m must be positive, got nodes=10, m=-1"),
+    "m-over-nodes": ((10, 11, 1, 2), InfeasibleError, "no feasible alpha for nodes=10, m=11"),
+    "overfull-alpha": ((10, 2, 6, 6), InfeasibleError,
+                       "alpha=6 needs m*alpha=12 data nodes but the system has only 10"),
+    "r-over-nodes": ((10, 2, 1, 11), ConfigurationError, "r=11 exceeds nodes=10"),
+}
+
+# entry point -> call(nodes, m, alpha, access); maximal spreading takes alpha = r
+ENTRY_POINTS = {
+    "SystemConfig": lambda n, m, alpha, access: SystemConfig(n, m, alpha),
+    "feasible_alphas": lambda n, m, alpha, access: feasible_alphas(n, m, access),
+    "expected_metrics": lambda n, m, alpha, access: expected_metrics(access, ScaledExp(1.0), n, m,
+                                                                     [alpha]),
+    "expected_metrics-empty": lambda n, m, alpha, access: expected_metrics(access, None, n, m, []),
+    "alpha_table": lambda n, m, alpha, access: alpha_table(access, ScaledExp(1.0), n, m),
+    "alpha_table-list": lambda n, m, alpha, access: alpha_table(access, ScaledExp(1.0), n, m,
+                                                                [alpha]),
+    "optimal_alpha": lambda n, m, alpha, access: optimal_alpha(access, ScaledExp(1.0), n, m),
+    "minimal_spreading_rate": lambda n, m, alpha, access: minimal_spreading_rate(
+        access, ScaledExp(1.0), n, m),
+    "maximal_spreading_rate": lambda n, m, alpha, access: maximal_spreading_rate(
+        access, ScaledExp(1.0), n, m),
+    "access_pmf": lambda n, m, alpha, access: access_pmf(SystemConfig(n, m, alpha), access),
+    "classify": lambda n, m, alpha, access: classify(access, ScaledExp(1.0), m, nodes=n),
+}
+
+# the rules an entry point can see: no alpha in, no alpha rule; no access in, no r rule
+BLIND = {
+    "overfull-alpha": {"feasible_alphas", "expected_metrics-empty", "alpha_table",
+                       "optimal_alpha", "minimal_spreading_rate", "classify"},
+    "r-over-nodes": {"SystemConfig"},
+}
+
+
+def bad_system_cases():
+    for rule, ((nodes, m, alpha, r), error, message) in BAD_SYSTEMS.items():
+        for entry in ENTRY_POINTS:
+            if entry in BLIND.get(rule, ()):
+                continue
+            accesses = [FixedSize(r)]
+            if rule != "r-over-nodes" and entry != "maximal_spreading_rate":  # fixed-size only
+                accesses.append(Probabilistic(0.3))
+            for access in accesses:
+                yield pytest.param(entry, (nodes, m, alpha, access), error, message,
+                                   id=f"{rule}-{entry}-{access.kind}")
+
+
+@pytest.mark.parametrize("entry, system, error, message", bad_system_cases())
+def test_every_entry_point_states_each_allocation_rule_alike(entry, system, error, message):
+    with pytest.raises(error) as raised:
+        ENTRY_POINTS[entry](*system)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_access_models_validate():

@@ -123,10 +123,17 @@ def test_harmonic_gap_is_a_partial_sum(phi, alpha):
 
 # --- binomial coefficients -----------------------------------------------
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 50])
 def test_spread_binomials_step_to_the_direct_coefficients(m):
     want = [math.comb(m * alpha - 1, alpha - 1) for alpha in range(1, 301)]
     assert list(itertools.islice(spread_binomials(m), 300)) == want
+
+
+def test_spread_binomials_step_cheaply_at_a_million_copies():
+    # a step takes 2 min(m, alpha) - 1 factors, not 2m - 1
+    m = 10**6
+    want = [math.comb(m * alpha - 1, alpha - 1) for alpha in (1, 2, 3)]
+    assert list(itertools.islice(spread_binomials(m), 3)) == want
 
 
 def test_binomial_matches_pascal_triangle():

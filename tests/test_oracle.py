@@ -8,6 +8,7 @@ reads them.
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from dss_alloc.analysis import (
     recovery_probability,
     service_rate,
 )
+from dss_alloc.conditions import classify
 from dss_alloc.models import FixedSize, Probabilistic, ScaledExp, ShiftedExp, SystemConfig
 from dss_alloc.numerics import binomial_rows, harmonic_gap, harmonic_gaps, hypergeometric_rows
 
@@ -37,7 +39,7 @@ SEARCHES = [
 
 
 def oracle_metrics(nodes, m, alpha, access, service):
-    """(mu_s, P_s) by direct summation in mpmath."""
+    """(mu_s, P_s) by direct summation in mpmath, as mpf values at DIGITS digits."""
     data = m * alpha
     with mpmath.workdps(DIGITS):
         harmonic = [mpmath.mpf(0)]
@@ -60,7 +62,7 @@ def oracle_metrics(nodes, m, alpha, access, service):
                 conditional = alpha * mu / (delta * mu + alpha * gap)
             recovery += prob
             rate += prob * conditional
-        return float(rate), float(recovery)
+        return rate, recovery
 
 
 @pytest.mark.parametrize("phi", [10**3, 10**4, 10**5])
@@ -79,7 +81,8 @@ def test_search_scale_rows_match_the_oracle(access, service, oracle_access, orac
     alphas = [1, 2, 42, 150, 300]
     rates, recovery = expected_metrics(access, service, 1000, 3, alphas)
     for alpha, rate, prob in zip(alphas, rates, recovery):
-        want_rate, want_prob = oracle_metrics(1000, 3, alpha, oracle_access, oracle_service)
+        want_rate, want_prob = map(float, oracle_metrics(1000, 3, alpha, oracle_access,
+                                                         oracle_service))
         assert abs(rate - want_rate) <= 1e-12 * want_rate, alpha
         assert abs(prob - want_prob) <= 1e-12 * want_prob, alpha
 
@@ -178,3 +181,46 @@ def test_tail_underflow_is_silent_under_strict_numpy_error_state():
         strict = expected_metrics(access, service, 1000, 3, alphas)
     assert np.array_equal(quiet[0], strict[0]) and np.array_equal(quiet[1], strict[1])
     assert strict[1][-1] == 0.0
+
+
+# --- certificate verdicts beyond paper scale ---------------------------------------
+# Seeded configurations at N = 1000, CERT_DRAWS per (access, service, m) cell: an
+# "optimal" verdict needs alpha* = 1, a "non-optimal" one some alpha beating alpha = 1.
+
+CERT_NODES = 1000
+CERT_DRAWS = 4
+CERT_SERVICES = [(ScaledExp(1.0), ("scaled", 1.0)), (ShiftedExp(3.0, 1.0), ("shifted", 3.0, 1.0))]
+
+
+def certificate_configs():
+    rng = random.Random(20261018)
+    out = []
+    for service, oracle_service in CERT_SERVICES:
+        for m in range(1, 5):
+            for _ in range(CERT_DRAWS):
+                r, p = rng.randint(2, CERT_NODES), rng.randint(1, 99) / 100
+                out.append((FixedSize(r), ("fixed", r), service, oracle_service, m))
+                # the oracle reads p's exact binary value, as the kernel does
+                out.append((Probabilistic(p), ("prob", p), service, oracle_service, m))
+    return out
+
+
+@pytest.mark.parametrize("access, oracle_access, service, oracle_service, m",
+                         certificate_configs(), ids=repr)
+def test_certificate_verdicts_hold_at_a_thousand_nodes(access, oracle_access, service,
+                                                       oracle_service, m):
+    verdict = classify(access, service, m, nodes=CERT_NODES).verdict
+    if verdict == "indeterminate":
+        return
+    rates = [row.service_rate for row in alpha_table(access, service, CERT_NODES, m)]
+
+    def beats_alpha_1(alpha):
+        # rates within 1e-12 relative are settled by the oracle, not by a slack
+        rate, rate_1 = rates[alpha - 1], rates[0]
+        if abs(rate - rate_1) > 1e-12 * rate_1:
+            return rate > rate_1
+        return (oracle_metrics(CERT_NODES, m, alpha, oracle_access, oracle_service)[0]
+                > oracle_metrics(CERT_NODES, m, 1, oracle_access, oracle_service)[0])
+
+    beaten = any(beats_alpha_1(alpha) for alpha in range(2, len(rates) + 1))
+    assert beaten == (verdict == "non-optimal")
