@@ -13,12 +13,21 @@ each column in phi order, so both metrics come from one pmf pass and a
 scalar service_rate is bit-identical to the matching row of a search. The
 access model hands the matrix over in chunks of consecutive alphas (numerics
 owns their size), so the kernel's memory stays bounded at any N.
+
+The kernel has two halves. The access half (_access_half: the masked pmf
+weights, the recovery sums and the harmonic gaps) depends only on (access,
+nodes, m, alphas); the service half weights the conditional rates and sums
+them. A small table's access half is built once per process and kept in a
+byte-bounded LRU memo (_MEMO), so a grid of service models over one system
+builds each pmf once; a large one streams through the same helper.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,6 +57,13 @@ __all__ = [
     "recovery_probability",
     "service_rate",
 ]
+
+# Bytes of the process-wide memo of the kernel's access half (_AccessMemo). A
+# table is kept only if its upfront bound, _CELL_BYTES per cell (one weight and
+# one gap), is at most _ENTRY_BYTES; a larger one streams chunk by chunk.
+_MEMO_BYTES = 1 << 20
+_ENTRY_BYTES = _MEMO_BYTES // 8
+_CELL_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -81,36 +97,113 @@ def expected_metrics(
     must pass feasible_alphas, even for an empty list, and every alpha must
     be an allocation, SystemConfig(nodes, m, alpha); alphas beyond r under
     fixed-size access are allowed and have zero metrics. The cost is
-    O(nodes) per alpha.
+    O(nodes) per alpha; a small table's access half comes from _MEMO.
     """
-    alphas = np.asarray(list(alphas), dtype=np.int64)
+    try:
+        alphas = (np.arange(alphas.start, alphas.stop, alphas.step, dtype=np.int64)
+                  if isinstance(alphas, range) else np.fromiter(alphas, dtype=np.int64))
+    except MemoryError:  # a range is never listed, so this fails fast at any size
+        raise ConfigurationError(
+            f"the alphas of nodes={nodes}, m={m} do not fit in memory") from None
     rates = None if service is None else np.zeros(len(alphas))
-    recovery = np.zeros(len(alphas))
     if not len(alphas):
         feasible_alphas(nodes, m, access)  # what the checks below and rows make otherwise
-        return rates, recovery
+        return rates, np.zeros(0)
     SystemConfig(nodes, m, int(alphas.min()))  # validates nodes, m and every alpha
     SystemConfig(nodes, m, int(alphas.max()))
-    start = 0
-    for _, _, probs in access.rows(nodes, m * alphas):
-        stop = start + probs.shape[1]
-        alpha = alphas[start:stop]
-        phi = np.arange(probs.shape[0])[:, None]
-        reached = phi >= alpha
-        # cumsum adds in phi order whatever the chunk shape; its last row is the sum
-        weights = np.where(reached, probs, 0.0)
-        recovery[start:stop] = np.cumsum(weights, axis=0)[-1]
-        if service is not None:
-            gap = np.where(reached, harmonic_gaps(phi, np.minimum(alpha, phi)), 1.0)
+    # each column is at most as tall as its data count m*alpha plus one
+    if (m * int(alphas.max()) + 1) * len(alphas) * _CELL_BYTES <= _ENTRY_BYTES:
+        recovery, chunks = _MEMO.access_half(access, nodes, m, alphas)
+    else:  # streamed chunk by chunk, as access.rows yields them
+        recovery = np.zeros(len(alphas))
+        chunks = _access_half(access, nodes, m, alphas, recovery, service is not None)
+    for start, stop, weights, gap in chunks:
+        if rates is not None:
             # tail terms below 1e-308 are 0; overflow is caught by the check below
             with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-                terms = weights * service.rate(alpha, gap)
+                terms = weights * service.rate(alphas[start:stop], gap)
             rates[start:stop] = np.cumsum(terms, axis=0)[-1]
-        start = stop
+            del terms
+        del weights, gap  # a stream keeps no chunk alive while the next one is built
     if rates is not None and not np.isfinite(rates).all():
         params = " ".join(f"{name}={value}" for name, value in vars(service).items())
         raise ConfigurationError(f"service rates overflow float64 at {service.kind} {params}")
     return rates, np.minimum(recovery, 1.0)
+
+
+def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
+                 recovery: np.ndarray, gaps: bool) -> Iterator[tuple]:
+    """Yield (start, stop, weights, gap) per chunk of access.rows, filling recovery.
+
+    weights is the chunk's pmf matrix with the cells phi < alpha set to 0,
+    recovery[start:stop] its column sums, and gap the harmonic gaps
+    H_phi - H_{phi-alpha} (1 where phi < alpha), or None unless gaps. Each
+    depends on the system alone, not on the service model.
+    """
+    start = 0
+    for _, _, weights in access.rows(nodes, m * alphas):
+        stop = start + weights.shape[1]
+        alpha = alphas[start:stop]
+        phi = np.arange(weights.shape[0])[:, None]
+        unreached = phi < alpha
+        np.copyto(weights, 0.0, where=unreached)
+        # cumsum adds in phi order whatever the chunk shape; its last row is the sum
+        recovery[start:stop] = np.cumsum(weights, axis=0)[-1]
+        gap = None
+        if gaps:
+            gap = harmonic_gaps(phi, np.minimum(alpha, phi))
+            np.copyto(gap, 1.0, where=unreached)
+        del unreached
+        yield start, stop, weights, gap
+        del weights, gap  # as the caller does, so no chunk outlives its turn
+        start = stop
+
+
+class _AccessMemo:
+    """A least-recently-used memo of _access_half, bounded to budget bytes in total.
+
+    An entry is keyed by (access, nodes, m, alpha bytes) and holds the
+    recovery sums and every chunk, each array read-only; it counts its
+    arrays' bytes and its key's alpha bytes. A lock guards the dict; two
+    threads missing one key may both build it, and the first one stored wins.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def access_half(self, access: AccessModel, nodes: int, m: int,
+                    alphas: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Return (recovery, chunks) of _access_half with gaps, built at most once."""
+        key = (access, nodes, m, alphas.tobytes())
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[1:]
+        recovery = np.zeros(len(alphas))
+        chunks = tuple(_access_half(access, nodes, m, alphas, recovery, True))
+        arrays = [recovery] + [array for chunk in chunks for array in chunk[2:]]
+        for array in arrays:
+            array.flags.writeable = False
+        size = len(key[3]) + sum(array.nbytes for array in arrays)
+        with self._lock:
+            entry = self._entries.setdefault(key, (size, recovery, chunks))
+            if entry[1] is recovery:
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._entries.popitem(last=False)[1][0]
+        return entry[1:]
+
+
+_MEMO = _AccessMemo(_MEMO_BYTES)
 
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:
@@ -146,11 +239,10 @@ def minimal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: in
     The shifted-exponential model has no closed form (only bounds), which
     raises NoClosedFormError.
     """
-    SystemConfig(nodes, m, 1)
+    feasible_alphas(nodes, m, access)  # the system's rules come before the closed form's
     if isinstance(service, ShiftedExp):
         raise NoClosedFormError("no closed form for mu_s(1) under shifted-exponential service")
     if isinstance(access, FixedSize):
-        access.check_nodes(nodes)
         r = access.r
         if isinstance(service, ConstantTime):
             miss = binomial(nodes - m, r) / binomial(nodes, r)  # access avoids all data nodes
@@ -170,9 +262,9 @@ def maximal_spreading_rate(access: AccessModel, service: ServiceModel, nodes: in
     Only fixed-size access is covered, and SystemConfig(nodes, m, r) must be
     an allocation.
     """
+    feasible_alphas(nodes, m, access)  # the system's rules come before the closed form's
     if not isinstance(access, FixedSize):
         raise NoClosedFormError("maximal spreading closed form needs fixed-size access")
-    feasible_alphas(nodes, m, access)
     r = access.r
     SystemConfig(nodes, m, r)
     if isinstance(service, ScaledExp):

@@ -3,10 +3,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from dss_alloc import analysis
 from dss_alloc.analysis import (
     access_pmf,
     alpha_table,
@@ -308,3 +311,94 @@ def test_exact_fraction_oracle_for_a_full_rate():
     want = pmf[2] / (harmonic(2) - harmonic(0)) + pmf[3] / (harmonic(3) - harmonic(1))
     got = service_rate(SystemConfig(6, 2, 2), FixedSize(3), SmallExp(1.0))
     assert got == pytest.approx(float(want), rel=1e-12)
+
+
+# --- the access-half memo -------------------------------------------------------
+
+MEMO_ACCESSES = [FixedSize(12), Probabilistic(0.3)]
+MEMO_SERVICES = [SmallExp(2.0), ScaledExp(0.5), ShiftedExp(3.0, 1.0), ConstantTime(1.5)]
+
+
+def hex_rows(rates, recovery):
+    rates = [] if rates is None else rates.tolist()
+    return [value.hex() for value in rates + recovery.tolist()]
+
+
+@pytest.fixture
+def cold_memo():
+    analysis._MEMO.clear()
+    yield analysis._MEMO
+    analysis._MEMO.clear()
+
+
+@pytest.mark.parametrize("access", MEMO_ACCESSES, ids=lambda access: access.kind)
+@pytest.mark.parametrize("service", MEMO_SERVICES + [None],
+                         ids=lambda service: "none" if service is None else service.kind)
+def test_memo_hits_are_bit_identical_to_cold_and_streamed_calls(cold_memo, monkeypatch,
+                                                                 access, service):
+    alphas = [3, 1, 2, 7, 5]  # unordered, as explicit lists may be
+    cold = hex_rows(*expected_metrics(access, service, 40, 3, alphas))
+    assert len(cold_memo._entries) == 1
+    hit = hex_rows(*expected_metrics(access, service, 40, 3, alphas))
+    assert len(cold_memo._entries) == 1
+    monkeypatch.setattr(analysis, "_ENTRY_BYTES", 0)  # every table streams
+    streamed = hex_rows(*expected_metrics(access, service, 40, 3, alphas))
+    assert hit == cold == streamed
+
+
+def test_memo_stays_within_its_budget(cold_memo):
+    built = 0
+    for nodes in (30, 40):
+        for access in [FixedSize(r) for r in range(2, nodes + 1)] + [
+                Probabilistic(k / 20) for k in range(1, 20)]:
+            alpha_table(access, ScaledExp(1.0), nodes, 1)
+            built += 1
+            assert cold_memo.nbytes <= cold_memo.budget
+    assert cold_memo.nbytes > cold_memo.budget // 2
+    assert len(cold_memo._entries) < built  # the systems outgrew the budget: some were evicted
+    # the kept entries are the most recent ones, and still hits
+    kept = len(cold_memo._entries)
+    alpha_table(Probabilistic(0.95), ScaledExp(2.0), 40, 1)
+    assert len(cold_memo._entries) == kept
+
+
+def test_large_searches_stream_past_the_memo(cold_memo):
+    alpha_table(FixedSize(10), ScaledExp(1.0), 40, 2)
+    before = (list(cold_memo._entries), cold_memo.nbytes)
+    optimal_alpha(FixedSize(300), ScaledExp(1.0), 1000, 3)
+    expected_metrics(Probabilistic(0.3), None, 1000, 3, range(1, 334))
+    assert (list(cold_memo._entries), cold_memo.nbytes) == before
+
+
+def test_memo_entries_cannot_be_changed_through_results(cold_memo):
+    access, service = Probabilistic(0.3), ShiftedExp(3.0, 1.0)
+    want = hex_rows(*expected_metrics(access, service, 20, 2, range(1, 11)))
+    rates, recovery = expected_metrics(access, service, 20, 2, range(1, 11))
+    rates[:] = -1.0
+    recovery[:] = -1.0
+    assert hex_rows(*expected_metrics(access, service, 20, 2, range(1, 11))) == want
+    (_, stored, chunks), = cold_memo._entries.values()
+    for array in (stored, *chunks[0][2:]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_concurrent_calls_return_the_serial_rows(cold_memo):
+    systems = [(access, service, nodes, m)
+               for access in [FixedSize(5), FixedSize(9), Probabilistic(0.2), Probabilistic(0.7)]
+               for service in MEMO_SERVICES for nodes in (12, 20) for m in (1, 2)]
+    serial = [hex_rows(*expected_metrics(a, s, n, m, feasible_alphas(n, m, a)))
+              for a, s, n, m in systems]
+    cold_memo.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda a, s, n, m: hex_rows(*expected_metrics(
+                a, s, n, m, feasible_alphas(n, m, a))), *system) for system in systems * 4]
+            rows = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == serial * 4
+    assert len(cold_memo._entries) == len({(a, n, m) for a, _, n, m in systems})
+    assert cold_memo.nbytes == sum(entry[0] for entry in cold_memo._entries.values())

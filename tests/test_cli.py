@@ -856,6 +856,23 @@ def test_node_counts_beyond_int64_are_config_errors(capsys, command, access):
     assert run_cli(capsys, argv)[0] == 2
 
 
+def test_a_search_whose_alphas_exceed_memory_is_a_config_error():
+    # a billion alphas need 8 GB as int64; the child may map at most 1.5 GB
+    src = os.path.dirname(os.path.dirname(dss_alloc.__file__))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+            "from dss_alloc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "optimal", "--nodes", str(10**9), "--m", "1",
+         "--access", "probabilistic", "--p", "0.3", "--service", "scaled", "--mu", "1"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: config: the alphas of nodes=1000000000, m=1 do not fit in memory\n")
+
+
 # ---------------------------------------------------------------------------
 # simulation
 

@@ -86,6 +86,9 @@ ENTRY_POINTS = {
     "optimal_alpha": lambda n, m, alpha, access: optimal_alpha(access, ScaledExp(1.0), n, m),
     "minimal_spreading_rate": lambda n, m, alpha, access: minimal_spreading_rate(
         access, ScaledExp(1.0), n, m),
+    # no closed form for this pair: the system's rules are still checked first
+    "minimal_spreading_rate-shifted": lambda n, m, alpha, access: minimal_spreading_rate(
+        access, ShiftedExp(3.0, 1.0), n, m),
     "maximal_spreading_rate": lambda n, m, alpha, access: maximal_spreading_rate(
         access, ScaledExp(1.0), n, m),
     "access_pmf": lambda n, m, alpha, access: access_pmf(SystemConfig(n, m, alpha), access),
@@ -95,7 +98,8 @@ ENTRY_POINTS = {
 # the rules an entry point can see: no alpha in, no alpha rule; no access in, no r rule
 BLIND = {
     "overfull-alpha": {"feasible_alphas", "expected_metrics-empty", "alpha_table",
-                       "optimal_alpha", "minimal_spreading_rate", "classify"},
+                       "optimal_alpha", "minimal_spreading_rate",
+                       "minimal_spreading_rate-shifted", "classify"},
     "r-over-nodes": {"SystemConfig"},
 }
 
@@ -106,7 +110,9 @@ def bad_system_cases():
             if entry in BLIND.get(rule, ()):
                 continue
             accesses = [FixedSize(r)]
-            if rule != "r-over-nodes" and entry != "maximal_spreading_rate":  # fixed-size only
+            # maximal spreading takes alpha = r, which probabilistic access lacks
+            if rule != "r-over-nodes" and not (rule == "overfull-alpha"
+                                               and entry == "maximal_spreading_rate"):
                 accesses.append(Probabilistic(0.3))
             for access in accesses:
                 yield pytest.param(entry, (nodes, m, alpha, access), error, message,
