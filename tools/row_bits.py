@@ -1,0 +1,74 @@
+"""Print the float.hex of every row of the kernel's checked tables, one line each.
+
+    PYTHONPATH=src python tools/row_bits.py > change.txt
+    PYTHONPATH=<other checkout>/src python tools/row_bits.py > parent.txt
+    cmp parent.txt change.txt
+
+Two versions of dss_alloc whose outputs agree bit for bit print identical
+files. The tables: the two search-scale searches (N = 1,000, m = 3) and two
+N = 10^4 searches, all rows of the ten presets, every alpha_table of
+acceptance criterion 5's grid (twice, so the second pass reads whatever the
+first one cached), and criterion 1's expected_metrics calls under all four
+service models and without one.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import dss_alloc as d
+from dss_alloc import acceptance as A
+
+
+def _hex(values) -> str:
+    return " ".join(float(value).hex() for value in values)
+
+
+def _rows(label: str, rows) -> None:
+    for row in rows:
+        print(label, row.alpha, _hex((row.service_rate, row.recovery_probability)))
+
+
+def main() -> int:
+    for nodes, access, service in [
+        (1000, d.FixedSize(300), d.ScaledExp(1.0)),
+        (1000, d.Probabilistic(0.3), d.ShiftedExp(3.0, 1.0)),
+        (10000, d.FixedSize(3000), d.ScaledExp(1.0)),
+        (10000, d.Probabilistic(0.3), d.ShiftedExp(3.0, 1.0)),
+    ]:
+        result = d.optimal_alpha(access, service, nodes, 3)
+        label = f"search {nodes} {access} {service}"
+        print(label, result.alpha_star, _hex([result.value]))
+        _rows(label, result.table)
+    for name in sorted(d.PRESETS):
+        for m, parameter, row in d.preset_rows(name):
+            _rows(f"preset {name} {m} {parameter}", [row])
+    services = [d.ScaledExp(mu) for mu in A.MU_GRID]
+    services += [d.ShiftedExp(delta, mu) for delta in (1.0, 3.0) for mu in A.MU_GRID]
+    for rep in range(2):
+        for nodes in A.NODES_GRID:
+            for m in A.M_GRID:
+                accesses = [d.FixedSize(r) for r in range(2, nodes + 1)]
+                accesses += [d.Probabilistic(p) for p in A.P_GRID]
+                for service in services:
+                    for access in accesses:
+                        label = f"grid {rep} {nodes} {m} {access} {service}"
+                        _rows(label, d.alpha_table(access, service, nodes, m))
+    for nodes in A.NODES_GRID:
+        for m in A.M_GRID:
+            for mu in A.MU_GRID:
+                models = [d.SmallExp(mu), d.ScaledExp(mu), d.ConstantTime(mu),
+                          d.ShiftedExp(mu, 1.0), None]
+                cases = [(d.Probabilistic(p), (1,)) for p in A.P_GRID]
+                cases += [(d.FixedSize(r), (1, r) if r * m <= nodes else (1,))
+                          for r in range(2, nodes + 1)]
+                for access, alphas in cases:
+                    for service in models:
+                        rates, recovery = d.expected_metrics(access, service, nodes, m, alphas)
+                        print(f"criterion-1 {nodes} {m} {access} {service} {alphas}",
+                              _hex([] if rates is None else rates), "|", _hex(recovery))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
