@@ -24,8 +24,6 @@ builds each pmf once; a large one streams through the same helper.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,6 +40,7 @@ from .models import (
     SystemConfig,
     feasible_alphas,
 )
+from .memo import ByteLRU
 from .numerics import binomial, harmonic_gaps
 
 __all__ = [
@@ -58,9 +57,9 @@ __all__ = [
     "service_rate",
 ]
 
-# Bytes of the process-wide memo of the kernel's access half (_AccessMemo). A
-# table is kept only if its upfront bound, _CELL_BYTES per cell (one weight and
-# one gap), is at most _ENTRY_BYTES; a larger one streams chunk by chunk.
+# Bytes of the process-wide memo of the kernel's access half (_MEMO). A table
+# is kept only if its upfront bound, _CELL_BYTES per cell (one weight and one
+# gap), is at most _ENTRY_BYTES; a larger one streams chunk by chunk.
 _MEMO_BYTES = 1 << 20
 _ENTRY_BYTES = _MEMO_BYTES // 8
 _CELL_BYTES = 16
@@ -99,21 +98,30 @@ def expected_metrics(
     fixed-size access are allowed and have zero metrics. The cost is
     O(nodes) per alpha; a small table's access half comes from _MEMO.
     """
-    try:
-        alphas = (np.arange(alphas.start, alphas.stop, alphas.step, dtype=np.int64)
-                  if isinstance(alphas, range) else np.fromiter(alphas, dtype=np.int64))
-    except MemoryError:  # a range is never listed, so this fails fast at any size
+    try:  # any of the kernel's arrays, from the alphas on, may not fit
+        return _expected_metrics(access, service, nodes, m, alphas)
+    except MemoryError:
         raise ConfigurationError(
             f"the alphas of nodes={nodes}, m={m} do not fit in memory") from None
+
+
+def _expected_metrics(access, service, nodes, m, alphas):
+    if isinstance(alphas, range):  # never listed; its bounds come without a pass
+        bounds = sorted((alphas[0], alphas[-1])) if alphas else ()
+        alphas = np.arange(alphas.start, alphas.stop, alphas.step, dtype=np.int64)
+    else:
+        alphas = np.fromiter(alphas, dtype=np.int64)
+        bounds = (int(alphas.min()), int(alphas.max())) if len(alphas) else ()
     rates = None if service is None else np.zeros(len(alphas))
-    if not len(alphas):
+    if not bounds:
         feasible_alphas(nodes, m, access)  # what the checks below and rows make otherwise
         return rates, np.zeros(0)
-    SystemConfig(nodes, m, int(alphas.min()))  # validates nodes, m and every alpha
-    SystemConfig(nodes, m, int(alphas.max()))
+    lo, hi = bounds
+    SystemConfig(nodes, m, lo)  # validates nodes, m and every alpha
+    SystemConfig(nodes, m, hi)
     # each column is at most as tall as its data count m*alpha plus one
-    if (m * int(alphas.max()) + 1) * len(alphas) * _CELL_BYTES <= _ENTRY_BYTES:
-        recovery, chunks = _MEMO.access_half(access, nodes, m, alphas)
+    if (m * hi + 1) * len(alphas) * _CELL_BYTES <= _ENTRY_BYTES:
+        recovery, chunks = _memo_access_half(access, nodes, m, alphas)
     else:  # streamed chunk by chunk, as access.rows yields them
         recovery = np.zeros(len(alphas))
         chunks = _access_half(access, nodes, m, alphas, recovery, service is not None)
@@ -159,51 +167,28 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
         start = stop
 
 
-class _AccessMemo:
-    """A least-recently-used memo of _access_half, bounded to budget bytes in total.
+_MEMO = ByteLRU(_MEMO_BYTES)
 
-    An entry is keyed by (access, nodes, m, alpha bytes) and holds the
-    recovery sums and every chunk, each array read-only; it counts its
-    arrays' bytes and its key's alpha bytes. A lock guards the dict; two
-    threads missing one key may both build it, and the first one stored wins.
+
+def _memo_access_half(access: AccessModel, nodes: int, m: int,
+                      alphas: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Return (recovery, chunks) of _access_half with gaps, built at most once per key.
+
+    The entry is keyed by (access, nodes, m, alpha bytes), holds the recovery
+    sums and every chunk, each array read-only, and counts its arrays' bytes
+    and its key's alpha bytes.
     """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-    def access_half(self, access: AccessModel, nodes: int, m: int,
-                    alphas: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Return (recovery, chunks) of _access_half with gaps, built at most once."""
-        key = (access, nodes, m, alphas.tobytes())
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[1:]
+    key = (access, nodes, m, alphas.tobytes())
+    entry = _MEMO.get(key)
+    if entry is None:
         recovery = np.zeros(len(alphas))
         chunks = tuple(_access_half(access, nodes, m, alphas, recovery, True))
         arrays = [recovery] + [array for chunk in chunks for array in chunk[2:]]
         for array in arrays:
             array.flags.writeable = False
         size = len(key[3]) + sum(array.nbytes for array in arrays)
-        with self._lock:
-            entry = self._entries.setdefault(key, (size, recovery, chunks))
-            if entry[1] is recovery:
-                self.nbytes += size
-                while self.nbytes > self.budget:
-                    self.nbytes -= self._entries.popitem(last=False)[1][0]
-        return entry[1:]
-
-
-_MEMO = _AccessMemo(_MEMO_BYTES)
+        entry = _MEMO.put(key, size, (recovery, chunks))
+    return entry
 
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:

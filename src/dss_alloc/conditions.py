@@ -12,23 +12,33 @@ Only the alpha = 2 term (integral exponent) is a rational, an exact Fraction,
 so verdict comparisons at boundary values like r <= 7.5 never hinge on float
 rounding. Every other term starts from its kernel written as one integer
 numerator over one integer denominator (delta*mu enters as its exact ratio),
-rounded once to a float, whose root is taken in floats. Each extremum scans
-the float terms among themselves and compares the winner with the exact term
-once; Python compares a float with a Fraction exactly, so the pick is the one
-an all-exact scan would make.
+rounded once to a float, whose root is taken in floats. Each extremum is
+one running scan in floats that meets the exact term only on a tie with its
+rounded value, so every pick is the one an all-exact scan would make.
+
+The terms depend on (service, m, nodes) and alpha, never on r or p, and r
+only cuts the list to a prefix. So one table per system holds every term up
+to top = min(nodes // m, alpha_max) (alpha_max alone without nodes) and,
+for each prefix length, the index of its first extremal term. A process-wide
+LRU (_MEMO, 1 MiB, its own budget apart from the kernel's memo in analysis)
+keeps the tables, keyed by (fixed-size?, service, m, nodes under fixed-size
+access, top). A table is stored only if its whole range fits the entry cap
+of 1/8 of the budget; a larger one is built for the call's own alternatives
+and not kept. A call then slices its prefix and reads both picks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError
+from .memo import ByteLRU
 from .models import AccessModel, FixedSize, ScaledExp, ServiceModel, ShiftedExp, feasible_alphas
 from .numerics import spread_binomials
 
@@ -94,7 +104,27 @@ _KERNELS = {
 }
 
 
-def _terms(alphas: range, kernels: Iterable[tuple[int, int]], term) -> list[tuple[int, Number]]:
+# Bytes of the process-wide memo of certificate tables (_MEMO), apart from the
+# access-half memo in analysis. A table is kept only if its upfront bound
+# (_table_bytes) is at most _ENTRY_BYTES.
+_MEMO_BYTES = 1 << 20
+_ENTRY_BYTES = _MEMO_BYTES // 8
+_MEMO = ByteLRU(_MEMO_BYTES)
+
+
+def _table_bytes(top: int) -> int:
+    """Return an upper bound on the bytes of the table of alpha = 2, ..., top.
+
+    Counted as CPython allocates them (in 16-byte units): 1,024 for the entry,
+    its key and the exact alpha = 2 terms; per alternative, two (alpha, term)
+    pairs, their floats and four tuple slots; past alpha = 256, where the
+    small-int cache ends, two alphas and two picks more.
+    """
+    return 1024 + 224 * (top - 1) + 128 * max(0, top - 256)
+
+
+def _terms(alphas: range, kernels: Iterable[tuple[int, int]],
+           term) -> tuple[tuple[int, Number], ...]:
     """Return (alpha, term(alpha, root)) for each alpha.
 
     kernels yields each alpha's kernel as an exact ratio (num, den); root is
@@ -116,23 +146,55 @@ def _terms(alphas: range, kernels: Iterable[tuple[int, int]], term) -> list[tupl
             except OverflowError:
                 root = math.exp((math.log(num) - math.log(den)) / (alpha - 1))
         out.append((alpha, term(alpha, root)))
-    return out
+    return tuple(out)
 
 
-def _pick(terms: Sequence[tuple[int, Number]], best) -> tuple[Number, int | None]:
-    """Return the first term attaining the extremum best (min or max) and its alpha.
+def _prefix_picks(terms: Sequence[tuple[int, Number]], better) -> tuple[int, ...]:
+    """Return, for each prefix terms[:k] (k >= 1), the index of its first extremal term.
 
-    The float terms (alpha >= 3) are scanned among themselves and their
-    extremum is compared with the exact alpha = 2 term once; min and max keep
-    the first of equal terms, so this picks the same term as one exact scan.
-    With no terms the extremum is the empty one (inf for min, -inf for max).
+    better is operator.lt (minimum) or operator.gt (maximum). One running
+    scan keeps the first of equal terms. Only terms[0] (alpha = 2) is a
+    Fraction: a float is compared with its correctly rounded float value,
+    and with the Fraction itself only on a tie there (a float strictly on
+    one side of that value is on the same side of the Fraction), so every
+    pick is the one an exact scan makes.
     """
     if not terms:
-        return (math.inf if best is min else -math.inf), None
-    first, rest = terms[0], terms[1:]
-    if rest:
-        first = best(first, best(rest, key=itemgetter(1)), key=itemgetter(1))
-    return first[1], first[0]
+        return ()
+    exact = terms[0][1]
+    best, at, picks = float(exact), 0, [0]
+    for index in range(1, len(terms)):
+        term = terms[index][1]
+        if better(term, best) or (not at and term == best and better(term, exact)):
+            best, at = term, index
+        picks.append(at)
+    return tuple(picks)
+
+
+def _table(service: ServiceModel, m: int, nodes: int | None, fixed: bool,
+           count: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+    """Return the certificate table of alpha = 2, ..., count + 1.
+
+    It is (optimality terms, non-optimality terms, their prefix picks in the
+    same order); nodes enters the fixed-size terms only.
+    """
+    opt_kernel, non_kernel, divides = _KERNELS[type(service)]
+    dm = Fraction(getattr(service, "delta", 0)) * Fraction(service.mu)  # scaled-exp: no shift
+    a, b = dm.numerator, dm.denominator
+    if fixed:
+        better = operator.lt
+        opt_term = ((lambda alpha, root: 1 + (nodes - 1) / root) if divides
+                    else (lambda alpha, root: 1 + (nodes - 1) * root))
+        non_term = lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1
+    else:
+        better = operator.gt
+        opt_term = (lambda alpha, root: 1 - 1 / root) if divides else (lambda alpha, root: 1 - root)
+        non_term = lambda alpha, root: 1 - root
+    alphas = range(2, count + 2)
+    spread = islice(spread_binomials(m), 1, None)  # C(m alpha - 1, alpha - 1) from alpha = 2
+    opt_terms = _terms(alphas, map(partial(opt_kernel, m, a, b), alphas, spread), opt_term)
+    non_terms = _terms(alphas, map(partial(non_kernel, m, a, b), alphas), non_term)
+    return opt_terms, non_terms, _prefix_picks(opt_terms, better), _prefix_picks(non_terms, better)
 
 
 def classify(
@@ -161,16 +223,15 @@ def classify(
     is an error, and so is r < 2. A system without any allocation raises as
     feasible_alphas does.
     """
-    kernels = _KERNELS.get(type(service))
-    if kernels is None:
+    if type(service) not in _KERNELS:
         raise ConfigurationError(
             "conditions cover the scaled and shifted exponential service models, "
             f"not {service.kind!r}"
         )
-    opt_kernel, non_kernel, divides = kernels
     fixed = isinstance(access, FixedSize)
     if nodes is not None:
-        alphas = feasible_alphas(nodes, m, access)[1:alpha_max]
+        last = len(feasible_alphas(nodes, m, access))  # the checks, and r under fixed-size
+        top = nodes // m
     elif fixed:
         raise ConfigurationError("fixed-size conditions need the node count")
     elif alpha_max is None:
@@ -178,29 +239,36 @@ def classify(
     elif m < 1:
         raise ConfigurationError(f"need m >= 1, got m={m}")
     else:
-        alphas = range(2, alpha_max + 1)
-    if alpha_max is not None and alpha_max < 2:
-        raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
-    dm = Fraction(getattr(service, "delta", 0)) * Fraction(service.mu)  # scaled-exp: no shift
-    a, b = dm.numerator, dm.denominator
-
+        last = top = alpha_max
+    if alpha_max is not None:
+        if alpha_max < 2:
+            raise ConfigurationError(f"need alpha_max >= 2, got {alpha_max}")
+        top = min(top, alpha_max)
     if fixed:
-        x, best = access.r, min
+        x = access.r
         if x < 2:
             raise ConfigurationError(f"need r >= 2, got r={x}")
-        opt_term = ((lambda alpha, root: 1 + (nodes - 1) / root) if divides
-                    else (lambda alpha, root: 1 + (nodes - 1) * root))
-        non_term = lambda alpha, root: root * (nodes - alpha + 1) + alpha - 1
     else:
-        x, best = access.p, max
-        opt_term = (lambda alpha, root: 1 - 1 / root) if divides else (lambda alpha, root: 1 - root)
-        non_term = lambda alpha, root: 1 - root
+        x = access.p
+    count = min(last, top) - 1  # the alternatives alpha = 2, ..., count + 1
 
-    spread = islice(spread_binomials(m), 1, None)  # C(m alpha - 1, alpha - 1) from alpha = 2
-    opt_terms = _terms(alphas, map(partial(opt_kernel, m, a, b), alphas, spread), opt_term)
-    non_terms = _terms(alphas, map(partial(non_kernel, m, a, b), alphas), non_term)
-    opt, opt_witness = _pick(opt_terms, best)
-    non, non_witness = _pick(non_terms, best)
+    # the whole table to top is stored when it fits an entry; r cuts a prefix
+    key = (fixed, service, m, nodes if fixed else None, top)
+    table = _MEMO.get(key)
+    if table is None:
+        size = _table_bytes(top)
+        if size <= _ENTRY_BYTES:
+            table = _MEMO.put(key, size, _table(service, m, nodes, fixed, top - 1))
+        else:  # too large to keep: build this call's alternatives only
+            table = _table(service, m, nodes, fixed, count)
+    opt_terms, non_terms, opt_picks, non_picks = table
+    opt_terms, non_terms = opt_terms[:count], non_terms[:count]
+    if count:
+        opt_witness, opt = opt_terms[opt_picks[count - 1]]
+        non_witness, non = non_terms[non_picks[count - 1]]
+    else:  # the empty extremum
+        opt = non = math.inf if fixed else -math.inf
+        opt_witness = non_witness = None
     if not fixed and non_witness is not None and non < 0:
         non, non_witness = Fraction(0), None
     if (x <= opt) if fixed else (x >= opt):
@@ -218,8 +286,8 @@ def classify(
         witness_alpha_opt=opt_witness,
         witness_alpha_nonopt=non_witness,
         verdict=verdict,
-        optimality_terms=tuple(opt_terms),
-        nonoptimality_terms=tuple(non_terms),
+        optimality_terms=opt_terms,
+        nonoptimality_terms=non_terms,
     )
 
 

@@ -873,6 +873,24 @@ def test_a_search_whose_alphas_exceed_memory_is_a_config_error():
         "error: config: the alphas of nodes=1000000000, m=1 do not fit in memory\n")
 
 
+def test_a_search_whose_kernel_arrays_exceed_memory_is_a_config_error():
+    # ten million alphas (76 MB as int64) fit under the 384 MB the child may map; the
+    # kernel's arrays built after them (rates, recovery, data counts, columns) do not
+    src = os.path.dirname(os.path.dirname(dss_alloc.__file__))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))\n"
+            "from dss_alloc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "optimal", "--nodes", str(10**7), "--m", "1",
+         "--access", "probabilistic", "--p", "0.3", "--service", "scaled", "--mu", "1"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: config: the alphas of nodes=10000000, m=1 do not fit in memory\n")
+
+
 # ---------------------------------------------------------------------------
 # simulation
 

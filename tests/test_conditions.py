@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dss_alloc import analysis, conditions
 from dss_alloc.analysis import alpha_table, optimal_alpha
 from dss_alloc.cli import main
 from dss_alloc.conditions import ConditionReport, classify, scaled_prob_m1_optimal_range
@@ -468,3 +473,109 @@ def test_scaled_certificates_hold_where_the_kernel_overflows(capsys, kind, nodes
                 assert abs(term - want) <= 1e-12 * abs(want)
         last_alpha = len(report.optimality_terms) + 1
         assert overflowed == max(0, last_alpha - FIRST_OVERFLOW[m] + 1)
+
+
+# --- the certificate memo ----------------------------------------------------------
+
+# 0.3 * 3.7 is a ratio of large integers, so the exact alpha = 2 terms are too
+MEMO_SERVICES = [ScaledExp(1.0), ShiftedExp(0.3, 3.7)]
+MEMO_CALLS = [(FixedSize(r), 40) for r in (2, 7, 13, 20, 40)] + [
+    (Probabilistic(p), nodes) for p in (0.05, 0.5, 0.95) for nodes in (40, None)]
+
+
+@pytest.fixture
+def cold_memo():
+    conditions._MEMO.clear()
+    yield conditions._MEMO
+    conditions._MEMO.clear()
+
+
+def memo_reports(calls, service, m, alpha_max, before_each=None):
+    out = []
+    for access, nodes in calls:
+        if before_each is not None:
+            before_each()
+        out.append(report_shape(classify(access, service, m, nodes=nodes, alpha_max=alpha_max)))
+    return out
+
+
+@pytest.mark.parametrize("service", MEMO_SERVICES, ids=lambda service: service.kind)
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("alpha_max", [None, 5, 100])
+def test_memo_hits_cold_and_unstored_calls_give_identical_reports(cold_memo, monkeypatch,
+                                                                   service, m, alpha_max):
+    calls = [(access, nodes) for access, nodes in MEMO_CALLS
+             if nodes is not None or alpha_max is not None]
+    cold = memo_reports(calls, service, m, alpha_max, before_each=cold_memo.clear)
+    warm = memo_reports(calls, service, m, alpha_max)  # later calls read earlier tables
+    assert {key[0] for key in cold_memo._entries} == {True, False}  # both models stored
+    hit = memo_reports(calls, service, m, alpha_max)
+    monkeypatch.setattr(conditions, "_ENTRY_BYTES", 0)  # no table fits: each call builds its own
+    cold_memo.clear()
+    unstored = memo_reports(calls, service, m, alpha_max)
+    assert len(cold_memo._entries) == 0
+    assert cold == warm == hit == unstored
+
+
+def test_memo_stays_within_its_budget_and_apart_from_the_access_memo(cold_memo):
+    analysis._MEMO.clear()
+    alpha_table(FixedSize(10), ScaledExp(1.0), 40, 2)
+    access_memo = (list(analysis._MEMO._entries), analysis._MEMO.nbytes)
+    built = 0
+    for nodes in range(40, 400, 9):
+        for m in (1, 2):
+            classify(FixedSize(2), ScaledExp(1.0), m, nodes=nodes)
+            built += 1
+            assert cold_memo.nbytes <= cold_memo.budget
+    assert cold_memo.nbytes > cold_memo.budget // 2
+    assert cold_memo.nbytes == sum(entry[0] for entry in cold_memo._entries.values())
+    assert len(cold_memo._entries) < built  # the tables outgrew the budget: some were evicted
+    assert (list(analysis._MEMO._entries), analysis._MEMO.nbytes) == access_memo
+    analysis._MEMO.clear()
+    # a table beyond the entry cap is built for its call alone and stores nothing
+    before = (list(cold_memo._entries), cold_memo.nbytes)
+    report = classify(Probabilistic(0.3), ShiftedExp(3.0, 1.0), 1, nodes=1000)
+    assert len(report.optimality_terms) == 999
+    assert (list(cold_memo._entries), cold_memo.nbytes) == before
+
+
+@pytest.mark.parametrize("access, service, nodes, m", [
+    (FixedSize(2), ShiftedExp(0.3, 3.7), 360, 1),
+    (Probabilistic(0.3), ScaledExp(1.0), 700, 2),
+])
+def test_memo_entry_sizes_bound_the_memory_they_hold(cold_memo, access, service, nodes, m):
+    classify(access, service, m, nodes=nodes - 1)  # any first-use state outside the entry
+    cold_memo.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        classify(access, service, m, nodes=nodes)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    (size, *_), = cold_memo._entries.values()
+    assert held <= size == cold_memo.nbytes
+
+
+def test_concurrent_calls_return_the_serial_reports(cold_memo):
+    configs = [(access, service, m, nodes)
+               for access in [FixedSize(3), FixedSize(9), Probabilistic(0.2), Probabilistic(0.7)]
+               for service in MEMO_SERVICES for nodes in (12, 20) for m in (1, 2)]
+    serial = [repr(classify(a, s, m, nodes=n)) for a, s, m, n in configs]
+    cold_memo.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda a, s, m, n: repr(classify(a, s, m, nodes=n)), *config)
+                       for config in configs * 4]
+            reports = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == serial * 4
+    tables = {(isinstance(a, FixedSize), s, m, n if isinstance(a, FixedSize) else None, n // m)
+              for a, s, m, n in configs}
+    assert set(cold_memo._entries) == tables
+    assert cold_memo.nbytes == sum(entry[0] for entry in cold_memo._entries.values())

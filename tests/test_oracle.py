@@ -184,8 +184,7 @@ def test_tail_underflow_is_silent_under_strict_numpy_error_state():
 
 
 # --- certificate verdicts beyond paper scale ---------------------------------------
-# Seeded configurations at N = 1000, CERT_DRAWS per (access, service, m) cell: an
-# "optimal" verdict needs alpha* = 1, a "non-optimal" one some alpha beating alpha = 1.
+# Seeded configurations at N = 1000, CERT_DRAWS per (access, service, m) cell.
 
 CERT_NODES = 1000
 CERT_DRAWS = 4
@@ -205,22 +204,85 @@ def certificate_configs():
     return out
 
 
+def verdict_ties(nodes, m, access, oracle_access, service, oracle_service) -> int:
+    """Check classify's verdict against every alpha; return how many the oracle settled.
+
+    An "optimal" verdict needs alpha* = 1, a "non-optimal" one some alpha
+    beating alpha = 1. Rates within 1e-12 relative are settled by the oracle,
+    not by a slack.
+    """
+    verdict = classify(access, service, m, nodes=nodes).verdict
+    if verdict == "indeterminate":
+        return 0
+    rates = [row.service_rate for row in alpha_table(access, service, nodes, m)]
+    ties = 0
+
+    def beats_alpha_1(alpha):
+        nonlocal ties
+        rate, rate_1 = rates[alpha - 1], rates[0]
+        if abs(rate - rate_1) > 1e-12 * rate_1:
+            return rate > rate_1
+        ties += 1
+        return (oracle_metrics(nodes, m, alpha, oracle_access, oracle_service)[0]
+                > oracle_metrics(nodes, m, 1, oracle_access, oracle_service)[0])
+
+    beaten = [beats_alpha_1(alpha) for alpha in range(2, len(rates) + 1)]
+    assert any(beaten) == (verdict == "non-optimal")
+    return ties
+
+
 @pytest.mark.parametrize("access, oracle_access, service, oracle_service, m",
                          certificate_configs(), ids=repr)
 def test_certificate_verdicts_hold_at_a_thousand_nodes(access, oracle_access, service,
                                                        oracle_service, m):
-    verdict = classify(access, service, m, nodes=CERT_NODES).verdict
-    if verdict == "indeterminate":
-        return
-    rates = [row.service_rate for row in alpha_table(access, service, CERT_NODES, m)]
+    verdict_ties(CERT_NODES, m, access, oracle_access, service, oracle_service)
 
-    def beats_alpha_1(alpha):
-        # rates within 1e-12 relative are settled by the oracle, not by a slack
-        rate, rate_1 = rates[alpha - 1], rates[0]
-        if abs(rate - rate_1) > 1e-12 * rate_1:
-            return rate > rate_1
-        return (oracle_metrics(CERT_NODES, m, alpha, oracle_access, oracle_service)[0]
-                > oracle_metrics(CERT_NODES, m, 1, oracle_access, oracle_service)[0])
 
-    beaten = any(beats_alpha_1(alpha) for alpha in range(2, len(rates) + 1))
-    assert beaten == (verdict == "non-optimal")
+# Seeded configurations whose p is the float nearest a crossing of mu_s(alpha) and
+# mu_s(1): N = 40, m = 1, shifted service. Their certificates are decisive: the
+# crossings of alpha = 4..18 (delta = 3) and 3..40 (delta = 6) lie below the
+# non-optimality threshold, where alpha = 2 wins. The certificate thresholds
+# themselves tie nothing: at p = 5/6 and 37/42 (N = 40, m = 2) alpha = 2 is 42%
+# and 56% below alpha = 1.
+TIE_NODES = 40
+TIE_DRAWS = 4
+
+
+def rate_gap(p, service, alpha):
+    rates, _ = expected_metrics(Probabilistic(p), service, TIE_NODES, 1, [1, alpha])
+    return rates[1] - rates[0]
+
+
+def nearest_crossing(service, alpha):
+    """The float p nearest the first sign change of mu_s(alpha) - mu_s(1), by bisection."""
+    grid = [k / 200 for k in range(1, 200)]
+    lo, hi = next((lo, hi) for lo, hi in zip(grid, grid[1:])
+                  if (rate_gap(lo, service, alpha) > 0) != (rate_gap(hi, service, alpha) > 0))
+    above = rate_gap(lo, service, alpha) > 0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return min((lo, hi), key=lambda p: abs(rate_gap(p, service, alpha)))
+        if (rate_gap(mid, service, alpha) > 0) == above:
+            lo = mid
+        else:
+            hi = mid
+
+
+def tie_configs():
+    rng = random.Random(20261019)
+    out = []
+    for _ in range(TIE_DRAWS):
+        delta = rng.choice((3.0, 6.0))
+        alpha = rng.randint(4, 18) if delta == 3.0 else rng.randint(3, 40)
+        out.append((delta, alpha))
+    return out
+
+
+@pytest.mark.parametrize("delta, alpha", tie_configs())
+def test_verdicts_near_a_rate_crossing_are_settled_by_the_oracle(delta, alpha):
+    service = ShiftedExp(delta, 1.0)
+    p = nearest_crossing(service, alpha)
+    ties = verdict_ties(TIE_NODES, 1, Probabilistic(p), ("prob", p), service,
+                        ("shifted", delta, 1.0))
+    assert ties >= 1

@@ -1,4 +1,5 @@
-"""Print the float.hex of every row of the kernel's checked tables, one line each.
+"""Print the float.hex of every row of the kernel's checked tables, one line each,
+and the repr of every checked classify report.
 
     PYTHONPATH=src python tools/row_bits.py > change.txt
     PYTHONPATH=<other checkout>/src python tools/row_bits.py > parent.txt
@@ -9,11 +10,14 @@ files. The tables: the two search-scale searches (N = 1,000, m = 3) and two
 N = 10^4 searches, all rows of the ten presets, every alpha_table of
 acceptance criterion 5's grid (twice, so the second pass reads whatever the
 first one cached), and criterion 1's expected_metrics calls under all four
-service models and without one.
+service models and without one. The reports: classify on criterion 5's grid
+(twice, so the second pass reads the certificate memo) and on the seeded
+N = 1,000 certificate grid of tests/test_oracle.py.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 
 import dss_alloc as d
@@ -54,6 +58,7 @@ def main() -> int:
                     for access in accesses:
                         label = f"grid {rep} {nodes} {m} {access} {service}"
                         _rows(label, d.alpha_table(access, service, nodes, m))
+                        print(label, repr(d.classify(access, service, m, nodes=nodes)))
     for nodes in A.NODES_GRID:
         for m in A.M_GRID:
             for mu in A.MU_GRID:
@@ -67,6 +72,14 @@ def main() -> int:
                         rates, recovery = d.expected_metrics(access, service, nodes, m, alphas)
                         print(f"criterion-1 {nodes} {m} {access} {service} {alphas}",
                               _hex([] if rates is None else rates), "|", _hex(recovery))
+    rng = random.Random(20261018)  # the draws of tests/test_oracle.py's certificate_configs
+    for service in (d.ScaledExp(1.0), d.ShiftedExp(3.0, 1.0)):
+        for m in range(1, 5):
+            for _ in range(4):
+                r, p = rng.randint(2, 1000), rng.randint(1, 99) / 100
+                for access in (d.FixedSize(r), d.Probabilistic(p)):
+                    print(f"certificate 1000 {m} {access} {service}",
+                          repr(d.classify(access, service, m, nodes=1000)))
     return 0
 
 
