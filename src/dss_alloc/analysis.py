@@ -17,15 +17,15 @@ owns their size), so the kernel's memory stays bounded at any N.
 The kernel has two halves. The access half (_access_half: the masked pmf
 weights, the recovery sums and the harmonic gaps) depends only on (access,
 nodes, m, alphas); the service half weights the conditional rates and sums
-them. A small table's access half is built once per process and kept in a
-byte-bounded LRU memo (_MEMO), so a grid of service models over one system
-builds each pmf once; a large one streams through the same helper.
+them. The access half is kept in a memo (_MEMO, see memo for its policy)
+keyed by (access, nodes, m, alpha bytes), with the bound _CELL_BYTES per
+cell; a table over the entry cap streams chunk by chunk instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,16 +57,12 @@ __all__ = [
     "service_rate",
 ]
 
-# Bytes of the process-wide memo of the kernel's access half (_MEMO). A table
-# is kept only if its upfront bound, _CELL_BYTES per cell (one weight and one
-# gap), is at most _ENTRY_BYTES; a larger one streams chunk by chunk.
-_MEMO_BYTES = 1 << 20
-_ENTRY_BYTES = _MEMO_BYTES // 8
+# The memo's upfront bound per cell of a table: one weight and one gap.
 _CELL_BYTES = 16
+_MEMO = ByteLRU()
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Both metrics at one spreading parameter."""
 
     alpha: int
@@ -119,12 +115,23 @@ def _expected_metrics(access, service, nodes, m, alphas):
     lo, hi = bounds
     SystemConfig(nodes, m, lo)  # validates nodes, m and every alpha
     SystemConfig(nodes, m, hi)
+
+    def build():  # the entry: its bytes (key included), the recovery sums, every chunk
+        recovery = np.zeros(len(alphas))
+        chunks = tuple(_access_half(access, nodes, m, alphas, recovery, True))
+        arrays = [recovery] + [array for chunk in chunks for array in chunk[2:]]
+        for array in arrays:
+            array.flags.writeable = False
+        return alphas.nbytes + sum(array.nbytes for array in arrays), recovery, chunks
+
     # each column is at most as tall as its data count m*alpha plus one
-    if (m * hi + 1) * len(alphas) * _CELL_BYTES <= _ENTRY_BYTES:
-        recovery, chunks = _memo_access_half(access, nodes, m, alphas)
-    else:  # streamed chunk by chunk, as access.rows yields them
+    stored = _MEMO.fetch((access, nodes, m, alphas.tobytes()),
+                         (m * hi + 1) * len(alphas) * _CELL_BYTES, build)
+    if stored is None:  # streamed chunk by chunk, as access.rows yields them
         recovery = np.zeros(len(alphas))
         chunks = _access_half(access, nodes, m, alphas, recovery, service is not None)
+    else:
+        recovery, chunks = stored
     for start, stop, weights, gap in chunks:
         if rates is not None:
             # tail terms below 1e-308 are 0; overflow is caught by the check below
@@ -165,30 +172,6 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
         yield start, stop, weights, gap
         del weights, gap  # as the caller does, so no chunk outlives its turn
         start = stop
-
-
-_MEMO = ByteLRU(_MEMO_BYTES)
-
-
-def _memo_access_half(access: AccessModel, nodes: int, m: int,
-                      alphas: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Return (recovery, chunks) of _access_half with gaps, built at most once per key.
-
-    The entry is keyed by (access, nodes, m, alpha bytes), holds the recovery
-    sums and every chunk, each array read-only, and counts its arrays' bytes
-    and its key's alpha bytes.
-    """
-    key = (access, nodes, m, alphas.tobytes())
-    entry = _MEMO.get(key)
-    if entry is None:
-        recovery = np.zeros(len(alphas))
-        chunks = tuple(_access_half(access, nodes, m, alphas, recovery, True))
-        arrays = [recovery] + [array for chunk in chunks for array in chunk[2:]]
-        for array in arrays:
-            array.flags.writeable = False
-        size = len(key[3]) + sum(array.nbytes for array in arrays)
-        entry = _MEMO.put(key, size, (recovery, chunks))
-    return entry
 
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:
@@ -282,8 +265,7 @@ def optimal_alpha(
 
 
 def _rows(alphas, rates, recovery) -> tuple[SweepRow, ...]:
-    return tuple(SweepRow(alpha, rate, prob)
-                 for alpha, rate, prob in zip(alphas, rates.tolist(), recovery.tolist()))
+    return tuple(map(SweepRow, alphas, rates.tolist(), recovery.tolist()))
 
 
 def alpha_table(

@@ -24,7 +24,7 @@ import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Iterator, get_args
+from typing import Iterator, Sequence, get_args
 
 from . import acceptance
 from .analysis import alpha_table, expected_metrics, feasible_alphas, optimal_alpha
@@ -286,7 +286,7 @@ def _write(spec: RunSpec, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -295,7 +295,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _table_text(summary: list[tuple[str, object]], header: list[str], rows: list[list]) -> str:
+def _table_text(summary: list[tuple[str, object]], header: list[str],
+                rows: Sequence[Sequence]) -> str:
     """A summary block of aligned pairs, a blank line, a header and rows.
 
     Empty parts are left out, and so is the blank line next to them.
@@ -317,12 +318,12 @@ def _json_pairs(pairs: list[tuple[str, object]]) -> dict:
     return {k: _round12(v) for k, v in pairs}
 
 
-def _json_rows(header: list[str], rows: list[list]) -> list[dict]:
+def _json_rows(header: list[str], rows: Sequence[Sequence]) -> list[dict]:
     return [dict(zip(header, map(_round12, row))) for row in rows]
 
 
 def _emit(spec: RunSpec, summary: list[tuple[str, object]], header: list[str] = (),
-          rows: list[list] = (), *, to_json, csv_table=None) -> None:
+          rows: Sequence[Sequence] = (), *, to_json, csv_table=None) -> None:
     """Write one result in the spec's format.
 
     to_json() builds the JSON value, whose shape differs by command; csv_table
@@ -387,7 +388,7 @@ def _run_optimal(spec: RunSpec) -> int:
     summary = [("alpha_star", result.alpha_star), ("value", result.value),
                ("objective", spec.objective)]
     header = ["alpha", "service_rate", "recovery_prob"]
-    rows = [[row.alpha, row.service_rate, row.recovery_probability] for row in result.table]
+    rows = result.table
     _emit(spec, summary, header, rows, csv_table=(header, rows),
           to_json=lambda: {**_json_pairs(summary), "table": _json_rows(header, rows)})
     return 0
@@ -407,10 +408,9 @@ def _run_conditions(spec: RunSpec) -> int:
         ("nonoptimality_threshold", report.nonoptimality_threshold),
         ("nonoptimality_witness_alpha", report.witness_alpha_nonopt),
     ]
-    terms = {alpha: [term, None] for alpha, term in report.optimality_terms}
-    for alpha, term in report.nonoptimality_terms:
-        terms.setdefault(alpha, [None, None])[1] = term
-    rows = [[alpha, pair[0], pair[1]] for alpha, pair in sorted(terms.items())]
+    # both term lists run over alpha = 2, ..., count + 1
+    rows = [(alpha, opt, non) for (alpha, opt), (_, non)
+            in zip(report.optimality_terms, report.nonoptimality_terms)]
     header = ["alpha", "optimality_term", "nonoptimality_term"]
     _emit(spec, summary, header, rows, csv_table=(header, rows),
           to_json=lambda: {**_json_pairs(summary), "terms": _json_rows(header, rows)})
@@ -441,13 +441,12 @@ def _axis_values(axis: SweepAxis, limit: int | None) -> Iterator[int | float]:
             return
 
 
-def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
+def _sweep_table(spec: RunSpec) -> tuple[list[str], Sequence[Sequence]]:
     if spec.preset is not None:
         preset = PRESETS[spec.preset]
         param_col = "r" if preset.access_kind == "fixed-size" else "p"
         header = ["m", param_col, "alpha", "service_rate", "recovery_prob"]
-        rows = [[m, parameter, row.alpha, row.service_rate, row.recovery_probability]
-                for m, parameter, row in preset_rows(spec.preset)]
+        rows = [(m, parameter, *row) for m, parameter, row in preset_rows(spec.preset)]
         return header, rows
     axis = _require(spec.sweep_axis, "sweep_axis (or preset)")
     service = _require(spec.service, "service")
@@ -458,8 +457,7 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
         # an infeasible system fails here, not as an empty table
         table = alpha_table(access, service, nodes, m,
                             _axis_values(axis, feasible_alphas(nodes, m)[-1]))
-        return (["alpha", "service_rate", "recovery_prob"],
-                [[row.alpha, row.service_rate, row.recovery_probability] for row in table])
+        return ["alpha", "service_rate", "recovery_prob"], table
     # every other point is one alpha_table over its feasible alphas: (value, m, access)
     if axis.parameter == "m":
         access = _require(spec.access, "access")
@@ -472,8 +470,7 @@ def _sweep_table(spec: RunSpec) -> tuple[list[str], list[list]]:
         model = FixedSize if axis.parameter == "r" else Probabilistic
         points = ((value, m, model(value)) for value in _axis_values(axis, None))
     header = [axis.parameter, "alpha", "service_rate", "recovery_prob"]
-    rows = [[value, row.alpha, row.service_rate, row.recovery_probability]
-            for value, point_m, point_access in points
+    rows = [(value, *row) for value, point_m, point_access in points
             for row in alpha_table(point_access, service, nodes, point_m)]
     return header, rows
 
@@ -494,7 +491,10 @@ def _run_simulate(spec: RunSpec) -> int:
     prob_est = recovery_estimate(rate_est.per_phi_counts, config.alpha, sim.trials)
     rate_ref, prob_ref = _analytic(config, access, service)
     rate_ok = abs(rate_est.mean - rate_ref) <= 3.0 * rate_est.std_error
-    prob_ok = abs(prob_est.mean - prob_ref) <= 3.0 * prob_est.std_error
+    # the score test at the analytic value, which Wilson's interval inverts: unlike
+    # the Wald s.e., its width is not 0 when no trial or every trial recovers
+    prob_ok = abs(prob_est.mean - prob_ref) <= 3.0 * math.sqrt(
+        prob_ref * (1.0 - prob_ref) / sim.trials)
     summary: list[tuple[str, object]] = [
         ("trials", sim.trials),
         ("seed", sim.seed),

@@ -19,12 +19,12 @@ rounded value, so every pick is the one an all-exact scan would make.
 The terms depend on (service, m, nodes) and alpha, never on r or p, and r
 only cuts the list to a prefix. So one table per system holds every term up
 to top = min(nodes // m, alpha_max) (alpha_max alone without nodes) and,
-for each prefix length, the index of its first extremal term. A process-wide
-LRU (_MEMO, 1 MiB, its own budget apart from the kernel's memo in analysis)
-keeps the tables, keyed by (fixed-size?, service, m, nodes under fixed-size
-access, top). A table is stored only if its whole range fits the entry cap
-of 1/8 of the budget; a larger one is built for the call's own alternatives
-and not kept. A call then slices its prefix and reads both picks.
+for each prefix length, the index of its first extremal term. A memo
+(_MEMO, see memo for its policy) keeps the tables, keyed by (fixed-size?,
+service, m, nodes under fixed-size access, top), with the bound
+_table_bytes(top); a table over the entry cap is built for the call's own
+alternatives and not kept. A call then slices its prefix and reads both
+picks.
 """
 
 from __future__ import annotations
@@ -104,12 +104,7 @@ _KERNELS = {
 }
 
 
-# Bytes of the process-wide memo of certificate tables (_MEMO), apart from the
-# access-half memo in analysis. A table is kept only if its upfront bound
-# (_table_bytes) is at most _ENTRY_BYTES.
-_MEMO_BYTES = 1 << 20
-_ENTRY_BYTES = _MEMO_BYTES // 8
-_MEMO = ByteLRU(_MEMO_BYTES)
+_MEMO = ByteLRU()
 
 
 def _table_bytes(top: int) -> int:
@@ -253,14 +248,11 @@ def classify(
     count = min(last, top) - 1  # the alternatives alpha = 2, ..., count + 1
 
     # the whole table to top is stored when it fits an entry; r cuts a prefix
-    key = (fixed, service, m, nodes if fixed else None, top)
-    table = _MEMO.get(key)
-    if table is None:
-        size = _table_bytes(top)
-        if size <= _ENTRY_BYTES:
-            table = _MEMO.put(key, size, _table(service, m, nodes, fixed, top - 1))
-        else:  # too large to keep: build this call's alternatives only
-            table = _table(service, m, nodes, fixed, count)
+    size = _table_bytes(top)
+    table = _MEMO.fetch((fixed, service, m, nodes if fixed else None, top), size,
+                        lambda: (size, *_table(service, m, nodes, fixed, top - 1)))
+    if table is None:  # too large to keep: build this call's alternatives only
+        table = _table(service, m, nodes, fixed, count)
     opt_terms, non_terms, opt_picks, non_picks = table
     opt_terms, non_terms = opt_terms[:count], non_terms[:count]
     if count:

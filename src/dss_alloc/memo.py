@@ -1,8 +1,11 @@
 """A least-recently-used memo bounded by the bytes its entries state.
 
-The kernel's access half (analysis) and the certificate tables (conditions)
-each keep one ByteLRU of their own, with their own budget, so neither can
-evict the other's entries.
+The policy, stated once for every memo: a ByteLRU holds at most BUDGET
+(1 MiB) of entries, and it admits an entry only if the caller's upfront
+bound on its bytes is at most budget // 8, so no single table can crowd out
+the rest; a larger one is the caller's to build and not kept. The kernel's
+access half (analysis) and the certificate tables (conditions) each keep one
+ByteLRU of their own, so neither can evict the other's entries.
 """
 
 from __future__ import annotations
@@ -10,20 +13,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-__all__ = ["ByteLRU"]
+__all__ = ["BUDGET", "ByteLRU"]
+
+BUDGET = 1 << 20
 
 
 class ByteLRU:
-    """A dict of (size, *value) entries whose sizes total at most budget bytes.
+    """A dict of (size, *value) entries whose sizes total at most budget bytes."""
 
-    The caller states each entry's size and builds its value outside the
-    lock that guards the dict; two threads missing one key may both build
-    it, and the first one stored wins. Storing an entry evicts the least
-    recently used ones until the total fits the budget again.
-    """
+    budget = BUDGET
+    cap = BUDGET // 8  # the largest upfront bound an entry may state
 
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
+    def __init__(self) -> None:
         self.nbytes = 0
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
@@ -33,22 +34,28 @@ class ByteLRU:
             self._entries.clear()
             self.nbytes = 0
 
-    def get(self, key) -> tuple | None:
-        """Return the value stored under key, marked most recently used, or None."""
+    def fetch(self, key, bound: int, build) -> tuple | None:
+        """Return the value stored under key, building and storing it on a miss.
+
+        A bound over cap returns None without building anything. A hit marks
+        key most recently used. On a miss, build() returns the entry
+        (size, *value), where size is the bytes it holds; it runs outside the
+        lock, so two threads missing one key may both build it, and the first
+        one stored wins. Storing an entry evicts the least recently used ones
+        until the total fits the budget again.
+        """
+        if bound > self.cap:
+            return None
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[1:]
-
-    def put(self, key, size: int, value: tuple) -> tuple:
-        """Store value under key unless a value is there already; return the stored one."""
-        entry = (size, *value)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[1:]
+        entry = build()
         with self._lock:
             stored = self._entries.setdefault(key, entry)
             if stored is entry:
-                self.nbytes += size
+                self.nbytes += entry[0]
                 while self.nbytes > self.budget:
                     self.nbytes -= self._entries.popitem(last=False)[1][0]
         return stored[1:]

@@ -281,10 +281,6 @@ def _chunked(data, lo, hi, mode, ratio, N: int, r: int, q: float | None) -> Iter
     anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
     heights = hi.tolist()
     step = max(1, _CHUNK_CELLS // (max(columns) + 1))
-    if step >= len(columns):  # one chunk: slicing cost an N = 40 call 2% on a 2-CPU Xeon
-        phi = np.arange(max(heights) + 1, dtype=np.float64)[:, None]
-        yield lo, hi, _rows_from_mode(lo, hi, mode, anchors, *ratio(phi, data))
-        return
     for start in range(0, len(columns), step):
         c = slice(start, start + step)
         phi = np.arange(max(heights[c]) + 1, dtype=np.float64)[:, None]

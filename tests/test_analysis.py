@@ -341,7 +341,7 @@ def test_memo_hits_are_bit_identical_to_cold_and_streamed_calls(cold_memo, monke
     assert len(cold_memo._entries) == 1
     hit = hex_rows(*expected_metrics(access, service, 40, 3, alphas))
     assert len(cold_memo._entries) == 1
-    monkeypatch.setattr(analysis, "_ENTRY_BYTES", 0)  # every table streams
+    monkeypatch.setattr(cold_memo, "cap", 0)  # every table streams
     streamed = hex_rows(*expected_metrics(access, service, 40, 3, alphas))
     assert hit == cold == streamed
 

@@ -510,7 +510,7 @@ def test_memo_hits_cold_and_unstored_calls_give_identical_reports(cold_memo, mon
     warm = memo_reports(calls, service, m, alpha_max)  # later calls read earlier tables
     assert {key[0] for key in cold_memo._entries} == {True, False}  # both models stored
     hit = memo_reports(calls, service, m, alpha_max)
-    monkeypatch.setattr(conditions, "_ENTRY_BYTES", 0)  # no table fits: each call builds its own
+    monkeypatch.setattr(cold_memo, "cap", 0)  # no table fits: each call builds its own
     cold_memo.clear()
     unstored = memo_reports(calls, service, m, alpha_max)
     assert len(cold_memo._entries) == 0

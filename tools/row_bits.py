@@ -12,7 +12,9 @@ acceptance criterion 5's grid (twice, so the second pass reads whatever the
 first one cached), and criterion 1's expected_metrics calls under all four
 service models and without one. The reports: classify on criterion 5's grid
 (twice, so the second pass reads the certificate memo) and on the seeded
-N = 1,000 certificate grid of tests/test_oracle.py.
+N = 1,000 certificate grid of tests/test_oracle.py. Last, each memo's
+state: its entry count, its byte total and the repr of every key, least
+recently used first.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sys
 
 import dss_alloc as d
 from dss_alloc import acceptance as A
+from dss_alloc import analysis, conditions
 
 
 def _hex(values) -> str:
@@ -80,6 +83,10 @@ def main() -> int:
                 for access in (d.FixedSize(r), d.Probabilistic(p)):
                     print(f"certificate 1000 {m} {access} {service}",
                           repr(d.classify(access, service, m, nodes=1000)))
+    for name, lru in (("analysis", analysis._MEMO), ("conditions", conditions._MEMO)):
+        print(f"memo {name}", len(lru._entries), lru.nbytes)
+        for key in lru._entries:
+            print(f"memo {name} key", repr(key))
     return 0
 
 
