@@ -12,7 +12,11 @@ alpha matrix, see numerics), weights it by the conditional rates, and sums
 each column in phi order, so both metrics come from one pmf pass and a
 scalar service_rate is bit-identical to the matching row of a search. The
 access model hands the matrix over in chunks of consecutive alphas (numerics
-owns their size), so the kernel's memory stays bounded at any N.
+owns their size and layout), so the kernel's memory stays bounded at any N.
+The kernel passes the alphas as the chunks' floor, so a column starts at
+max(lo, min(alpha, mode)): of the rows phi < alpha, whose weight is 0, it
+holds only those from its mode up, when alpha lies above the mode. phi, the
+mask and the harmonic gaps count from each column's first row.
 
 The kernel has two halves. The access half (_access_half: the masked pmf
 weights, the recovery sums and the harmonic gaps) depends only on (access,
@@ -150,22 +154,25 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
                  recovery: np.ndarray, gaps: bool) -> Iterator[tuple]:
     """Yield (start, stop, weights, gap) per chunk of access.rows, filling recovery.
 
+    The chunk's columns are alphas[start:stop], each built from the floor
+    alpha (see numerics), so row i of column c holds phi = first[c] + i.
     weights is the chunk's pmf matrix with the cells phi < alpha set to 0,
     recovery[start:stop] its column sums, and gap the harmonic gaps
     H_phi - H_{phi-alpha} (1 where phi < alpha), or None unless gaps. Each
     depends on the system alone, not on the service model.
     """
     start = 0
-    for _, _, weights in access.rows(nodes, m * alphas):
+    for first, hi, weights in access.rows(nodes, m * alphas, alphas):
         stop = start + weights.shape[1]
         alpha = alphas[start:stop]
-        phi = np.arange(weights.shape[0])[:, None]
+        phi = first + np.arange(weights.shape[0])[:, None]
         unreached = phi < alpha
         np.copyto(weights, 0.0, where=unreached)
         # cumsum adds in phi order whatever the chunk shape; its last row is the sum
         recovery[start:stop] = np.cumsum(weights, axis=0)[-1]
         gap = None
         if gaps:
+            phi = np.minimum(phi, hi)  # rows past hi weigh 0: no gap beyond the support
             gap = harmonic_gaps(phi, np.minimum(alpha, phi))
             np.copyto(gap, 1.0, where=unreached)
         del unreached
@@ -177,7 +184,8 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:
     """Return (phi, P(phi)) pairs over the access model's full phi support."""
     (lo, hi, probs), = access.rows(config.nodes, [config.data_nodes])
-    return [(phi, float(probs[phi, 0])) for phi in range(int(lo[0]), int(hi[0]) + 1)]
+    lo, hi = int(lo[0]), int(hi[0])
+    return [(phi, float(probs[phi - lo, 0])) for phi in range(lo, hi + 1)]
 
 
 def service_rate(config: SystemConfig, access: AccessModel, service: ServiceModel) -> float:

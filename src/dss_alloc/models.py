@@ -158,10 +158,13 @@ class FixedSize(_Model):
         if self.r > nodes:
             raise ConfigurationError(f"r={self.r} exceeds nodes={nodes}")
 
-    def rows(self, nodes: int, data) -> Iterator[tuple]:
-        """Yield (lo, hi, P) chunks: the pmf of phi for each data-node count, one column each."""
+    def rows(self, nodes: int, data, floor=None) -> Iterator[tuple]:
+        """Yield (start, hi, P) chunks: the pmf of phi for each data-node count, one column each.
+
+        See numerics.hypergeometric_rows for the layout and the floor.
+        """
         self.check_nodes(nodes)
-        return hypergeometric_rows(nodes, data, self.r)
+        return hypergeometric_rows(nodes, data, self.r, floor)
 
     def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n values of phi: the data nodes among a uniform r-subset of the nodes.
@@ -207,9 +210,12 @@ class Probabilistic(_Model):
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"p must lie in [0, 1], got {self.p}")
 
-    def rows(self, nodes: int, data) -> Iterator[tuple]:
-        """Yield (lo, hi, P) chunks: the pmf of phi for each data-node count, one column each."""
-        return binomial_rows(data, 1.0 - self.p)
+    def rows(self, nodes: int, data, floor=None) -> Iterator[tuple]:
+        """Yield (start, hi, P) chunks: the pmf of phi for each data-node count, one column each.
+
+        See numerics.binomial_rows for the layout and the floor.
+        """
+        return binomial_rows(data, 1.0 - self.p, floor)
 
     def draw(self, nodes: int, data: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n values of phi: Binomial(data, 1 - p) responsive data nodes.

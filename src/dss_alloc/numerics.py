@@ -13,6 +13,17 @@ once per column. The builders own the chunking: they yield the matrix in
 chunks of consecutive columns of at most _CHUNK_CELLS cells each, which
 bounds the expectation kernel's memory at any N.
 
+Every chunk has one layout, (start, hi, P): row i of column c holds the pmf
+at phi = start[c] + i, hi[c] is the column's support end, and the chunk is
+as tall as its tallest column, padded with zeros past each hi. A column
+starts at its support start lo, or, given a floor (the expectation kernel
+passes each column's alpha), at max(lo, min(floor, mode)). The rows this
+skips lie below the floor, which the kernel masks, and at or below the
+mode, whose rise factor is 1; a kept row reads only ratios between itself
+and the mode, all inside the column, so every kept cell is bit-identical to
+the build from lo. min(floor, mode) keeps the rise walk whole when the floor
+is above the mode.
+
 harmonic(n) returns H_n only as an exact Fraction, summed by binary
 splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
 prefix table of H_n kept as a double-double (hi + lo) pair, so a gap carries
@@ -250,62 +261,69 @@ def _walk_anchors(data: list, mode: list, N: int, r: int, q: float | None) -> li
     return anchors
 
 
-def _rows_from_mode(lo, hi, mode, anchors, num, den) -> np.ndarray:
-    """Return the (width, columns) pmf matrix, one distribution per column.
+def _rows_from_mode(phi, hi, mode, anchors, num, den) -> np.ndarray:
+    """Return the pmf matrix P[i, c] = P(phi[i, c]), one distribution per column.
 
-    Column c is P(mode_c) = anchors[c] at its mode and is filled outwards by
-    P(phi+1)/P(phi) = num[phi, c] / den[phi, c] on lo_c <= phi < hi_c; it is 0
-    off [lo_c, hi_c]. Every ratio used points away from the mode, so the
-    running products lie in [0, 1] and cannot overflow.
+    Each column of phi holds consecutive values from a first row at or above
+    its support start and at or below its mode. Column c is P(mode_c) =
+    anchors[c] at its mode and is filled outwards by P(phi+1)/P(phi) =
+    num[i, c] / den[i, c] up to hi_c; it is 0 past hi_c. Every ratio used
+    points away from the mode, so the running products lie in [0, 1] and
+    cannot overflow.
     """
-    phi = np.arange(num.shape[0])[:, None]
-    rise = np.where(phi > hi, 0.0, 1.0)  # row phi: P(phi) / P(phi - 1)
-    fall = np.where(phi < lo, 0.0, 1.0)  # row phi: P(phi) / P(phi + 1)
+    rise = np.where(phi > hi, 0.0, 1.0)  # row i: P(phi) / P(phi - 1)
+    fall = np.ones_like(phi)  # row i: P(phi) / P(phi + 1)
     with np.errstate(under="ignore"):  # far tails may underflow to 0, as P does
         np.divide(num[:-1], den[:-1], out=rise[1:], where=(phi[:-1] >= mode) & (phi[:-1] < hi))
-        np.divide(den, num, out=fall, where=(phi >= lo) & (phi < mode))
+        np.divide(den, num, out=fall, where=phi < mode)
         return anchors * np.cumprod(rise, axis=0) * np.cumprod(fall[::-1], axis=0)[::-1]
 
 
-def _chunked(data, lo, hi, mode, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
-    """Yield (lo, hi, P) for chunks of consecutive columns of data, in order.
+def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
+    """Yield (start, hi, P) for chunks of consecutive columns of data, in order.
 
-    One _walk_anchors pass over all the columns anchors every chunk, and
-    _rows_from_mode fills each one, with ratio(phi, D) the (num, den) arrays
-    of P(phi+1)/P(phi) for the chunk's data counts D. A chunk is as tall as
-    its tallest column (hi + 1 cells) and holds at most _CHUNK_CELLS cells
-    unless it is one column: its width allows every column the D + 1 cells
-    of the largest D.
+    A column starts at row start = max(lo, min(floor, mode)), or at lo
+    without a floor (the module docstring says why every kept cell is
+    exact). One _walk_anchors pass over all the columns anchors every chunk,
+    and _rows_from_mode fills each one, with ratio(phi, D) the (num, den)
+    arrays of P(phi+1)/P(phi) at the chunk's phi for its data counts D. A
+    chunk is as tall as its tallest column (hi - start + 1 cells) and holds
+    at most _CHUNK_CELLS cells unless it is one column: its width allows
+    every column the D + 1 cells of the largest D.
     """
     columns = data.tolist()
     anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
-    heights = hi.tolist()
+    start = lo if floor is None else np.maximum(lo, np.minimum(floor, mode))
+    heights = (hi - start).tolist()
     step = max(1, _CHUNK_CELLS // (max(columns) + 1))
-    for start in range(0, len(columns), step):
-        c = slice(start, start + step)
-        phi = np.arange(max(heights[c]) + 1, dtype=np.float64)[:, None]
-        lo_c, hi_c = lo[c], hi[c]
-        yield lo_c, hi_c, _rows_from_mode(lo_c, hi_c, mode[c], anchors[c], *ratio(phi, data[c]))
+    for first in range(0, len(columns), step):
+        c = slice(first, first + step)
+        start_c, hi_c = start[c], hi[c]
+        phi = start_c + np.arange(max(heights[c]) + 1, dtype=np.float64)[:, None]
+        yield start_c, hi_c, _rows_from_mode(phi, hi_c, mode[c], anchors[c], *ratio(phi, data[c]))
 
 
-def hypergeometric_rows(N: int, data, r: int) -> Iterator[tuple]:
-    """Return the (lo, hi, P) chunks of hypergeometric(N, D, r), one column per D in data.
+def hypergeometric_rows(N: int, data, r: int, floor=None) -> Iterator[tuple]:
+    """Return the (start, hi, P) chunks of hypergeometric(N, D, r), one column per D in data.
 
-    The chunks hold consecutive columns of data in order: P[phi, c] is the
-    pmf of a chunk's column c and lo/hi its support ends.
+    The chunks hold consecutive columns of data in order: P[i, c] is the pmf
+    of a chunk's column c at phi = start[c] + i, and hi[c] its support end.
+    Without a floor start is the support start lo; floor, one value per
+    column, lets a column start as high as max(lo, min(floor, mode)), for a
+    caller that reads no row below its floor.
     """
     data = np.asarray(data, dtype=np.int64)
     lo = np.maximum(0, (r - N) + data)
     hi = np.minimum(r, data)
     mode = np.minimum(np.maximum((r + 1) * (data + 1) // (N + 2), lo), hi)
-    return _chunked(data, lo, hi, mode,
+    return _chunked(data, lo, hi, mode, floor,
                     lambda phi, D: ((D - phi) * (r - phi), (phi + 1) * ((N - r) - D + phi + 1)),
                     N, r, None)
 
 
-def binomial_rows(data, q: float) -> Iterator[tuple]:
-    """Return the (lo, hi, P) chunks of binomial(D, q), one column per D in data, as above."""
+def binomial_rows(data, q: float, floor=None) -> Iterator[tuple]:
+    """Return the (start, hi, P) chunks of binomial(D, q), one column per D in data, as above."""
     data = np.asarray(data, dtype=np.int64)
     mode = np.minimum(((data + 1) * q).astype(np.int64), data)  # truncation floors: q >= 0
-    return _chunked(data, np.zeros_like(data), data, mode,
+    return _chunked(data, np.zeros_like(data), data, mode, floor,
                     lambda phi, D: ((D - phi) * q, (phi + 1) * (1.0 - q)), 0, 0, q)

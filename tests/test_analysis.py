@@ -7,9 +7,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dss_alloc import analysis
+from dss_alloc import analysis, numerics
 from dss_alloc.analysis import (
     access_pmf,
     alpha_table,
@@ -348,7 +349,7 @@ def test_memo_hits_are_bit_identical_to_cold_and_streamed_calls(cold_memo, monke
 
 def test_memo_stays_within_its_budget(cold_memo):
     built = 0
-    for nodes in (30, 40):
+    for nodes in (60, 30, 40):  # enough tables to outgrow the budget; the last system is kept
         for access in [FixedSize(r) for r in range(2, nodes + 1)] + [
                 Probabilistic(k / 20) for k in range(1, 20)]:
             alpha_table(access, ScaledExp(1.0), nodes, 1)
@@ -368,6 +369,17 @@ def test_large_searches_stream_past_the_memo(cold_memo):
     optimal_alpha(FixedSize(300), ScaledExp(1.0), 1000, 3)
     expected_metrics(Probabilistic(0.3), None, 1000, 3, range(1, 334))
     assert (list(cold_memo._entries), cold_memo.nbytes) == before
+
+
+@pytest.mark.parametrize("access, nodes", [(FixedSize(300), 1000), (Probabilistic(0.3), 1000),
+                                           (FixedSize(1020), 10_000)])
+def test_searches_read_no_harmonic_gap_past_the_support(monkeypatch, access, nodes):
+    # a chunk's rows past a column's support end weigh 0: their gap is read at the end,
+    # so the harmonic table grows to the support alone (r = 1020 would reach 1027)
+    monkeypatch.setattr(numerics, "_table", (np.zeros(1), np.zeros(1)))
+    optimal_alpha(access, ScaledExp(1.0), nodes, 3)
+    top = access.r if isinstance(access, FixedSize) else nodes // 3 * 3
+    assert len(numerics._table[0]) == max(numerics._MIN_TABLE, 1 << top.bit_length())
 
 
 def test_memo_entries_cannot_be_changed_through_results(cold_memo):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -537,6 +538,20 @@ def test_memo_stays_within_its_budget_and_apart_from_the_access_memo(cold_memo):
     report = classify(Probabilistic(0.3), ShiftedExp(3.0, 1.0), 1, nodes=1000)
     assert len(report.optimality_terms) == 999
     assert (list(cold_memo._entries), cold_memo.nbytes) == before
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("better", [operator.lt, operator.gt], ids=["min", "max"])
+def test_an_unstored_table_takes_the_last_prefix_pick_alone(seed, better):
+    # floats next to, below and above the exact alpha = 2 term: a tie with its rounded
+    # value is settled by the Fraction, as the prefix scan settles it
+    local = random.Random(seed)
+    exact = Fraction(local.choice([1, 2, 7]), 3)
+    near = float(exact)
+    pool = [near, math.nextafter(near, math.inf), math.nextafter(near, -math.inf), 0.25, 3.0]
+    terms = [(2, exact)] + [(alpha, local.choice(pool))
+                            for alpha in range(3, 3 + local.randint(0, 12))]
+    assert conditions._last_pick(terms, better) == conditions._prefix_picks(terms, better)[-1]
 
 
 @pytest.mark.parametrize("access, service, nodes, m", [

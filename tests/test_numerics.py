@@ -11,7 +11,7 @@ import pytest
 from dss_alloc import numerics
 from dss_alloc.analysis import access_pmf
 from dss_alloc.errors import ConfigurationError, InfeasibleError
-from dss_alloc.models import FixedSize, SystemConfig
+from dss_alloc.models import FixedSize, Probabilistic, SystemConfig
 from dss_alloc.numerics import (
     _walk_anchors,
     binomial,
@@ -68,6 +68,7 @@ def binomial_column(n: int, q: float):
 
 
 def hypergeometric_column(N: int, D: int, r: int):
+    # row i holds phi = lo + i: a column starts at its support start
     (_, _, probs), = hypergeometric_rows(N, [D], r)
     return probs[:, 0]
 
@@ -179,16 +180,18 @@ def test_hypergeometric_support_bounds():
     ],
 )
 def test_hypergeometric_pmf_small_cases(phi, N, D, r, want):
-    assert hypergeometric_column(N, D, r)[phi] == pytest.approx(want, rel=1e-12)
+    lo = support_from_rows(N, D, r).start
+    assert hypergeometric_column(N, D, r)[phi - lo] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("N,D,r", [(6, 2, 3), (7, 4, 5), (8, 8, 3), (9, 1, 9)])
 def test_hypergeometric_pmf_matches_enumeration(N, D, r):
     column = hypergeometric_column(N, D, r)
-    for phi in support_from_rows(N, D, r):
+    support = support_from_rows(N, D, r)
+    for phi in support:
         want = hypergeometric_by_enumeration(phi, N, D, r)
-        assert column[phi] == pytest.approx(want, rel=1e-12)
-        assert column[phi] == pytest.approx(float(Fraction(*hypergeometric_ratio(phi, N, D, r))),
+        assert column[phi - support.start] == pytest.approx(want, rel=1e-12)
+        assert column[phi - support.start] == pytest.approx(float(Fraction(*hypergeometric_ratio(phi, N, D, r))),
                                             rel=1e-12)
 
 
@@ -200,16 +203,16 @@ def test_hypergeometric_pmf_sums_to_one(seed):
     r = local.randint(0, N)
     column = hypergeometric_column(N, D, r)
     support = support_from_rows(N, D, r)
-    total = sum(column[phi] for phi in support)
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert not column[:support.start].any() and len(column) == support.stop
+    assert sum(column) == pytest.approx(1.0, abs=1e-12)
+    assert len(column) == len(support)
 
 
 def test_hypergeometric_pmf_zero_off_support():
     # phi = 5 lies past the support end min(r, D) = 3, where the column ends
     assert len(hypergeometric_column(10, 4, 3)) == 4
-    # phi = 1 lies below the support start r - (N - D) = 2
-    assert hypergeometric_column(10, 4, 8)[:2].tolist() == [0.0, 0.0]
+    # phi = 0, 1 lie below the support start r - (N - D) = 2, where the column starts
+    (start, _, probs), = hypergeometric_rows(10, [4], 8)
+    assert start.tolist() == [2] and len(probs) == 3
     # a taller column in the same chunk pads a shorter one with zeros
     (_, hi, probs), = hypergeometric_rows(10, [2, 4], 3)
     assert hi.tolist() == [2, 3] and probs[3, 0] == 0.0
@@ -347,12 +350,64 @@ def test_each_chunk_holds_at_most_the_chunk_cells_or_one_column(monkeypatch, cel
     chunks = list(build(data))
     assert len(chunks) >= (1 if cells is None else 3)
     columns = []
-    for lo, hi, probs in chunks:
+    for start, hi, probs in chunks:
         assert probs.size <= numerics._CHUNK_CELLS or probs.shape[1] == 1
-        assert probs.shape == (hi.max() + 1, len(lo))  # as tall as its tallest column
-        columns += [probs[:hi[c] + 1, c] for c in range(len(lo))]
+        height = hi - start + 1
+        assert probs.shape == (height.max(), len(start))  # as tall as its tallest column
+        columns += [probs[:height[c], c] for c in range(len(start))]
     # consecutive columns in data order, each the one-column build bit for bit
     assert len(columns) == len(data)
     for D, column in zip(data, columns):
         (_, _, alone), = build([D])
         assert np.array_equal(column, alone[:, 0]), D
+
+
+# --- skewed chunks: a floor drops rows below it and changes no other bit ----
+
+# (access, nodes, m); each column's floor is its alpha = D / m
+FLOOR_SYSTEMS = [
+    (FixedSize(270), 900, 3),  # mode about 0.9 alpha < alpha: a column starts at its mode
+    (FixedSize(90), 100, 2),  # lo = D - 10 > 0, above alpha from alpha = 11
+    (FixedSize(900), 1000, 2),  # lo > 0 from alpha = 51; alpha < mode starts at alpha
+    (Probabilistic(0.3), 900, 3),  # alpha below the mode 2.1 alpha: a column starts at alpha
+    (Probabilistic(0.3), 300, 1),  # alpha = D above the mode: a column starts at its mode
+    (Probabilistic(0.999), 900, 3),  # mode 0: every column starts at 0
+]
+
+
+def chunk_columns(chunks) -> list[tuple[int, np.ndarray]]:
+    """Return (start, pmf from start to hi) per column, checking each chunk's padding."""
+    columns = []
+    for start, hi, probs in chunks:
+        height = hi - start + 1
+        assert probs.shape == (height.max(), len(start))  # as tall as its tallest column
+        for c in range(len(start)):
+            assert not probs[height[c]:, c].any()
+            columns.append((int(start[c]), probs[:height[c], c]))
+    return columns
+
+
+@pytest.mark.parametrize("cells", [None, 4096, 1], ids=["default", "4096", "1"])
+@pytest.mark.parametrize("access, nodes, m", FLOOR_SYSTEMS, ids=str)
+def test_a_floor_starts_each_column_higher_and_keeps_every_cell(monkeypatch, cells,
+                                                                access, nodes, m):
+    if cells is not None:  # 1: single-column chunks
+        monkeypatch.setattr(numerics, "_CHUNK_CELLS", cells)
+    local = random.Random(nodes * m)
+    alphas = [1, nodes // m] + [local.randint(1, nodes // m) for _ in range(40)]
+    data = [m * alpha for alpha in alphas]
+    if isinstance(access, FixedSize):
+        r = access.r
+        lows = [max(0, r - nodes + D) for D in data]
+        modes = hypergeometric_modes(nodes, data, r)
+    else:
+        lows = [0] * len(data)
+        modes = binomial_modes(data, 1.0 - access.p)
+    whole = chunk_columns(access.rows(nodes, np.array(data)))
+    skewed = chunk_columns(access.rows(nodes, np.array(data), np.array(alphas)))
+    assert len(whole) == len(skewed) == len(data)
+    for alpha, lo, mode, (start_lo, full), (start, column) in zip(alphas, lows, modes,
+                                                                  whole, skewed):
+        assert start_lo == lo and start == max(lo, min(alpha, mode))
+        assert column.tobytes() == full[start - lo:].tobytes(), alpha
+

@@ -96,10 +96,10 @@ def test_search_scale_rows_match_the_oracle(access, service, oracle_access, orac
     ],
 )
 def test_pmf_columns_sum_to_one_at_ten_thousand_nodes(rows):
-    for lo, hi, probs in rows([1, 2_500, 10_000]):
+    for start, hi, probs in rows([1, 2_500, 10_000]):
         assert np.all(probs >= 0.0)
-        for column in range(probs.shape[1]):
-            assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
+        for column in range(probs.shape[1]):  # row i holds phi = start + i
+            assert not probs[hi[column] - start[column] + 1:, column].any()
             assert abs(probs[:, column].sum() - 1.0) <= 1e-12
 
 
@@ -111,9 +111,9 @@ def test_pmf_columns_sum_to_one_at_ten_thousand_nodes(rows):
     ],
 )
 def test_pmf_columns_sum_to_one_at_thirty_thousand_nodes(rows):
-    for lo, hi, probs in rows([3, 7_500, 22_500, 30_000]):
-        for column in range(probs.shape[1]):
-            assert not probs[:lo[column], column].any() and not probs[hi[column] + 1:, column].any()
+    for start, hi, probs in rows([3, 7_500, 22_500, 30_000]):
+        for column in range(probs.shape[1]):  # row i holds phi = start + i
+            assert not probs[hi[column] - start[column] + 1:, column].any()
             assert abs(probs[:, column].sum() - 1.0) <= 1e-12
 
 

@@ -3,18 +3,21 @@ and the repr of every checked classify report.
 
     PYTHONPATH=src python tools/row_bits.py > change.txt
     PYTHONPATH=<other checkout>/src python tools/row_bits.py > parent.txt
-    cmp parent.txt change.txt
+    cmp <(grep -v '^memo ' parent.txt) <(grep -v '^memo ' change.txt)
 
-Two versions of dss_alloc whose outputs agree bit for bit print identical
-files. The tables: the two search-scale searches (N = 1,000, m = 3) and two
-N = 10^4 searches, all rows of the ten presets, every alpha_table of
-acceptance criterion 5's grid (twice, so the second pass reads whatever the
-first one cached), and criterion 1's expected_metrics calls under all four
-service models and without one. The reports: classify on criterion 5's grid
-(twice, so the second pass reads the certificate memo) and on the seeded
-N = 1,000 certificate grid of tests/test_oracle.py. Last, each memo's
-state: its entry count, its byte total and the repr of every key, least
-recently used first.
+Two versions of dss_alloc whose outputs agree bit for bit print the same
+rows and reports, every line but the trailing memo ones. The tables: the
+two search-scale searches (N = 1,000, m = 3) and two N = 10^4 searches, all
+rows of the ten presets, every alpha_table of acceptance criterion 5's grid
+(twice, so the second pass reads whatever the first one cached), and
+criterion 1's expected_metrics calls under all four service models and
+without one. The reports: classify on criterion 5's grid (twice, so the
+second pass reads the certificate memo) and on the seeded N = 1,000
+certificate grid of tests/test_oracle.py. Last, the lines that start with
+"memo ": each memo's state, its entry count, its byte total and the repr of
+every key, least recently used first. They change whenever the size of a
+stored table does, even where every row stays the same, so the comparison
+above leaves them out.
 """
 
 from __future__ import annotations
