@@ -141,7 +141,7 @@ def _expected_metrics(access, service, nodes, m, alphas):
             # tail terms below 1e-308 are 0; overflow is caught by the check below
             with np.errstate(under="ignore", over="ignore", invalid="ignore"):
                 terms = weights * service.rate(alphas[start:stop], gap)
-            rates[start:stop] = np.cumsum(terms, axis=0)[-1]
+            rates[start:stop] = _column_sums(terms)
             del terms
         del weights, gap  # a stream keeps no chunk alive while the next one is built
     if rates is not None and not np.isfinite(rates).all():
@@ -168,8 +168,7 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
         phi = first + np.arange(weights.shape[0])[:, None]
         unreached = phi < alpha
         np.copyto(weights, 0.0, where=unreached)
-        # cumsum adds in phi order whatever the chunk shape; its last row is the sum
-        recovery[start:stop] = np.cumsum(weights, axis=0)[-1]
+        recovery[start:stop] = _column_sums(weights)
         gap = None
         if gaps:
             phi = np.minimum(phi, hi)  # rows past hi weigh 0: no gap beyond the support
@@ -179,6 +178,19 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
         yield start, stop, weights, gap
         del weights, gap  # as the caller does, so no chunk outlives its turn
         start = stop
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Return the sum of each column of the C-ordered matrix x, added in phi (row) order.
+
+    Over two or more columns, add.reduce along axis 0 adds one row at a time
+    to the running sums, the order of cumsum without its matrix. A single
+    column is one contiguous run, which add.reduce would sum pairwise, so it
+    takes cumsum's last row.
+    """
+    if x.shape[1] > 1:
+        return np.add.reduce(x, axis=0)
+    return np.cumsum(x, axis=0)[-1]
 
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:

@@ -10,8 +10,13 @@ walk over its columns in data order (_walk_anchors): the first column's mass
 is exact, and a mantissa of _WIDTH bits is carried from one column's mode to
 the next by the exact rational ratio of the two masses and rounded to float
 once per column. The builders own the chunking: they yield the matrix in
-chunks of consecutive columns of at most _CHUNK_CELLS cells each, which
-bounds the expectation kernel's memory at any N.
+chunks of consecutive columns, packed greedily by each column's real height
+into at most _CHUNK_CELLS cells (64 KiB of float64) unless a chunk is one
+column, which bounds the expectation kernel's memory at any N. One call
+allocates one scratch buffer, five matrices of its largest chunk, and every
+chunk computes phi, the ratios and both walks in views of it: besides a few
+boolean masks, a chunk allocates only the P it yields. The scratch belongs
+to the call's generator, so calls share no state.
 
 Every chunk has one layout, (start, hi, P): row i of column c holds the pmf
 at phi = start[c] + i, hi[c] is the column's support end, and the chunk is
@@ -59,8 +64,11 @@ __all__ = [
 # (D + n) * 2^-190 from the exact mass.
 _WIDTH = 192
 
-# phi x column cells per pmf chunk (512 KiB per float64 matrix)
-_CHUNK_CELLS = 1 << 16
+# phi x column cells per pmf chunk: 64 KiB per float64 matrix, below glibc's
+# default 128 KiB mmap threshold, so the kernel's per-chunk temporaries are
+# reused from the heap rather than mapped, unmapped and page-faulted afresh on
+# every chunk
+_CHUNK_CELLS = 1 << 13
 
 _MIN_TABLE = 1024
 _table: tuple[np.ndarray, np.ndarray] = (np.zeros(1), np.zeros(1))
@@ -261,7 +269,7 @@ def _walk_anchors(data: list, mode: list, N: int, r: int, q: float | None) -> li
     return anchors
 
 
-def _rows_from_mode(phi, hi, mode, anchors, num, den) -> np.ndarray:
+def _rows_from_mode(phi, hi, mode, anchors, first, last, num, den, rise, fall) -> np.ndarray:
     """Return the pmf matrix P[i, c] = P(phi[i, c]), one distribution per column.
 
     Each column of phi holds consecutive values from a first row at or above
@@ -270,13 +278,25 @@ def _rows_from_mode(phi, hi, mode, anchors, num, den) -> np.ndarray:
     num[i, c] / den[i, c] up to hi_c; it is 0 past hi_c. Every ratio used
     points away from the mode, so the running products lie in [0, 1] and
     cannot overflow.
+
+    Every column rises by exactly 1 before row first = min(mode - phi[0]) + 1
+    and falls by exactly 1 from row last = max(mode - phi[0]) on, so each
+    walk runs only over the rows where it changes a value; the products it
+    skips are of exact 1.0s. rise and fall are scratch of phi's shape, which
+    the walks fill in place; of the matrices, only the returned P is new.
     """
-    rise = np.where(phi > hi, 0.0, 1.0)  # row i: P(phi) / P(phi - 1)
-    fall = np.ones_like(phi)  # row i: P(phi) / P(phi + 1)
+    up, down = rise[first:], fall[:last]
     with np.errstate(under="ignore"):  # far tails may underflow to 0, as P does
-        np.divide(num[:-1], den[:-1], out=rise[1:], where=(phi[:-1] >= mode) & (phi[:-1] < hi))
-        np.divide(den, num, out=fall, where=phi < mode)
-        return anchors * np.cumprod(rise, axis=0) * np.cumprod(fall[::-1], axis=0)[::-1]
+        np.less_equal(phi, hi, out=rise)  # rise[i] = P(phi) / P(phi - 1): 0 past hi
+        before = phi[first - 1:-1]
+        np.divide(num[first - 1:-1], den[first - 1:-1], out=up,
+                  where=(before >= mode) & (before < hi))
+        fall.fill(1.0)  # fall[i] = P(phi) / P(phi + 1)
+        np.divide(den[:last], num[:last], out=down, where=phi[:last] < mode)
+        np.cumprod(up, axis=0, out=up)
+        np.cumprod(down[::-1], axis=0, out=down[::-1])
+        rise *= anchors
+        return rise * fall
 
 
 def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
@@ -285,22 +305,40 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
     A column starts at row start = max(lo, min(floor, mode)), or at lo
     without a floor (the module docstring says why every kept cell is
     exact). One _walk_anchors pass over all the columns anchors every chunk,
-    and _rows_from_mode fills each one, with ratio(phi, D) the (num, den)
-    arrays of P(phi+1)/P(phi) at the chunk's phi for its data counts D. A
-    chunk is as tall as its tallest column (hi - start + 1 cells) and holds
-    at most _CHUNK_CELLS cells unless it is one column: its width allows
-    every column the D + 1 cells of the largest D.
+    and _rows_from_mode fills each one, with ratio(phi, D, num, den, spare)
+    writing the numerators and denominators of P(phi+1)/P(phi) at the
+    chunk's phi for its data counts D into num and den. Columns are packed
+    greedily by their real height hi - start + 1: a chunk is as tall as its
+    tallest column and holds at most _CHUNK_CELLS cells unless it is one
+    column. The call allocates one scratch of five matrices of its largest
+    chunk, and every chunk writes phi, the ratios and both walks into views
+    of it (the module docstring says why).
     """
     columns = data.tolist()
     anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
     start = lo if floor is None else np.maximum(lo, np.minimum(floor, mode))
-    heights = (hi - start).tolist()
-    step = max(1, _CHUNK_CELLS // (max(columns) + 1))
-    for first in range(0, len(columns), step):
-        c = slice(first, first + step)
+    spans = (hi - start).tolist()  # a column's height less one
+    offsets = (mode - start).tolist()
+    chunks, first, tallest = [], 0, 0
+    for c, span in enumerate(spans):
+        taller = span + 1 if span >= tallest else tallest
+        if (c + 1 - first) * taller > _CHUNK_CELLS and c > first:
+            chunks.append((first, c, tallest))
+            first, taller = c, span + 1
+        tallest = taller
+    chunks.append((first, len(columns), tallest))
+    scratch = np.empty(5 * max((stop - first) * tallest for first, stop, tallest in chunks))
+    rows = np.arange(max(spans) + 1, dtype=np.float64)[:, None]
+    for first, stop, tallest in chunks:
+        c = slice(first, stop)
         start_c, hi_c = start[c], hi[c]
-        phi = start_c + np.arange(max(heights[c]) + 1, dtype=np.float64)[:, None]
-        yield start_c, hi_c, _rows_from_mode(phi, hi_c, mode[c], anchors[c], *ratio(phi, data[c]))
+        views = scratch[:5 * (stop - first) * tallest].reshape(5, tallest, -1)
+        phi, num, den, rise, fall = views[0], views[1], views[2], views[3], views[4]
+        np.add(start_c, rows[:tallest], out=phi)
+        ratio(phi, data[c], num, den, rise)
+        yield start_c, hi_c, _rows_from_mode(phi, hi_c, mode[c], anchors[c],
+                                             min(offsets[c]) + 1, max(offsets[c]),
+                                             num, den, rise, fall)
 
 
 def hypergeometric_rows(N: int, data, r: int, floor=None) -> Iterator[tuple]:
@@ -316,14 +354,27 @@ def hypergeometric_rows(N: int, data, r: int, floor=None) -> Iterator[tuple]:
     lo = np.maximum(0, (r - N) + data)
     hi = np.minimum(r, data)
     mode = np.minimum(np.maximum((r + 1) * (data + 1) // (N + 2), lo), hi)
-    return _chunked(data, lo, hi, mode, floor,
-                    lambda phi, D: ((D - phi) * (r - phi), (phi + 1) * ((N - r) - D + phi + 1)),
-                    N, r, None)
+
+    def ratio(phi, D, num, den, spare):  # (D - phi)(r - phi) / ((phi + 1)(N - r - D + phi + 1))
+        np.subtract(D, phi, out=num)
+        np.subtract(r, phi, out=spare)
+        num *= spare
+        np.add((N - r + 1) - D, phi, out=den)
+        np.add(phi, 1.0, out=spare)
+        den *= spare
+
+    return _chunked(data, lo, hi, mode, floor, ratio, N, r, None)
 
 
 def binomial_rows(data, q: float, floor=None) -> Iterator[tuple]:
     """Return the (start, hi, P) chunks of binomial(D, q), one column per D in data, as above."""
     data = np.asarray(data, dtype=np.int64)
     mode = np.minimum(((data + 1) * q).astype(np.int64), data)  # truncation floors: q >= 0
-    return _chunked(data, np.zeros_like(data), data, mode, floor,
-                    lambda phi, D: ((D - phi) * q, (phi + 1) * (1.0 - q)), 0, 0, q)
+
+    def ratio(phi, D, num, den, spare):  # (D - phi) q / ((phi + 1)(1 - q))
+        np.subtract(D, phi, out=num)
+        num *= q
+        np.add(phi, 1.0, out=den)
+        den *= 1.0 - q
+
+    return _chunked(data, np.zeros_like(data), data, mode, floor, ratio, 0, 0, q)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -380,6 +381,45 @@ def test_searches_read_no_harmonic_gap_past_the_support(monkeypatch, access, nod
     optimal_alpha(access, ScaledExp(1.0), nodes, 3)
     top = access.r if isinstance(access, FixedSize) else nodes // 3 * 3
     assert len(numerics._table[0]) == max(numerics._MIN_TABLE, 1 << top.bit_length())
+
+
+# --- the kernel's column sums ----------------------------------------------------
+
+def phi_order_sums(matrix: np.ndarray) -> list[str]:
+    sums = []
+    for column in matrix.T.tolist():
+        total = column[0]
+        for value in column[1:]:
+            total += value
+        sums.append(total.hex())
+    return sums
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 65])
+def test_column_sums_add_each_column_in_phi_order(width):
+    # a single column must not be summed pairwise, as add.reduce sums a contiguous run
+    local = np.random.default_rng(width)
+    for height in (1, 2, 8, 9, 17, 128, 129, 1000, 3001):
+        shape = (height, width)
+        matrix = local.random(shape) * 10.0 ** local.integers(-320, 3, shape)  # some subnormal
+        matrix[local.random(shape) < 0.2] = 0.0
+        tiny = local.random(shape) < 0.1
+        matrix[tiny] = 5e-324 * local.integers(1, 1 << 20, tiny.sum())  # subnormal multiples
+        assert [value.hex() for value in analysis._column_sums(matrix).tolist()] == \
+            phi_order_sums(matrix), height
+
+
+def test_a_streamed_search_holds_little_memory():
+    # 64 KiB chunks and one scratch per call: a stream holds a few chunk-sized arrays at a time
+    access, service = Probabilistic(0.3), ShiftedExp(3, 1)
+    optimal_alpha(access, service, 1000, 3)  # warm: the harmonic table, the first imports
+    tracemalloc.start()
+    try:
+        optimal_alpha(access, service, 1000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_memo_entries_cannot_be_changed_through_results(cold_memo):

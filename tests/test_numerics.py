@@ -355,6 +355,10 @@ def test_each_chunk_holds_at_most_the_chunk_cells_or_one_column(monkeypatch, cel
         height = hi - start + 1
         assert probs.shape == (height.max(), len(start))  # as tall as its tallest column
         columns += [probs[:height[c], c] for c in range(len(start))]
+    for (_, _, probs), (start, hi, _) in zip(chunks, chunks[1:]):
+        # packed greedily by real height: the next chunk's first column did not fit
+        assert (probs.shape[1] + 1) * max(probs.shape[0], hi[0] - start[0] + 1) > \
+            numerics._CHUNK_CELLS
     # consecutive columns in data order, each the one-column build bit for bit
     assert len(columns) == len(data)
     for D, column in zip(data, columns):
@@ -372,6 +376,8 @@ FLOOR_SYSTEMS = [
     (Probabilistic(0.3), 900, 3),  # alpha below the mode 2.1 alpha: a column starts at alpha
     (Probabilistic(0.3), 300, 1),  # alpha = D above the mode: a column starts at its mode
     (Probabilistic(0.999), 900, 3),  # mode 0: every column starts at 0
+    (Probabilistic(0.001), 600, 2),  # mode = D, the support end: no column rises past it
+    (FixedSize(30), 300, 1),  # mode about 0.1 alpha: every column starts at its mode, no fall
 ]
 
 

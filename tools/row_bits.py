@@ -7,12 +7,13 @@ and the repr of every checked classify report.
 
 Two versions of dss_alloc whose outputs agree bit for bit print the same
 rows and reports, every line but the trailing memo ones. The tables: the
-two search-scale searches (N = 1,000, m = 3) and two N = 10^4 searches, all
-rows of the ten presets, every alpha_table of acceptance criterion 5's grid
-(twice, so the second pass reads whatever the first one cached), and
-criterion 1's expected_metrics calls under all four service models and
-without one. The reports: classify on criterion 5's grid (twice, so the
-second pass reads the certificate memo) and on the seeded N = 1,000
+two search-scale searches (N = 1,000, m = 3) and two N = 10^4 searches, the
+two search-scale searches again with numerics._CHUNK_CELLS = 1 (one column
+per chunk), all rows of the ten presets, every alpha_table of acceptance
+criterion 5's grid (twice, so the second pass reads whatever the first one
+cached), and criterion 1's expected_metrics calls under all four service
+models and without one. The reports: classify on criterion 5's grid (twice,
+so the second pass reads the certificate memo) and on the seeded N = 1,000
 certificate grid of tests/test_oracle.py. Last, the lines that start with
 "memo ": each memo's state, its entry count, its byte total and the repr of
 every key, least recently used first. They change whenever the size of a
@@ -27,7 +28,7 @@ import sys
 
 import dss_alloc as d
 from dss_alloc import acceptance as A
-from dss_alloc import analysis, conditions
+from dss_alloc import analysis, conditions, numerics
 
 
 def _hex(values) -> str:
@@ -39,17 +40,29 @@ def _rows(label: str, rows) -> None:
         print(label, row.alpha, _hex((row.service_rate, row.recovery_probability)))
 
 
+def _search(label: str, nodes: int, access, service) -> None:
+    result = d.optimal_alpha(access, service, nodes, 3)
+    label = f"{label} {nodes} {access} {service}"
+    print(label, result.alpha_star, _hex([result.value]))
+    _rows(label, result.table)
+
+
 def main() -> int:
-    for nodes, access, service in [
+    searches = [
         (1000, d.FixedSize(300), d.ScaledExp(1.0)),
         (1000, d.Probabilistic(0.3), d.ShiftedExp(3.0, 1.0)),
         (10000, d.FixedSize(3000), d.ScaledExp(1.0)),
         (10000, d.Probabilistic(0.3), d.ShiftedExp(3.0, 1.0)),
-    ]:
-        result = d.optimal_alpha(access, service, nodes, 3)
-        label = f"search {nodes} {access} {service}"
-        print(label, result.alpha_star, _hex([result.value]))
-        _rows(label, result.table)
+    ]
+    for search in searches:
+        _search("search", *search)
+    cells = numerics._CHUNK_CELLS
+    numerics._CHUNK_CELLS = 1  # one column per chunk, so each column takes the one-column path
+    try:
+        for search in searches[:2]:
+            _search("search one-column", *search)
+    finally:
+        numerics._CHUNK_CELLS = cells
     for name in sorted(d.PRESETS):
         for m, parameter, row in d.preset_rows(name):
             _rows(f"preset {name} {m} {parameter}", [row])
