@@ -23,8 +23,8 @@ for each prefix length, the index of its first extremal term. A memo
 (_MEMO, see memo for its policy) keeps the tables, keyed by (fixed-size?,
 service, m, nodes under fixed-size access, top), with the bound
 _table_bytes(top), and a call slices its prefix and reads both picks. A
-table over the entry cap is built for the call's own alternatives with the
-one pick of each certificate that the call reads (_last_pick), and not kept.
+table over the entry cap is the same table, built to the call's own
+alternatives and not kept.
 """
 
 from __future__ import annotations
@@ -166,26 +166,12 @@ def _prefix_picks(terms: Sequence[tuple[int, Number]], better) -> tuple[int, ...
     return tuple(picks)
 
 
-def _last_pick(terms: Sequence[tuple[int, Number]], better) -> int:
-    """Return the last of _prefix_picks(terms, better) alone (0 without terms).
-
-    The scan's last pick is the first extremal float among terms[1:] if it
-    displaces terms[0], which _prefix_picks of the two decides by its rule.
-    """
-    if len(terms) < 2:
-        return 0
-    floats = [term for _, term in islice(terms, 1, None)]
-    at = floats.index((min if better is operator.lt else max)(floats)) + 1
-    return at if _prefix_picks((terms[0], terms[at]), better)[1] else 0
-
-
 def _table(service: ServiceModel, m: int, nodes: int | None, fixed: bool,
-           count: int, picks) -> tuple[tuple, tuple, object, object]:
+           count: int) -> tuple[tuple, tuple, tuple, tuple]:
     """Return the certificate table of alpha = 2, ..., count + 1.
 
-    It is (optimality terms, non-optimality terms, picks(terms, better) of
-    each in the same order), with picks _prefix_picks or _last_pick; nodes
-    enters the fixed-size terms only.
+    It is (optimality terms, non-optimality terms, _prefix_picks of each in
+    the same order); nodes enters the fixed-size terms only.
     """
     opt_kernel, non_kernel, divides = _KERNELS[type(service)]
     dm = Fraction(getattr(service, "delta", 0)) * Fraction(service.mu)  # scaled-exp: no shift
@@ -203,7 +189,7 @@ def _table(service: ServiceModel, m: int, nodes: int | None, fixed: bool,
     spread = islice(spread_binomials(m), 1, None)  # C(m alpha - 1, alpha - 1) from alpha = 2
     opt_terms = _terms(alphas, map(partial(opt_kernel, m, a, b), alphas, spread), opt_term)
     non_terms = _terms(alphas, map(partial(non_kernel, m, a, b), alphas), non_term)
-    return opt_terms, non_terms, picks(opt_terms, better), picks(non_terms, better)
+    return opt_terms, non_terms, _prefix_picks(opt_terms, better), _prefix_picks(non_terms, better)
 
 
 def classify(
@@ -261,20 +247,17 @@ def classify(
         x = access.p
     count = min(last, top) - 1  # the alternatives alpha = 2, ..., count + 1
 
-    # the whole table to top is stored when it fits an entry; r cuts a prefix
+    # the whole table to top is stored when it fits an entry, else this call's
+    # alternatives are built alone; either way r cuts a prefix
     size = _table_bytes(top)
-    table = _MEMO.fetch((fixed, service, m, nodes if fixed else None, top), size,
-                        lambda: (size, *_table(service, m, nodes, fixed, top - 1, _prefix_picks)))
-    if table is None:  # too large to keep: this call's alternatives and their last picks alone
-        opt_terms, non_terms, opt_pick, non_pick = _table(service, m, nodes, fixed, count,
-                                                          _last_pick)
-    else:
-        opt_terms, non_terms, opt_picks, non_picks = table
-        opt_terms, non_terms = opt_terms[:count], non_terms[:count]
-        opt_pick, non_pick = (opt_picks[count - 1], non_picks[count - 1]) if count else (0, 0)
+    opt_terms, non_terms, opt_picks, non_picks = (
+        _MEMO.fetch((fixed, service, m, nodes if fixed else None, top), size,
+                    lambda: (size, *_table(service, m, nodes, fixed, top - 1)))
+        or _table(service, m, nodes, fixed, count))
+    opt_terms, non_terms = opt_terms[:count], non_terms[:count]
     if count:
-        opt_witness, opt = opt_terms[opt_pick]
-        non_witness, non = non_terms[non_pick]
+        opt_witness, opt = opt_terms[opt_picks[count - 1]]
+        non_witness, non = non_terms[non_picks[count - 1]]
     else:  # the empty extremum
         opt = non = math.inf if fixed else -math.inf
         opt_witness = non_witness = None

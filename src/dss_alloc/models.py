@@ -158,7 +158,7 @@ class FixedSize(_Model):
         if self.r > nodes:
             raise ConfigurationError(f"r={self.r} exceeds nodes={nodes}")
 
-    def rows(self, nodes: int, data, floor=None) -> Iterator[tuple]:
+    def rows(self, nodes: int, data, floor=0) -> Iterator[tuple]:
         """Yield (start, hi, P) chunks: the pmf of phi for each data-node count, one column each.
 
         See numerics.hypergeometric_rows for the layout and the floor.
@@ -210,7 +210,7 @@ class Probabilistic(_Model):
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"p must lie in [0, 1], got {self.p}")
 
-    def rows(self, nodes: int, data, floor=None) -> Iterator[tuple]:
+    def rows(self, nodes: int, data, floor=0) -> Iterator[tuple]:
         """Yield (start, hi, P) chunks: the pmf of phi for each data-node count, one column each.
 
         See numerics.binomial_rows for the layout and the floor.

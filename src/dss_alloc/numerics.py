@@ -21,8 +21,8 @@ to the call's generator, so calls share no state.
 Every chunk has one layout, (start, hi, P): row i of column c holds the pmf
 at phi = start[c] + i, hi[c] is the column's support end, and the chunk is
 as tall as its tallest column, padded with zeros past each hi. A column
-starts at its support start lo, or, given a floor (the expectation kernel
-passes each column's alpha), at max(lo, min(floor, mode)). The rows this
+starts at max(lo, min(floor, mode)), its support start lo under the default
+floor 0; the expectation kernel passes each column's alpha. The rows this
 skips lie below the floor, which the kernel masks, and at or below the
 mode, whose rise factor is 1; a kept row reads only ratios between itself
 and the mode, all inside the column, so every kept cell is bit-identical to
@@ -302,8 +302,8 @@ def _rows_from_mode(phi, hi, mode, anchors, first, last, num, den, rise, fall) -
 def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
     """Yield (start, hi, P) for chunks of consecutive columns of data, in order.
 
-    A column starts at row start = max(lo, min(floor, mode)), or at lo
-    without a floor (the module docstring says why every kept cell is
+    A column starts at row start = max(lo, min(floor, mode)), which is lo
+    for a floor of 0 (the module docstring says why every kept cell is
     exact). One _walk_anchors pass over all the columns anchors every chunk,
     and _rows_from_mode fills each one, with ratio(phi, D, num, den, spare)
     writing the numerators and denominators of P(phi+1)/P(phi) at the
@@ -316,7 +316,7 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
     """
     columns = data.tolist()
     anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
-    start = lo if floor is None else np.maximum(lo, np.minimum(floor, mode))
+    start = np.maximum(lo, np.minimum(floor, mode))
     spans = (hi - start).tolist()  # a column's height less one
     offsets = (mode - start).tolist()
     chunks, first, tallest = [], 0, 0
@@ -341,14 +341,14 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
                                              num, den, rise, fall)
 
 
-def hypergeometric_rows(N: int, data, r: int, floor=None) -> Iterator[tuple]:
+def hypergeometric_rows(N: int, data, r: int, floor=0) -> Iterator[tuple]:
     """Return the (start, hi, P) chunks of hypergeometric(N, D, r), one column per D in data.
 
     The chunks hold consecutive columns of data in order: P[i, c] is the pmf
     of a chunk's column c at phi = start[c] + i, and hi[c] its support end.
-    Without a floor start is the support start lo; floor, one value per
-    column, lets a column start as high as max(lo, min(floor, mode)), for a
-    caller that reads no row below its floor.
+    start is max(lo, min(floor, mode)) for the support start lo: lo itself
+    under the default floor 0, higher for a caller that passes one floor
+    per column and reads no row below it.
     """
     data = np.asarray(data, dtype=np.int64)
     lo = np.maximum(0, (r - N) + data)
@@ -366,7 +366,7 @@ def hypergeometric_rows(N: int, data, r: int, floor=None) -> Iterator[tuple]:
     return _chunked(data, lo, hi, mode, floor, ratio, N, r, None)
 
 
-def binomial_rows(data, q: float, floor=None) -> Iterator[tuple]:
+def binomial_rows(data, q: float, floor=0) -> Iterator[tuple]:
     """Return the (start, hi, P) chunks of binomial(D, q), one column per D in data, as above."""
     data = np.asarray(data, dtype=np.int64)
     mode = np.minimum(((data + 1) * q).astype(np.int64), data)  # truncation floors: q >= 0

@@ -542,16 +542,21 @@ def test_memo_stays_within_its_budget_and_apart_from_the_access_memo(cold_memo):
 
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("better", [operator.lt, operator.gt], ids=["min", "max"])
-def test_an_unstored_table_takes_the_last_prefix_pick_alone(seed, better):
+def test_prefix_picks_match_an_exact_scan(seed, better):
     # floats next to, below and above the exact alpha = 2 term: a tie with its rounded
-    # value is settled by the Fraction, as the prefix scan settles it
+    # value must be settled as an all-Fraction comparison settles it
     local = random.Random(seed)
     exact = Fraction(local.choice([1, 2, 7]), 3)
     near = float(exact)
     pool = [near, math.nextafter(near, math.inf), math.nextafter(near, -math.inf), 0.25, 3.0]
     terms = [(2, exact)] + [(alpha, local.choice(pool))
                             for alpha in range(3, 3 + local.randint(0, 12))]
-    assert conditions._last_pick(terms, better) == conditions._prefix_picks(terms, better)[-1]
+    picks = conditions._prefix_picks(terms, better)
+    assert len(picks) == len(terms)
+    for k in range(1, len(terms) + 1):
+        values = [Fraction(term) for _, term in terms[:k]]
+        first = values.index((min if better is operator.lt else max)(values))
+        assert picks[k - 1] == first
 
 
 @pytest.mark.parametrize("access, service, nodes, m", [

@@ -14,11 +14,15 @@ criterion 5's grid (twice, so the second pass reads whatever the first one
 cached), and criterion 1's expected_metrics calls under all four service
 models and without one. The reports: classify on criterion 5's grid (twice,
 so the second pass reads the certificate memo) and on the seeded N = 1,000
-certificate grid of tests/test_oracle.py. Last, the lines that start with
-"memo ": each memo's state, its entry count, its byte total and the repr of
-every key, least recently used first. They change whenever the size of a
-stored table does, even where every row stays the same, so the comparison
-above leaves them out.
+certificate grid of tests/test_oracle.py, and two tables over the memo's
+entry cap (N = 3·10^4, m = 2), which classify builds for the call alone.
+The access pmfs: access_pmf of the simulate benchmark's two systems and of
+N = 10^4, m = 3, alpha = 1,000 under both access models, each built from
+the default floor. Last, the lines that start with "memo ": each memo's
+state, its entry count, its byte total and the repr of every key, least
+recently used first. They change whenever the size of a stored table does,
+even where every row stays the same, so the comparison above leaves them
+out.
 """
 
 from __future__ import annotations
@@ -99,6 +103,17 @@ def main() -> int:
                 for access in (d.FixedSize(r), d.Probabilistic(p)):
                     print(f"certificate 1000 {m} {access} {service}",
                           repr(d.classify(access, service, m, nodes=1000)))
+    for access, service in ((d.FixedSize(15000), d.ScaledExp(1.0)),
+                            (d.Probabilistic(0.3), d.ShiftedExp(3.0, 1.0))):
+        print(f"over-cap 30000 2 {access} {service}",
+              repr(d.classify(access, service, 2, nodes=30000)))
+    for nodes, m, alpha, access in ((20, 2, 3, d.FixedSize(8)),
+                                    (200, 2, 20, d.Probabilistic(0.3)),
+                                    (10000, 3, 1000, d.FixedSize(3000)),
+                                    (10000, 3, 1000, d.Probabilistic(0.3))):
+        pmf = d.access_pmf(d.SystemConfig(nodes, m, alpha), access)
+        print(f"access-pmf {nodes} {m} {alpha} {access}", pmf[0][0],
+              _hex([q for _, q in pmf]))
     for name, lru in (("analysis", analysis._MEMO), ("conditions", conditions._MEMO)):
         print(f"memo {name}", len(lru._entries), lru.nbytes)
         for key in lru._entries:
