@@ -238,6 +238,27 @@ def test_certificate_verdicts_hold_at_a_thousand_nodes(access, oracle_access, se
     verdict_ties(CERT_NODES, m, access, oracle_access, service, oracle_service)
 
 
+# The same check at N = 10^4, one seeded draw per (access, service, m) cell.
+
+def certificate_configs_at(nodes, draws, seed):
+    rng = random.Random(seed)
+    out = []
+    for service, oracle_service in CERT_SERVICES:
+        for m in range(1, 5):
+            for _ in range(draws):
+                r, p = rng.randint(2, nodes), rng.randint(1, 99) / 100
+                out.append((FixedSize(r), ("fixed", r), service, oracle_service, m))
+                out.append((Probabilistic(p), ("prob", p), service, oracle_service, m))
+    return out
+
+
+@pytest.mark.parametrize("access, oracle_access, service, oracle_service, m",
+                         certificate_configs_at(10**4, 1, 20261019), ids=repr)
+def test_certificate_verdicts_hold_at_ten_thousand_nodes(access, oracle_access, service,
+                                                         oracle_service, m):
+    verdict_ties(10**4, m, access, oracle_access, service, oracle_service)
+
+
 # Seeded configurations whose p is the float nearest a crossing of mu_s(alpha) and
 # mu_s(1): N = 40, m = 1, shifted service. Their certificates are decisive: the
 # crossings of alpha = 4..18 (delta = 3) and 3..40 (delta = 6) lie below the
@@ -286,3 +307,141 @@ def test_verdicts_near_a_rate_crossing_are_settled_by_the_oracle(delta, alpha):
     ties = verdict_ties(TIE_NODES, 1, Probabilistic(p), ("prob", p), service,
                         ("shifted", delta, 1.0))
     assert ties >= 1
+
+
+# --- the kernel against the oracle at N = 10^4 and 10^5 ----------------------------
+# Both benchmark searches scaled up: fixed r = 0.3 N under scaled service and
+# p = 0.3 under shifted (3, 1) service, m = 3. The oracle sums outward from one
+# exact anchor, so its cost follows the column's spread, not its support.
+
+FLOAT_TINY = 2.0 ** -1022  # the smallest normal float
+
+
+def walk_oracle(nodes, m, alpha, access, service):
+    """(mu_s, P_s) as mpf values at DIGITS digits, summed outward from one exact mass.
+
+    The walk starts at phi0 = max(alpha, mode) with the exact mass there and
+    the harmonic gap from mpmath.harmonic, and steps both ways by the ratio
+    P(phi+1)/P(phi), updating the gap by one term at each end. The pmf is
+    log-concave, so past phi0 the ratios away from it only shrink: once a
+    step's ratio rho < 1 bounds every later one, the rest of that side's
+    mass is below P(phi) rho / (1 - rho), and its rates below the largest
+    conditional rate on that side (the rate is nondecreasing in phi). A side
+    stops when that bound is 10^-30 of both running sums.
+    """
+    data = m * alpha
+    with mpmath.workdps(DIGITS):
+        mpf = mpmath.mpf
+        if access[0] == "fixed":
+            r = access[1]
+            lo, hi = max(0, r - nodes + data), min(r, data)
+            mode = min(max((r + 1) * (data + 1) // (nodes + 2), lo), hi)
+
+            def mass(k):
+                return (mpmath.binomial(data, k) * mpmath.binomial(nodes - data, r - k)
+                        / mpmath.binomial(nodes, r))
+
+            def ratio(phi):  # P(phi + 1) / P(phi)
+                return mpf((data - phi) * (r - phi)) / ((phi + 1) * (nodes - r - data + phi + 1))
+        else:
+            q = 1 - mpf(access[1])
+            lo, hi = 0, data
+            mode = min(int(mpmath.floor((data + 1) * q)), data)
+
+            def mass(k):
+                return mpmath.binomial(data, k) * q ** k * (1 - q) ** (data - k)
+
+            def ratio(phi):
+                return (data - phi) * q / ((phi + 1) * (1 - q))
+
+        if service[0] == "scaled":
+            def rate(gap):
+                return alpha * mpf(service[1]) / gap
+        else:
+            def rate(gap):
+                delta, mu = mpf(service[1]), mpf(service[2])
+                return alpha * mu / (delta * mu + alpha * gap)
+
+        phi0 = max(alpha, mode)
+        if phi0 > hi:
+            return mpf(0), mpf(0)
+        p0 = mass(phi0)
+        gap0 = mpmath.harmonic(phi0) - mpmath.harmonic(phi0 - alpha)
+        total_rate, total_prob = p0 * rate(gap0), p0
+        top_rate = rate(mpmath.harmonic(hi) - mpmath.harmonic(hi - alpha))
+
+        phi, prob, gap = phi0, p0, gap0  # upwards
+        while phi < hi:
+            rho = ratio(phi)
+            if rho < 1 and prob * rho / (1 - rho) <= mpf(10) ** -30 * min(
+                    total_prob, total_rate / top_rate):
+                break
+            prob *= rho
+            gap += mpf(1) / (phi + 1) - mpf(1) / (phi + 1 - alpha)
+            phi += 1
+            total_rate += prob * rate(gap)
+            total_prob += prob
+        phi, prob, gap = phi0, p0, gap0  # downwards, to alpha at the lowest
+        while phi > max(alpha, lo):
+            rho = 1 / ratio(phi - 1)  # P(phi - 1) / P(phi)
+            if rho < 1 and prob * rho / (1 - rho) <= mpf(10) ** -30 * min(
+                    total_prob, total_rate / rate(gap)):
+                break
+            prob *= rho
+            gap -= mpf(1) / phi - mpf(1) / (phi - alpha)
+            phi -= 1
+            total_rate += prob * rate(gap)
+            total_prob += prob
+        return total_rate, total_prob
+
+
+def scale_alphas(nodes, fixed):
+    """Seeded alphas: small ones at or below the mode, draws across the range and,
+    under fixed-size access, draws above r = 0.3 nodes and near the top of the
+    range, where the masked column underflows."""
+    rng = random.Random(nodes + fixed)
+    top, r = nodes // 3, 3 * nodes // 10
+    alphas = [1, 2, 3] + [rng.randint(4, top) for _ in range(3)]
+    if fixed:
+        alphas += [rng.randint(r - r // 6, r), rng.randint(r + 1, top)]
+    return alphas
+
+
+def assert_matches(got, want, label):
+    """1e-12 relative; a value below the normal float range is compared with the
+    absolute bound 2^-1022 instead, since its float carries absolute, not
+    relative, rounding error."""
+    if want < FLOAT_TINY:
+        assert abs(got - want) <= FLOAT_TINY, label
+    else:
+        assert abs(got - want) <= 1e-12 * want, label
+
+
+@pytest.mark.parametrize("nodes", [10**4, 10**5])
+@pytest.mark.parametrize("access, service, oracle_access, oracle_service", SEARCHES,
+                         ids=["fixed", "probabilistic"])
+def test_scaled_up_search_rows_match_the_oracle(nodes, access, service, oracle_access,
+                                                oracle_service):
+    fixed = isinstance(access, FixedSize)
+    if fixed:
+        access, oracle_access = FixedSize(3 * nodes // 10), ("fixed", 3 * nodes // 10)
+    alphas = scale_alphas(nodes, fixed)
+    rates, recovery = expected_metrics(access, service, nodes, 3, alphas)
+    for alpha, rate, prob in zip(alphas, rates, recovery):
+        want_rate, want_prob = walk_oracle(nodes, 3, alpha, oracle_access, oracle_service)
+        assert_matches(rate, want_rate, ("rate", alpha))
+        assert_matches(prob, want_prob, ("recovery", alpha))
+        if fixed and alpha > access.r:
+            assert rate == prob == 0.0
+
+
+@pytest.mark.parametrize("access, service, oracle_access, oracle_service", SEARCHES,
+                         ids=["fixed", "probabilistic"])
+def test_the_walk_oracle_equals_direct_summation(access, service, oracle_access,
+                                                 oracle_service):
+    # alphas below, at and above the mode, and above r under fixed-size access
+    for alpha in (1, 2, 42, 299, 300, 301):
+        walked = walk_oracle(1000, 3, alpha, oracle_access, oracle_service)
+        direct = oracle_metrics(1000, 3, alpha, oracle_access, oracle_service)
+        for got, want in zip(walked, direct):
+            assert abs(got - want) <= mpmath.mpf(10) ** -28 * want, alpha

@@ -16,7 +16,11 @@ models and without one. The reports: classify on criterion 5's grid (twice,
 so the second pass reads the certificate memo) and on the seeded N = 1,000
 certificate grid of tests/test_oracle.py, and two tables over the memo's
 entry cap (N = 3·10^4, m = 2), which classify builds for the call alone.
-The access pmfs: access_pmf of the simulate benchmark's two systems and of
+The one-alpha calls: expected_metrics at N = 10^5, m = 3 for one alpha at
+a time, under fixed r = 30,000 (mode about 0.9 alpha) and 90,000 (about
+2.7 alpha) and p = 0.3 (2.1 alpha) and 0.7 (0.9 alpha), so below, at and
+above the mode, with alpha = 30,001 above r, under all four service models
+and without one. The access pmfs: access_pmf of the simulate benchmark's two systems and of
 N = 10^4, m = 3, alpha = 1,000 under both access models, each built from
 the default floor. Last, the lines that start with "memo ": each memo's
 state, its entry count, its byte total and the repr of every key, least
@@ -114,6 +118,16 @@ def main() -> int:
         pmf = d.access_pmf(d.SystemConfig(nodes, m, alpha), access)
         print(f"access-pmf {nodes} {m} {alpha} {access}", pmf[0][0],
               _hex([q for _, q in pmf]))
+    for access in (d.FixedSize(30000), d.FixedSize(90000),
+                   d.Probabilistic(0.3), d.Probabilistic(0.7)):
+        alphas = [1, 2, 3, 100, 1000, 10000, 25000, 33333]
+        alphas += [30001] if access == d.FixedSize(30000) else []
+        for alpha in alphas:
+            for service in (d.SmallExp(1.0), d.ScaledExp(1.0), d.ShiftedExp(3.0, 1.0),
+                            d.ConstantTime(1.0), None):
+                rates, recovery = d.expected_metrics(access, service, 100000, 3, [alpha])
+                print(f"one-alpha 100000 3 {access} {service} {alpha}",
+                      _hex([] if rates is None else rates), "|", _hex(recovery))
     for name, lru in (("analysis", analysis._MEMO), ("conditions", conditions._MEMO)):
         print(f"memo {name}", len(lru._entries), lru.nbytes)
         for key in lru._entries:
