@@ -15,8 +15,12 @@ access model hands the matrix over in chunks of consecutive alphas (numerics
 owns their size and layout), so the kernel's memory stays bounded at any N.
 The kernel passes the alphas as the chunks' floor, so a column starts at
 max(lo, min(alpha, mode)): of the rows phi < alpha, whose weight is 0, it
-holds only those from its mode up, when alpha lies above the mode. phi, the
-mask and the harmonic gaps count from each column's first row.
+holds only those from its mode up, when alpha lies above the mode. The
+floor also bands each column (numerics._band): it starts higher where the
+rows below are exactly 0.0, and it ends where the rows past its end are 0.0
+or too small to change either phi-order sum, so every row of every table
+keeps its bits. phi, the mask and the harmonic gaps count from each
+column's first row.
 
 The kernel has two halves. The access half (_access_half: the masked pmf
 weights, the recovery sums and the harmonic gaps) depends only on (access,
@@ -160,20 +164,28 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
     recovery[start:stop] its column sums, and gap the harmonic gaps
     H_phi - H_{phi-alpha} (1 where phi < alpha), or None unless gaps. Each
     depends on the system alone, not on the service model.
+
+    Only the rows above min(alpha - first) can hold a cell phi < alpha, and
+    only those from min(hi - first) + 1 on a row past a column's hi, so the
+    mask and the clamps touch those rows alone; a chunk whose columns all
+    start at or above alpha, as they do below the mode, masks nothing.
     """
     start = 0
     for first, hi, weights in access.rows(nodes, m * alphas, alphas):
         stop = start + weights.shape[1]
         alpha = alphas[start:stop]
         phi = first + np.arange(weights.shape[0])[:, None]
-        unreached = phi < alpha
-        np.copyto(weights, 0.0, where=unreached)
+        below = max(0, int((alpha - first).max()))  # rows under alpha in some column
+        unreached = phi[:below] < alpha
+        np.copyto(weights[:below], 0.0, where=unreached)
         recovery[start:stop] = _column_sums(weights)
         gap = None
         if gaps:
-            phi = np.minimum(phi, hi)  # rows past hi weigh 0: no gap beyond the support
-            gap = harmonic_gaps(phi, np.minimum(alpha, phi))
-            np.copyto(gap, 1.0, where=unreached)
+            past = int((hi - first).min()) + 1  # rows past hi weigh 0: no gap beyond the band
+            np.minimum(phi[past:], hi, out=phi[past:])
+            short = below or (hi < alpha).any()  # some phi - alpha < 0 to keep off the table
+            gap = harmonic_gaps(phi, np.minimum(alpha, phi) if short else alpha)
+            np.copyto(gap[:below], 1.0, where=unreached)
         del unreached
         yield start, stop, weights, gap
         del weights, gap  # as the caller does, so no chunk outlives its turn
@@ -187,6 +199,11 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
     to the running sums, the order of cumsum without its matrix. A single
     column is one contiguous run, which add.reduce would sum pairwise, so it
     takes cumsum's last row.
+
+    The band (numerics._band) relies on this order: it drops the rows past
+    a column's end because each is below half an ulp of the running sum
+    that already holds the column's largest unmasked row. Pairwise or any
+    other summation would void that, and the band with it.
     """
     if x.shape[1] > 1:
         return np.add.reduce(x, axis=0)

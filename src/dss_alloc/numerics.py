@@ -19,15 +19,19 @@ boolean masks, a chunk allocates only the P it yields. The scratch belongs
 to the call's generator, so calls share no state.
 
 Every chunk has one layout, (start, hi, P): row i of column c holds the pmf
-at phi = start[c] + i, hi[c] is the column's support end, and the chunk is
-as tall as its tallest column, padded with zeros past each hi. A column
-starts at max(lo, min(floor, mode)), its support start lo under the default
-floor 0; the expectation kernel passes each column's alpha. The rows this
-skips lie below the floor, which the kernel masks, and at or below the
-mode, whose rise factor is 1; a kept row reads only ratios between itself
-and the mode, all inside the column, so every kept cell is bit-identical to
-the build from lo. min(floor, mode) keeps the rise walk whole when the floor
-is above the mode.
+at phi = start[c] + i, hi[c] is the column's last row, and the chunk is as
+tall as its tallest column, padded with zeros past each hi. Under the
+default floor 0 a column runs over its whole support, from lo to its support
+end. The expectation kernel passes each column's alpha as the floor, and
+then a column is banded (_band): it starts at max(lo, min(floor, mode)) or
+higher, and hi is the band's end, not the support's. The rows skipped below
+max(lo, min(floor, mode)) lie below the floor, which the kernel masks, and
+at or below the mode, whose rise factor is 1; a kept row reads only ratios
+between itself and the mode, all inside the column, so every kept cell is
+bit-identical to the build from lo. min(floor, mode) keeps the rise walk
+whole when the floor is above the mode. The band drops only rows that are
+0.0 in the full build or too small to change the kernel's phi-order sums,
+so every sum keeps its bits too.
 
 harmonic(n) returns H_n only as an exact Fraction, summed by binary
 splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
@@ -69,6 +73,26 @@ _WIDTH = 192
 # reused from the heap rather than mapped, unmapped and page-faulted afresh on
 # every chunk
 _CHUNK_CELLS = 1 << 13
+
+# The band (_band). A row past a column's end is below 2^-_ABSORB_BITS of
+# its largest unmasked row over D: the half-ulp bound 2^-54, one bit for the
+# rate's rounding, a few more for the cells'. Absorption is used only while
+# that threshold is at least 2^-_NORMAL_BITS; a row cut for underflow has
+# exact mass below 2^-_UNDERFLOW_BITS, 2^-5 of half the smallest subnormal.
+# The underflow check walks rows _SPREAD standard deviations from the mode
+# and needs every walk product from there to the mode at least
+# 2^-_NORMAL_WALK, inside the normal range. _NEWTON steps refine each tail
+# bound. A table whose columns are all at most _SHORT rows tall is built
+# whole: the band's few dozen small NumPy passes cost more than such columns
+# could lose (no table of the N <= 40 figures and certificate grids loses a
+# row to it).
+_ABSORB_BITS = 60
+_NORMAL_BITS = 1000
+_UNDERFLOW_BITS = 1080
+_NORMAL_WALK = 1020
+_SPREAD = 20
+_NEWTON = 2
+_SHORT = 64
 
 _MIN_TABLE = 1024
 _table: tuple[np.ndarray, np.ndarray] = (np.zeros(1), np.zeros(1))
@@ -291,12 +315,122 @@ def _rows_from_mode(phi, hi, mode, anchors, first, last, num, den, rise, fall) -
         before = phi[first - 1:-1]
         np.divide(num[first - 1:-1], den[first - 1:-1], out=up,
                   where=(before >= mode) & (before < hi))
+        np.cumprod(up, axis=0, out=up)
+        if not last:  # no column starts below its mode: fall would be all 1.0
+            return rise * anchors
         fall.fill(1.0)  # fall[i] = P(phi) / P(phi + 1)
         np.divide(den[:last], num[:last], out=down, where=phi[:last] < mode)
-        np.cumprod(up, axis=0, out=up)
         np.cumprod(down[::-1], axis=0, out=down[::-1])
         rise *= anchors
         return rise * fall
+
+
+def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float | None):
+    """Return each column's band (start, end): the rows that can change its sums.
+
+    The kernel sums a column's rows phi >= alpha one at a time in phi order,
+    as weights P(phi) and as P(phi) mu(phi), where the conditional rate mu is
+    nondecreasing in phi and mu(phi) / mu(phi0) <= phi / (phi0 - alpha + 1)
+    <= D past phi0 = max(alpha, mode) for every service model. A row the
+    band leaves out either holds exactly 0.0 in the full build or is too
+    small to change either float sum, so both sums keep every bit.
+
+    End, by absorption. Past phi0 both running sums s hold at least the
+    row at phi0. A row whose exact mass is below T = 2^-_ABSORB_BITS w / D,
+    with w a lower bound on the computed P(phi0), adds less than
+    2^-55 s, under half an ulp of s, so round to nearest leaves s as it
+    is; later rows are smaller still, since the pmf is log-concave. w is
+    the anchor itself when phi0 is the mode, else P(mode) rho^(alpha-mode)
+    with rho = P(alpha)/P(alpha-1), the smallest ratio of the rise (one bit
+    off for the walk's rounding). The end is a row past which a tail bound
+    holds the mass below T. Bernstein's bound
+    P(X - mean >= t) <= exp(-t^2 / (2 (var + t/3))) gives one in closed
+    form; _NEWTON Newton steps on Chernoff's exponent n KL(k/n || p), which
+    is convex in k and at least Bernstein's, move it toward Chernoff's row
+    from the far side, so no step passes that row. (n, p) is the binomial
+    itself, or for the hypergeometric whichever of its two binomial views
+    (r draws of D/N, D draws of r/N) has the smaller variance: Hoeffding
+    (1963, Theorem 4) carries every bound on the moment generating function
+    over from sampling with replacement to sampling without. T is used only
+    while it is at least 2^-_NORMAL_BITS, so that the cells past the end
+    carry relative, not absolute, rounding error.
+
+    Either side, by underflow. A cell of the walk is fl(anchor * W), W the
+    running product of ratios from the mode. A row with exact mass below
+    2^-_UNDERFLOW_BITS is 0.0 once the walk's subnormal rounding cannot
+    hold W up: every row from the mode to a row j stays normal (the
+    log-concave bound rho(j)^|j - mode| >= 2^-_NORMAL_WALK), so the walk
+    adds its half-ulps only past j, where each ratio is at most rho(j),
+    and they stay below 2^-1075 / (1 - rho(j)); 4 anchor <= 1 - rho(j)
+    then keeps anchor * W under 2^-1075, which rounds to 0. j is tried at
+    _SPREAD standard deviations from the mode, and a column that fails the
+    check keeps that side whole. Below the mode this raises the start past
+    rows from alpha up (absorption cannot cut there: the sums start near
+    0). Above it, a column whose rows from alpha up all round to 0, or lie
+    past the support, keeps only its rows up to max(start, 1), which alpha
+    masks; its padding then reads its harmonic gaps at phi >= 1.
+    """
+    D = data.astype(np.float64)
+    if q is None:  # the binomial view of the smaller variance
+        f, g = D / N, r / N
+        by_r, by_data = r * (f * (1.0 - f)), D * (g * (1.0 - g))
+        view = by_r <= by_data
+        n, p, var = np.where(view, float(r), D), np.where(view, f, g), np.minimum(by_r, by_data)
+    else:
+        n, p, var = D, q, D * (q * (1.0 - q))
+    mean = n * p
+
+    def reach(bits, side):  # the row past which side's tail mass is below 2^-bits
+        L = bits * math.log(2.0)
+        k = mean + side * (L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * var * L))  # Bernstein
+        inside = (k > 0.0) & (k < n) & (var > 0.0)
+        bound = k
+        with np.errstate(divide="ignore", invalid="ignore"):  # outside: kept as Bernstein's
+            for _ in range(_NEWTON):  # toward n KL(k/n || p) = L, from the far side
+                x = k / n
+                rise, fall = np.log(x / p), np.log((1.0 - x) / (1.0 - p))
+                k = k - (n * (x * rise + (1.0 - x) * fall) - L) / (rise - fall)
+        # a step back past Bernstein's row (rounding) or a nan keeps that row
+        return np.where(inside & (side * (bound - k) >= 0.0), k, bound)
+
+    def log_ratio(phi):  # log2 P(phi + 1) / P(phi) per column
+        phi = phi.astype(np.float64)
+        num, den, spare = np.empty_like(phi), np.empty_like(phi), np.empty_like(phi)
+        ratio(phi, data, num, den, spare)
+        return np.log2(num / den)
+
+    def rows(x):  # as rows of each column, from start to hi
+        return np.minimum(np.maximum(x, start), hi).astype(np.int64)
+
+    phi0 = np.maximum(alpha, mode)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2 0 and 0 * inf, masked below
+        log_w = np.log2(anchors) - 1.0
+        above = alpha > mode
+        if above.any():
+            log_w += np.where(above, (phi0 - mode) * log_ratio(rows(phi0 - 1)), 0.0)
+        bits = _ABSORB_BITS + np.log2(D) - log_w
+    absorbs = bits <= _NORMAL_BITS  # False where P(alpha) is 0 or far below normal
+    end = np.where(absorbs, rows(np.ceil(reach(np.minimum(bits, _NORMAL_BITS), 1.0)) + 1), hi)
+    end = np.maximum(end, phi0)
+    if not absorbs.all():  # alpha far above the mode: cut where its rows underflow
+        top = rows(np.floor(mode + _SPREAD * np.sqrt(var)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = log_ratio(np.maximum(top - 1, mode))
+            calm = ((top - mode) * -up <= _NORMAL_WALK) & (4.0 * anchors <= 1.0 - np.exp2(up))
+        zero = rows(np.ceil(reach(_UNDERFLOW_BITS, 1.0)) + 1)
+        end = np.where(~absorbs & calm, np.where(zero >= alpha, zero, start), end)
+    # a column with nothing at or above alpha keeps its first row, and rows to
+    # phi = 1, so that the kernel reads its padding's gaps at phi >= 1
+    end = np.minimum(np.where((alpha > hi) | (end < alpha), np.maximum(start, 1), end), hi)
+    # n KL(k/n || p) <= (k - mean)^2 / var, so no cut lies nearer the mean than this
+    if (mean - start > np.sqrt(_UNDERFLOW_BITS * math.log(2.0) * var)).any():
+        bottom = rows(np.ceil(mode - _SPREAD * np.sqrt(var)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            down = log_ratio(bottom)  # positive below the mode
+            calm = ((mode - bottom) * down <= _NORMAL_WALK) & (4.0 * anchors <= 1.0 - np.exp2(-down))
+        low = rows(np.ceil(reach(_UNDERFLOW_BITS, -1.0)) - 1)
+        start = np.where(calm, np.minimum(low, mode), start)
+    return start, end
 
 
 def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
@@ -304,7 +438,9 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
 
     A column starts at row start = max(lo, min(floor, mode)), which is lo
     for a floor of 0 (the module docstring says why every kept cell is
-    exact). One _walk_anchors pass over all the columns anchors every chunk,
+    exact). A nonzero floor also bands the columns (_band), which moves
+    start up and hi down, unless every column is at most _SHORT rows tall.
+    One _walk_anchors pass over all the columns anchors every chunk,
     and _rows_from_mode fills each one, with ratio(phi, D, num, den, spare)
     writing the numerators and denominators of P(phi+1)/P(phi) at the
     chunk's phi for its data counts D into num and den. Columns are packed
@@ -317,6 +453,8 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
     columns = data.tolist()
     anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
     start = np.maximum(lo, np.minimum(floor, mode))
+    if np.any(floor) and (hi - start).max() > _SHORT:
+        start, hi = _band(data, start, hi, mode, floor, anchors, ratio, N, r, q)
     spans = (hi - start).tolist()  # a column's height less one
     offsets = (mode - start).tolist()
     chunks, first, tallest = [], 0, 0
@@ -345,10 +483,12 @@ def hypergeometric_rows(N: int, data, r: int, floor=0) -> Iterator[tuple]:
     """Return the (start, hi, P) chunks of hypergeometric(N, D, r), one column per D in data.
 
     The chunks hold consecutive columns of data in order: P[i, c] is the pmf
-    of a chunk's column c at phi = start[c] + i, and hi[c] its support end.
-    start is max(lo, min(floor, mode)) for the support start lo: lo itself
-    under the default floor 0, higher for a caller that passes one floor
-    per column and reads no row below it.
+    of a chunk's column c at phi = start[c] + i, and hi[c] its last row.
+    Under the default floor 0 a column runs from its support start lo to its
+    support end. A caller that passes one floor per column reads no row
+    below it and only the phi-order sums of the rows at or above it, so it
+    gets each column's band: from max(lo, min(floor, mode)) or higher to
+    hi, at or below the support end (see _band).
     """
     data = np.asarray(data, dtype=np.int64)
     lo = np.maximum(0, (r - N) + data)

@@ -271,11 +271,18 @@ def recovery_estimate(per_phi_counts: dict[int, int], alpha: int, trials: int) -
     """Estimate P_s(alpha) as the fraction of trials with phi >= alpha.
 
     per_phi_counts are the phi counts of a finished pass over trials draws,
-    such as estimate_service_rate's, so no second pass is needed.
+    such as estimate_service_rate's, so no second pass is needed. The
+    standard error is Wald's, sqrt(p(1 - p) / trials), except when no trial
+    or every trial recovers, where Wald's is 0: there it is the half-width
+    of Wilson's one-standard-error interval (z = 1), 1 / (2 (trials + 1))
+    (Wilson 1927; Brown, Cai and DasGupta 2001).
     """
     successes = sum(count for phi, count in per_phi_counts.items() if phi >= alpha)
     p_hat = successes / trials
-    std_error = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+    if 0 < successes < trials:
+        std_error = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+    else:
+        std_error = 0.5 / (trials + 1)
     return SimEstimate(
         mean=p_hat,
         std_error=std_error,

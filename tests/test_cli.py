@@ -944,15 +944,17 @@ def test_simulate_accepts_the_largest_seed_silently(capsys):
 
 
 def test_simulate_accepts_a_recovery_estimate_of_one_near_a_certain_analytic_value(capsys):
-    # every trial recovers (about 0.001 failures are expected), so the Wald s.e. is 0;
-    # the flag is judged by the score test at the analytic value instead
+    # every trial recovers (about 0.001 failures are expected), so the Wald s.e. is 0
+    # and Wilson's half-width is printed; the flag is judged by the score test at the
+    # analytic value
     args = ["simulate", "--nodes", "2000", "--m", "2", "--alpha", "100", "--access",
             "probabilistic", "--p", "0.3", "--service", "scaled", "--mu", "1",
             "--trials", "1000000", "--seed", "1", "--format", "json"]
     code, out, err = run_cli(capsys, args)
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    assert (payload["recovery_estimate"], payload["recovery_std_error"]) == (1.0, 0.0)
+    # 0.5 / (10^6 + 1), printed to 12 significant digits
+    assert (payload["recovery_estimate"], payload["recovery_std_error"]) == (1.0, 4.99999500001e-07)
     assert payload["recovery_analytic"] == 0.999999998914
     assert payload["recovery_within_3se"] is True
 

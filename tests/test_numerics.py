@@ -8,10 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dss_alloc import numerics
-from dss_alloc.analysis import access_pmf
+from dss_alloc import analysis, numerics
+from dss_alloc.analysis import access_pmf, expected_metrics
 from dss_alloc.errors import ConfigurationError, InfeasibleError
-from dss_alloc.models import FixedSize, Probabilistic, SystemConfig
+from dss_alloc.memo import ByteLRU
+from dss_alloc.models import (
+    ConstantTime,
+    FixedSize,
+    Probabilistic,
+    ScaledExp,
+    ShiftedExp,
+    SmallExp,
+    SystemConfig,
+)
 from dss_alloc.numerics import (
     _walk_anchors,
     binomial,
@@ -367,6 +376,9 @@ def test_each_chunk_holds_at_most_the_chunk_cells_or_one_column(monkeypatch, cel
 
 
 # --- skewed chunks: a floor drops rows below it and changes no other bit ----
+# A floor also bands each column (numerics._band): the rows it keeps are the
+# full build's bit for bit, the rows it drops below are exactly 0.0, and those
+# it drops above are 0.0 or too small to change a sum.
 
 # (access, nodes, m); each column's floor is its alpha = D / m
 FLOOR_SYSTEMS = [
@@ -401,6 +413,17 @@ def test_a_floor_starts_each_column_higher_and_keeps_every_cell(monkeypatch, cel
         monkeypatch.setattr(numerics, "_CHUNK_CELLS", cells)
     local = random.Random(nodes * m)
     alphas = [1, nodes // m] + [local.randint(1, nodes // m) for _ in range(40)]
+    check_band(access, nodes, m, alphas)
+
+
+def check_band(access, nodes, m, alphas):
+    """Check each banded column against its full build; return (starts, heights).
+
+    A band starts at max(lo, min(alpha, mode)), or higher past rows that are
+    0.0 in the full build; its rows are the full build's bit for bit; the
+    rows past its end are below 2^-54 of the largest unmasked row over D,
+    or, when it ends below alpha, nothing at or above alpha is nonzero.
+    """
     data = [m * alpha for alpha in alphas]
     if isinstance(access, FixedSize):
         r = access.r
@@ -410,10 +433,103 @@ def test_a_floor_starts_each_column_higher_and_keeps_every_cell(monkeypatch, cel
         lows = [0] * len(data)
         modes = binomial_modes(data, 1.0 - access.p)
     whole = chunk_columns(access.rows(nodes, np.array(data)))
-    skewed = chunk_columns(access.rows(nodes, np.array(data), np.array(alphas)))
-    assert len(whole) == len(skewed) == len(data)
+    banded = chunk_columns(access.rows(nodes, np.array(data), np.array(alphas)))
+    assert len(whole) == len(banded) == len(data)
+    starts, heights = [], []
     for alpha, lo, mode, (start_lo, full), (start, column) in zip(alphas, lows, modes,
-                                                                  whole, skewed):
-        assert start_lo == lo and start == max(lo, min(alpha, mode))
-        assert column.tobytes() == full[start - lo:].tobytes(), alpha
+                                                                  whole, banded):
+        assert start_lo == lo and start >= max(lo, min(alpha, mode))
+        assert not full[:start - lo].any() or start == max(lo, min(alpha, mode)), alpha
+        end = start + len(column) - 1
+        assert column.tobytes() == full[start - lo:end - lo + 1].tobytes(), alpha
+        past = full[end - lo + 1:]
+        if end >= max(alpha, mode):  # below 2^-54 of the largest unmasked row, over D
+            assert (past <= 2.0**-54 * full[max(alpha, mode) - lo] / (m * alpha)).all(), alpha
+        else:  # nothing at or above alpha
+            assert not full[max(alpha, lo) - lo:].any(), alpha
+        starts.append(start)
+        heights.append(len(column))
+    return np.array(starts), np.array(heights)
 
+
+
+# --- the band keeps both sums bit for bit ------------------------------------
+
+def full_columns(access, nodes, m, alphas):
+    """(lo, column) per alpha: the full-support build, floor 0."""
+    chunks = access.rows(nodes, m * np.array(alphas))
+    return [(start[c], probs[:hi[c] - start[c] + 1, c]) for start, hi, probs in chunks
+            for c in range(len(start))]
+
+
+def full_sums(columns, service, alphas):
+    """(rates, recovery) of full columns, each masked to phi >= alpha and summed in
+    phi order, as the kernel sums its own rows (cumsum adds one row at a time)."""
+    rates, recovery = [], []
+    for alpha, (lo, column) in zip(np.array(alphas), columns):
+        phi = lo + np.arange(len(column))
+        weights = np.where(phi >= alpha, column, 0.0)
+        recovery.append(min(np.cumsum(weights)[-1], 1.0))  # as the kernel clips it
+        if service is not None:
+            gap = np.ones(len(phi))
+            reached = phi >= alpha
+            gap[reached] = harmonic_gaps(phi[reached], alpha)
+            terms = weights[:, None] * service.rate(alpha[None], gap[:, None])
+            rates.append(np.cumsum(terms[:, 0])[-1])
+    return rates, recovery
+
+
+# (access, nodes, m, alphas): above and below the mode, above r, columns whose
+# masked rows all underflow, and N = 10^5 columns whose start the band raises.
+# The N = 10^5 alphas come in close groups: the anchor walk between columns
+# far apart costs more than the columns.
+BAND_SYSTEMS = [
+    (FixedSize(300), 1000, 3, [1, 2, 3, 42, 150, 299, 300, 301, 333]),
+    (Probabilistic(0.3), 1000, 3, [1, 2, 42, 150, 333]),
+    (Probabilistic(0.999), 900, 3, [1, 5, 40, 300]),  # mode 0: every alpha above it
+    (Probabilistic(0.001), 600, 2, [1, 100, 300]),  # mode at the support end
+    (FixedSize(30000), 100000, 3, [20000, 20001]),  # 3 sigma above the mode
+    (FixedSize(30000), 100000, 3, [26000, 28500]),  # below the normal range; all 0.0
+    (FixedSize(30000), 100000, 3, [30001, 33333]),  # past r
+    (Probabilistic(0.3), 100000, 3, [10000, 10001]),  # far below the mode
+    (Probabilistic(0.3), 100000, 3, [33332, 33333]),
+    (FixedSize(90000), 100000, 3, [5000, 5001]),  # far below the mode
+]
+BAND_SERVICES = [SmallExp(1.0), ScaledExp(1.0), ShiftedExp(3.0, 1.0), ConstantTime(1.0), None]
+
+
+# single-column chunks (cells 1) for every system but the fixed-size N = 10^5
+# ones, whose exact start costs most of a call
+BAND_CASES = [(cells, *system) for system in BAND_SYSTEMS for cells in (None, 1)
+              if cells is None or not (system[1] == 100000 and isinstance(system[0], FixedSize))]
+
+
+@pytest.mark.parametrize("cells, access, nodes, m, alphas", BAND_CASES, ids=str)
+def test_banded_sums_equal_the_full_columns_bit_for_bit(monkeypatch, cells, access, nodes, m,
+                                                        alphas):
+    if cells is not None:  # 1: single-column chunks, summed by cumsum
+        monkeypatch.setattr(numerics, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(analysis, "_MEMO", ByteLRU())  # no entry from another chunk size
+    columns = full_columns(access, nodes, m, alphas)
+    for service in BAND_SERVICES:
+        rates, recovery = expected_metrics(access, service, nodes, m, alphas)
+        want_rates, want_recovery = full_sums(columns, service, alphas)
+        assert [float(x).hex() for x in recovery] == [float(x).hex() for x in want_recovery]
+        if service is not None:
+            assert [float(x).hex() for x in rates] == [float(x).hex() for x in want_rates]
+
+
+def test_the_band_cuts_both_ends_at_scale():
+    for access, nodes, m, alphas, raised, single in [
+            (FixedSize(30000), 100000, 3, [20000, 26000, 28500, 30001], 0, 2),
+            (Probabilistic(0.3), 100000, 3, [10000, 33333], 2, 0),
+            (FixedSize(90000), 100000, 3, [5000], 1, 0)]:
+        data = m * np.array(alphas)
+        if isinstance(access, FixedSize):  # the support sizes
+            full = (np.minimum(access.r, data) - np.maximum(0, access.r - nodes + data) + 1).sum()
+        else:
+            full = (data + 1).sum()
+        starts, heights = check_band(access, nodes, m, alphas)
+        assert heights.sum() < full / 4
+        assert (starts > np.array(alphas)).sum() == raised  # the lower band cut
+        assert (heights == 1).sum() == single  # nothing at or above alpha: one masked row

@@ -242,7 +242,7 @@ def test_recovery_estimate_is_exact_when_every_node_is_accessed():
     config = SystemConfig(10, 2, 2)
     est = estimate_recovery(config, FixedSize(10), SimConfig(trials=10_000, seed=1))
     assert est.mean == 1.0
-    assert est.std_error == 0.0
+    assert est.std_error == 0.5 / (10_000 + 1)  # Wilson's half-width at z = 1; Wald's is 0
 
 
 def test_estimates_are_reproducible_and_seed_sensitive():
