@@ -165,11 +165,9 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
     H_phi - H_{phi-alpha} (1 where phi < alpha), or None unless gaps. Each
     depends on the system alone, not on the service model.
 
-    Only the rows i < max(alpha - first) can hold a cell phi < alpha, and
-    only the rows from min(hi - first) + 1 on a cell past a column's hi, so
-    the mask and the clamp touch those rows alone: a chunk whose columns all
-    start at alpha or above, as they do when alpha is below the mode, masks
-    nothing.
+    Only the rows i < max(alpha - first) can hold a cell phi < alpha, so
+    the mask touches those rows alone: a chunk whose columns all start at
+    alpha or above, as they do when alpha is below the mode, masks nothing.
     """
     start = 0
     for first, hi, weights in access.rows(nodes, m * alphas, alphas):
@@ -182,10 +180,9 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
         recovery[start:stop] = _column_sums(weights)
         gap = None
         if gaps:
-            past = int((hi - first).min()) + 1  # rows past hi weigh 0: no gap beyond the band
-            np.minimum(phi[past:], hi, out=phi[past:])
-            under = below or (hi < alpha).any()  # else phi >= alpha in every cell
-            gap = harmonic_gaps(phi, np.minimum(alpha, phi) if under else alpha)
+            phi = np.minimum(phi, hi)  # rows past hi weigh 0: no gap beyond the band
+            # hi >= first, so a column with hi < alpha also has rows under alpha
+            gap = harmonic_gaps(phi, np.minimum(alpha, phi) if below else alpha)
             np.copyto(gap[:below], 1.0, where=unreached)
         del unreached
         yield start, stop, weights, gap

@@ -84,8 +84,7 @@ _CHUNK_CELLS = 1 << 13
 # 2^-_NORMAL_WALK, inside the normal range. _NEWTON steps refine each tail
 # bound. A table whose columns are all at most _SHORT rows tall is built
 # whole: the band's few dozen small NumPy passes cost more than such columns
-# could lose (no table of the N <= 40 figures and certificate grids loses a
-# row to it).
+# can lose (on the benchmark's N <= 40 figure and grid tables it cut no row).
 _ABSORB_BITS = 60
 _NORMAL_BITS = 1000
 _UNDERFLOW_BITS = 1080
@@ -306,8 +305,9 @@ def _rows_from_mode(phi, hi, mode, anchors, first, last, num, den, rise, fall) -
     Every column rises by exactly 1 before row first = min(mode - phi[0]) + 1
     and falls by exactly 1 from row last = max(mode - phi[0]) on, so each
     walk runs only over the rows where it changes a value; the products it
-    skips are of exact 1.0s. rise and fall are scratch of phi's shape, which
-    the walks fill in place; of the matrices, only the returned P is new.
+    skips are of exact 1.0s, and with last = 0 there is no fall walk. rise
+    and fall are scratch of phi's shape, which the walks fill in place; of
+    the matrices, only the returned P is new.
     """
     up, down = rise[first:], fall[:last]
     with np.errstate(under="ignore"):  # far tails may underflow to 0, as P does
@@ -418,7 +418,7 @@ def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float
             up = log_ratio(np.maximum(top - 1, mode))
             calm = ((top - mode) * -up <= _NORMAL_WALK) & (4.0 * anchors <= 1.0 - np.exp2(up))
         zero = rows(np.ceil(reach(_UNDERFLOW_BITS, 1.0)) + 1)
-        end = np.where(~absorbs & calm, np.where(zero >= alpha, zero, start), end)
+        end = np.where(~absorbs & calm, zero, end)
     # a column with nothing at or above alpha keeps its first row, and rows to
     # phi = 1, so that the kernel reads its padding's gaps at phi >= 1
     end = np.minimum(np.where((alpha > hi) | (end < alpha), np.maximum(start, 1), end), hi)
@@ -427,7 +427,8 @@ def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float
         bottom = rows(np.ceil(mode - _SPREAD * np.sqrt(var)))
         with np.errstate(divide="ignore", invalid="ignore"):
             down = log_ratio(bottom)  # positive below the mode
-            calm = ((mode - bottom) * down <= _NORMAL_WALK) & (4.0 * anchors <= 1.0 - np.exp2(-down))
+            calm = ((mode - bottom) * down <= _NORMAL_WALK) & \
+                (4.0 * anchors <= 1.0 - np.exp2(-down))
         low = rows(np.ceil(reach(_UNDERFLOW_BITS, -1.0)) - 1)
         start = np.where(calm, np.minimum(low, mode), start)
     return start, end
@@ -453,9 +454,10 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
     columns = data.tolist()
     anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
     start = np.maximum(lo, np.minimum(floor, mode))
-    if np.any(floor) and (hi - start).max() > _SHORT:
-        start, hi = _band(data, start, hi, mode, floor, anchors, ratio, N, r, q)
     spans = (hi - start).tolist()  # a column's height less one
+    if max(spans) > _SHORT and np.any(floor):
+        start, hi = _band(data, start, hi, mode, floor, anchors, ratio, N, r, q)
+        spans = (hi - start).tolist()
     offsets = (mode - start).tolist()
     chunks, first, tallest = [], 0, 0
     for c, span in enumerate(spans):
