@@ -488,8 +488,8 @@ BAND_SYSTEMS = [
     (Probabilistic(0.3), 1000, 3, [1, 2, 42, 150, 333]),
     (Probabilistic(0.999), 900, 3, [1, 5, 40, 300]),  # mode 0: every alpha above it
     (Probabilistic(0.001), 600, 2, [1, 100, 300]),  # mode at the support end
-    (FixedSize(30000), 100000, 3, [20000, 20001]),  # 3 sigma above the mode
-    (FixedSize(30000), 100000, 3, [26000, 28500]),  # below the normal range; all 0.0
+    (FixedSize(30000), 100000, 3, [20000, 20001]),  # far above the mode, P(alpha) normal
+    (FixedSize(30000), 100000, 3, [26000, 28500]),  # P(alpha) below the float range
     (FixedSize(30000), 100000, 3, [30001, 33333]),  # past r
     (Probabilistic(0.3), 100000, 3, [10000, 10001]),  # far below the mode
     (Probabilistic(0.3), 100000, 3, [33332, 33333]),
