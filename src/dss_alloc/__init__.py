@@ -57,7 +57,6 @@ from .simulator import (
     SimConfig,
     SimEstimate,
     estimate_service_rate,
-    sample_completion_time,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +98,6 @@ __all__ = [
     "preset_rows",
     "recovery_probability",
     "run_all",
-    "sample_completion_time",
     "scaled_prob_m1_optimal_range",
     "service_rate",
     "__version__",

@@ -256,12 +256,13 @@ def criterion_6() -> CriterionResult:
 _PANEL_FIXED = ((10, 1, 2, 4), (10, 2, 2, 5), (20, 2, 3, 8), (20, 3, 2, 6), (20, 1, 4, 10))
 _PANEL_PROB = ((10, 1, 2, 0.2), (10, 2, 2, 0.3), (20, 2, 3, 0.25), (20, 3, 2, 0.3),
                (20, 1, 4, 0.15))
+_PANEL_TRIALS = 1_000_000
 
 
-def criterion_7(trials: int = 1_000_000) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """The simulator reproduces every analytic value on a 30-point panel."""
     started = time.monotonic()
-    sim = SimConfig(trials=trials, seed=2024, workers=1)
+    sim = SimConfig(trials=_PANEL_TRIALS, seed=2024, workers=1)
     rate_hits = prob_hits = configs = 0
     tv_worst = 0.0
     services: tuple[ServiceModel, ...] = (SmallExp(1.0), ScaledExp(1.0), ShiftedExp(2.0, 1.0))
@@ -274,11 +275,11 @@ def criterion_7(trials: int = 1_000_000) -> CriterionResult:
                 est = estimate_service_rate(config, access, svc, sim)
                 if abs(est.mean - service_rate(config, access, svc)) <= 3.0 * est.std_error:
                     rate_hits += 1
-                prob_est = recovery_estimate(est.per_phi_counts, alpha, trials)
+                prob_est = recovery_estimate(est.per_phi_counts, alpha, _PANEL_TRIALS)
                 if abs(prob_est.mean - recovery_probability(config, access)) \
                         <= 3.0 * prob_est.std_error:
                     prob_hits += 1
-                tv = 0.5 * sum(abs(est.per_phi_counts.get(phi, 0) / trials - q)
+                tv = 0.5 * sum(abs(est.per_phi_counts.get(phi, 0) / _PANEL_TRIALS - q)
                                for phi, q in access_pmf(config, access))
                 tv_worst = max(tv_worst, tv)
 

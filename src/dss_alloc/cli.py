@@ -231,8 +231,10 @@ def parse_run_spec(data: dict) -> RunSpec:
     only = None
     if "only" in data:
         raw = data["only"]
-        if not isinstance(raw, list) or not all(isinstance(i, int) for i in raw):
-            raise ConfigurationError("only must be a list of criterion numbers")
+        # JSON true/false are ints to Python, and an empty list would pass with no criterion run
+        if not isinstance(raw, list) or not raw or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in raw):
+            raise ConfigurationError("only must be a non-empty list of criterion numbers")
         only = tuple(raw)
 
     return RunSpec(

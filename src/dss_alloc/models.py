@@ -87,16 +87,6 @@ def feasible_alphas(nodes: int, m: int, access: AccessModel | None = None) -> ra
     return range(1, upper + 1)
 
 
-class _Model:
-    """The dict form shared by every access and service model."""
-
-    kind: ClassVar[str]
-
-    def to_dict(self) -> dict:
-        """Return the JSON form: the kind, then the fields in constructor order."""
-        return {"kind": self.kind, **vars(self)}
-
-
 # Past these sizes NumPy's O(1)-per-draw samplers (HRUA for the
 # hypergeometric, BTPE for the binomial) beat one NumPy pass per step or per
 # word: on a 2-CPU Xeon, 88 vs 104 ns/draw at k = 20 steps but 176 vs 74 at
@@ -143,7 +133,7 @@ def _byte_bernoulli_counts(trials: int, q: float, n: int, rng: np.random.Generat
 
 
 @dataclass(frozen=True)
-class FixedSize(_Model):
+class FixedSize:
     """Access reaches a uniformly random r-subset of the nodes."""
 
     r: int
@@ -200,7 +190,7 @@ class FixedSize(_Model):
 
 
 @dataclass(frozen=True)
-class Probabilistic(_Model):
+class Probabilistic:
     """Every node independently fails to respond with probability p."""
 
     p: float
@@ -241,7 +231,7 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
-# Every service model has four methods, for spreading alpha and phi responsive
+# Every service model has three methods, for spreading alpha and phi responsive
 # data nodes:
 #   rate(alpha, gap)                mu_s(alpha | phi) from the harmonic gap H_phi - H_{phi-alpha};
 #                                   alpha and gap may be floats or broadcastable NumPy arrays,
@@ -250,8 +240,6 @@ def _require_finite_positive(name: str, value: float) -> None:
 #   bounds(alpha, phi, m)           the analytic (lower, upper) envelope of that rate
 #   order_stat(alpha, phi, n, rng)  n completion times, each the alpha-th smallest of phi
 #                                   per-node times, drawn directly: the simulator's sampler
-#   sample(alpha, shape, rng)       per-node service times, an array of the given shape;
-#                                   the brute-force oracle that order_stat is tested against
 
 
 def _unit_exp_order_stat(alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -268,7 +256,7 @@ def _unit_exp_order_stat(alpha: int, phi: int, n: int, rng: np.random.Generator)
 
 
 @dataclass(frozen=True)
-class SmallExp(_Model):
+class SmallExp:
     """Small-file regime: a node serves its whole chunk set in Exp(mu) time.
 
     rate mu/gap, bounds (0, mu*phi).
@@ -289,12 +277,9 @@ class SmallExp(_Model):
     def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return _unit_exp_order_stat(alpha, phi, n, rng) / self.mu
 
-    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(1.0 / self.mu, shape)
-
 
 @dataclass(frozen=True)
-class ScaledExp(_Model):
+class ScaledExp:
     """Large-file regime: per-node time is Exp(alpha*mu), mean 1/(alpha*mu).
 
     rate alpha*mu/gap, bounds (mu*(phi-alpha+1), mu*phi).
@@ -315,12 +300,9 @@ class ScaledExp(_Model):
     def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return _unit_exp_order_stat(alpha, phi, n, rng) / (alpha * self.mu)
 
-    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(1.0 / (alpha * self.mu), shape)
-
 
 @dataclass(frozen=True)
-class ShiftedExp(_Model):
+class ShiftedExp:
     """Large-file regime with startup cost: per-node time is delta/alpha + Exp(mu).
 
     rate alpha*mu / (delta*mu + alpha*gap), bounds
@@ -348,12 +330,9 @@ class ShiftedExp(_Model):
     def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.delta / alpha + _unit_exp_order_stat(alpha, phi, n, rng) / self.mu
 
-    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return self.delta / alpha + rng.exponential(1.0 / self.mu, shape)
-
 
 @dataclass(frozen=True)
-class ConstantTime(_Model):
+class ConstantTime:
     """Deterministic service: a node serves its chunk set in exactly delta/alpha.
 
     rate alpha/delta whatever phi, so both bounds equal it.
@@ -375,9 +354,6 @@ class ConstantTime(_Model):
 
     def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, self.delta / alpha)
-
-    def sample(self, alpha: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return np.full(shape, self.delta / alpha)
 
 
 ServiceModel = SmallExp | ScaledExp | ShiftedExp | ConstantTime

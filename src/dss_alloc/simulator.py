@@ -26,10 +26,9 @@ completion time is one draw of the alpha-th order statistic (the service
 model's order_stat, a Beta variate from a gamma pair), so a trial costs
 one phi draw (the access model's draw: selection sampling or byte-wise
 Bernoulli counts, one NumPy pass over the block per step) plus two gamma
-draws, whatever phi is; sample_completion_time draws all phi service times
-and is the brute-force oracle order_stat is tested against. Constant
-service needs no sampling: its completion time is delta/alpha exactly, so
-the pass only counts and the rate is the exact analytic value.
+draws, whatever phi is. Constant service needs no sampling: its completion
+time is delta/alpha exactly, so the pass only counts and the rate is the
+exact analytic value.
 
 Reproducibility: trials are split into fixed-size blocks, block i is
 generated by a counter-based Philox stream keyed (seed, i) no matter which
@@ -65,7 +64,6 @@ __all__ = [
     "SimEstimate",
     "estimate_service_rate",
     "recovery_estimate",
-    "sample_completion_time",
 ]
 
 BLOCK_TRIALS = 1 << 16
@@ -129,16 +127,6 @@ def _block_sizes(trials: int) -> Iterator[int]:
     yield from itertools.repeat(BLOCK_TRIALS, full)
     if rest:
         yield rest
-
-
-def sample_completion_time(
-    service: ServiceModel, alpha: int, phi: int, rng: np.random.Generator
-) -> float:
-    """Draw one file completion time: the alpha-th smallest of phi service times."""
-    if not 1 <= alpha <= phi:
-        raise ConfigurationError(f"need 1 <= alpha <= phi, got alpha={alpha}, phi={phi}")
-    times = service.sample(alpha, (phi,), rng)
-    return float(np.partition(times, alpha - 1)[alpha - 1])
 
 
 def _map_blocks(fn, trials: int, workers: int) -> Iterator:

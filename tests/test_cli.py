@@ -65,7 +65,8 @@ def test_run_spec_round_trips_through_its_dict_form():
             }
         )
         assert isinstance(spec, RunSpec)
-        assert spec.access.to_dict() == access and spec.service.to_dict() == service
+        assert [{"kind": m.kind, **vars(m)} for m in (spec.access, spec.service)] \
+            == [access, service]
 
 
 @pytest.mark.parametrize(
@@ -990,3 +991,19 @@ def test_validate_rejects_unknown_criterion_numbers(capsys):
     code, _, err = run_cli(capsys, ["validate", "--only", "12"])
     assert code == 2
     assert err.startswith("error: config:")
+
+
+def test_validate_rejects_a_boolean_criterion_number(tmp_path, capsys):
+    # JSON true is not criterion 1
+    path = tmp_path / "validate.json"
+    path.write_text(json.dumps({"command": "validate", "only": [True]}))
+    code, out, err = run_cli(capsys, ["validate", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+def test_validate_rejects_an_empty_criterion_list(capsys):
+    # a selection of no criterion would pass the gate having checked nothing
+    code, out, err = run_cli(capsys, ["validate", "--only", ""])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config:") and err.count("\n") == 1

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from typing import get_args
 
 import pytest
 
 import dss_alloc
 from dss_alloc.cli import RunSpec
+from dss_alloc.models import AccessModel, ServiceModel
 
 MODULES = ["dss_alloc"] + [
     f"dss_alloc.{info.name}" for info in pkgutil.iter_modules(dss_alloc.__path__)
@@ -33,6 +35,7 @@ REMOVED = [
     "prob_scaled_optimality_threshold",
     "prob_shifted_nonoptimality_threshold",
     "prob_shifted_optimality_threshold",
+    "sample_completion_time",
     "sweep",
 ]
 
@@ -52,3 +55,5 @@ def test_removed_helpers_are_not_exposed():
         module = importlib.import_module(name)
         assert [attr for attr in REMOVED if hasattr(module, attr)] == [], name
     assert not hasattr(RunSpec, "to_dict")
+    for model in (*get_args(AccessModel), *get_args(ServiceModel)):
+        assert not hasattr(model, "sample") and not hasattr(model, "to_dict"), model.__name__

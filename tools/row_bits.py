@@ -22,7 +22,11 @@ a time, under fixed r = 30,000 (mode about 0.9 alpha) and 90,000 (about
 above the mode, with alpha = 30,001 above r, under all four service models
 and without one. The access pmfs: access_pmf of the simulate benchmark's two systems and of
 N = 10^4, m = 3, alpha = 1,000 under both access models, each built from
-the default floor. Last, the lines that start with "memo ": each memo's
+the default floor. The simulator runs: the repr of estimate_service_rate
+and of its recovery_estimate for the simulate benchmark's two systems
+under all four service models, at 200,000 trials with 1 and with 2
+workers, and for one system (N = 10, p = 0.9) whose thin strata are
+topped up. Last, the lines that start with "memo ": each memo's
 state, its entry count, its byte total and the repr of every key, least
 recently used first. They change whenever the size of a stored table does,
 even where every row stays the same, so the comparison above leaves them
@@ -36,7 +40,7 @@ import sys
 
 import dss_alloc as d
 from dss_alloc import acceptance as A
-from dss_alloc import analysis, conditions, numerics
+from dss_alloc import analysis, conditions, numerics, simulator
 
 
 def _hex(values) -> str:
@@ -128,6 +132,19 @@ def main() -> int:
                 rates, recovery = d.expected_metrics(access, service, 100000, 3, [alpha])
                 print(f"one-alpha 100000 3 {access} {service} {alpha}",
                       _hex([] if rates is None else rates), "|", _hex(recovery))
+    services = (d.SmallExp(1.0), d.ScaledExp(1.0), d.ShiftedExp(2.0, 1.0), d.ConstantTime(2.0))
+    cases = [(config, access, service, d.SimConfig(200_000, seed=7, workers=workers))
+             for config, access in ((d.SystemConfig(20, 2, 3), d.FixedSize(8)),
+                                    (d.SystemConfig(200, 2, 20), d.Probabilistic(0.3)))
+             for service in services for workers in (1, 2)]
+    cases.append((d.SystemConfig(10, 2, 2), d.Probabilistic(0.9), d.ScaledExp(1.0),
+                  d.SimConfig(50_000, seed=6, workers=1)))
+    for config, access, service, sim in cases:
+        est = d.estimate_service_rate(config, access, service, sim)
+        recovery = simulator.recovery_estimate(est.per_phi_counts, config.alpha, sim.trials)
+        label = f"simulate {config} {access} {service} {sim}"
+        print(label, repr(est))
+        print(label, repr(recovery))
     for name, lru in (("analysis", analysis._MEMO), ("conditions", conditions._MEMO)):
         print(f"memo {name}", len(lru._entries), lru.nbytes)
         for key in lru._entries:
