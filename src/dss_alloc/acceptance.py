@@ -413,15 +413,17 @@ _CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 
 
 def run_all(only: Iterable[int] | None = None) -> list[CriterionResult]:
-    """Run the acceptance criteria (all, or the numbers in `only`) in order."""
-    if only is not None:
-        selected = set(only)
-        unknown = selected - set(range(1, len(_CRITERIA) + 1))
+    """Run the acceptance criteria in order: all, or a non-empty list of their numbers."""
+    selected = None if only is None else list(only)
+    if selected is not None:
+        # an empty selection would pass having run nothing, and True == 1 is no number
+        if not selected or not all(isinstance(i, int) and not isinstance(i, bool)
+                                   for i in selected):
+            raise ConfigurationError("only must be a non-empty list of criterion numbers")
+        unknown = set(selected) - set(range(1, len(_CRITERIA) + 1))
         if unknown:
             raise ConfigurationError(
                 f"unknown criterion number(s): {sorted(unknown)}; valid: 1..{len(_CRITERIA)}")
-    else:
-        selected = None
     results = []
     for number, criterion in enumerate(_CRITERIA, start=1):
         if selected is not None and number not in selected:

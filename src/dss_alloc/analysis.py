@@ -13,16 +13,15 @@ each column in phi order, so both metrics come from one pmf pass and a
 scalar service_rate is bit-identical to the matching row of a search. The
 access model hands the matrix over in chunks of consecutive alphas (numerics
 owns their size and layout), so the kernel's memory stays bounded at any N.
-The kernel passes the alphas as the chunks' floor, so a column starts at
-max(lo, min(alpha, mode)): of the rows phi < alpha, whose weight is 0, it
-holds only those from its mode up, when alpha lies above the mode. The
-floor also bands each column (numerics._band): it starts higher where the
-rows below are exactly 0.0, and it ends where the rows past its end are 0.0
-or too small to change either phi-order sum, so every row of every table
-keeps its bits. phi, the mask and the harmonic gaps count from each
-column's first row.
+The kernel passes the alphas as the chunks' floor, so numerics hands over
+each column with its rows phi < alpha set to 0.0, and banded
+(numerics._band): it starts higher where the rows below are exactly 0.0,
+and it ends where the rows past its end are 0.0 or too small to change
+either phi-order sum, so every row of every table keeps its bits. The
+harmonic gaps count phi from each column's first row and read it clamped to
+[alpha, hi]: a row outside weighs 0, and needs only a finite gap.
 
-The kernel has two halves. The access half (_access_half: the masked pmf
+The kernel has two halves. The access half (_access_half: the pmf
 weights, the recovery sums and the harmonic gaps) depends only on (access,
 nodes, m, alphas); the service half weights the conditional rates and sums
 them. The access half is kept in a memo (_MEMO, see memo for its policy)
@@ -49,7 +48,7 @@ from .models import (
     feasible_alphas,
 )
 from .memo import ByteLRU
-from .numerics import binomial, harmonic_gaps
+from .numerics import _column_sums, binomial, harmonic_gaps
 
 __all__ = [
     "OptimalResult",
@@ -112,6 +111,8 @@ def expected_metrics(
 def _expected_metrics(access, service, nodes, m, alphas):
     if isinstance(alphas, range):  # never listed; its bounds come without a pass
         bounds = sorted((alphas[0], alphas[-1])) if alphas else ()
+        if len(alphas) >= 1 << 59:  # 4 EiB: near 2^63 bytes NumPy raises ValueError instead
+            raise MemoryError
         alphas = np.arange(alphas.start, alphas.stop, alphas.step, dtype=np.int64)
     else:
         alphas = np.fromiter(alphas, dtype=np.int64)
@@ -159,53 +160,25 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
     """Yield (start, stop, weights, gap) per chunk of access.rows, filling recovery.
 
     The chunk's columns are alphas[start:stop], each built from the floor
-    alpha (see numerics), so row i of column c holds phi = first[c] + i.
-    weights is the chunk's pmf matrix with the cells phi < alpha set to 0,
-    recovery[start:stop] its column sums, and gap the harmonic gaps
-    H_phi - H_{phi-alpha} (1 where phi < alpha), or None unless gaps. Each
-    depends on the system alone, not on the service model.
-
-    Only the rows i < max(alpha - first) can hold a cell phi < alpha, so
-    the mask touches those rows alone: a chunk whose columns all start at
-    alpha or above, as they do when alpha is below the mode, masks nothing.
+    alpha (see numerics), so row i of column c holds phi = first[c] + i and
+    weights, the chunk's pmf matrix, is 0.0 where phi < alpha.
+    recovery[start:stop] gets its column sums, and gap is the harmonic gaps
+    H_phi - H_{phi-alpha} at phi clamped to [alpha, hi], or None unless
+    gaps. Each depends on the system alone, not on the service model.
     """
     start = 0
     for first, hi, weights in access.rows(nodes, m * alphas, alphas):
         stop = start + weights.shape[1]
         alpha = alphas[start:stop]
-        phi = first + np.arange(weights.shape[0])[:, None]
-        below = max(0, int((alpha - first).max()))  # rows under alpha in some column
-        unreached = phi[:below] < alpha
-        np.copyto(weights[:below], 0.0, where=unreached)
         recovery[start:stop] = _column_sums(weights)
         gap = None
         if gaps:
-            phi = np.minimum(phi, hi)  # rows past hi weigh 0: no gap beyond the band
-            # hi >= first, so a column with hi < alpha also has rows under alpha
-            gap = harmonic_gaps(phi, np.minimum(alpha, phi) if below else alpha)
-            np.copyto(gap[:below], 1.0, where=unreached)
-        del unreached
+            phi = first + np.arange(weights.shape[0])[:, None]
+            # rows under alpha or past hi weigh 0: clamped, they read no gap past the support
+            gap = harmonic_gaps(np.maximum(np.minimum(phi, hi), alpha), alpha)
         yield start, stop, weights, gap
         del weights, gap  # as the caller does, so no chunk outlives its turn
         start = stop
-
-
-def _column_sums(x: np.ndarray) -> np.ndarray:
-    """Return the sum of each column of the C-ordered matrix x, added in phi (row) order.
-
-    Over two or more columns, add.reduce along axis 0 adds one row at a time
-    to the running sums, the order of cumsum without its matrix. A single
-    column is one contiguous run, which add.reduce would sum pairwise, so it
-    takes cumsum's last row.
-
-    The band (numerics._band) relies on this order: it drops the rows past
-    a column's end because each is below half an ulp of the running sum
-    that already holds the column's largest unmasked row. Pairwise or any
-    other summation would void that, and the band with it.
-    """
-    if x.shape[1] > 1:
-        return np.add.reduce(x, axis=0)
-    return np.cumsum(x, axis=0)[-1]
 
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:

@@ -22,16 +22,17 @@ Every chunk has one layout, (start, hi, P): row i of column c holds the pmf
 at phi = start[c] + i, hi[c] is the column's last row, and the chunk is as
 tall as its tallest column, padded with zeros past each hi. Under the
 default floor 0 a column runs over its whole support, from lo to its support
-end. The expectation kernel passes each column's alpha as the floor, and
-then a column is banded (_band): it starts at max(lo, min(floor, mode)) or
-higher, and hi is the band's end, not the support's. The rows skipped below
-max(lo, min(floor, mode)) lie below the floor, which the kernel masks, and
-at or below the mode, whose rise factor is 1; a kept row reads only ratios
-between itself and the mode, all inside the column, so every kept cell is
-bit-identical to the build from lo. min(floor, mode) keeps the rise walk
-whole when the floor is above the mode. The band drops only rows that are
-0.0 in the full build or too small to change the kernel's phi-order sums,
-so every sum keeps its bits too.
+end. The expectation kernel passes each column's alpha as the floor; then P
+is 0.0 below the floor, and a column is banded (_band): it starts at
+max(lo, min(floor, mode)) or higher, and hi is the band's end, not the
+support's. The rows skipped below max(lo, min(floor, mode)) lie below the
+floor and at or below the mode, whose rise factor is 1; a kept row reads only
+ratios between itself and the mode, all inside the column, so every cell at
+or above the floor is bit-identical to the build from lo. min(floor, mode)
+keeps the rise walk whole when the floor is above the mode, and the rows it
+builds below the floor are zeroed after the walk. The band drops only rows
+that are 0.0 in the full build or too small to change the kernel's phi-order
+sums (_column_sums), so every sum keeps its bits too.
 
 harmonic(n) returns H_n only as an exact Fraction, summed by binary
 splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
@@ -75,12 +76,12 @@ _WIDTH = 192
 _CHUNK_CELLS = 1 << 13
 
 # The band (_band). A row past a column's end is below 2^-_ABSORB_BITS of
-# its largest unmasked row over D: the half-ulp bound 2^-54, one bit for the
-# rate's rounding, a few more for the cells'. Absorption is used only while
-# that threshold is at least 2^-_NORMAL_BITS; a row cut for underflow has
-# exact mass below 2^-_UNDERFLOW_BITS, 2^-5 of half the smallest subnormal.
-# The underflow check walks rows _SPREAD standard deviations from the mode
-# and needs every walk product from there to the mode at least
+# its largest row phi >= alpha over D: the half-ulp bound 2^-54, one bit for
+# the rate's rounding, a few more for the cells'. Absorption is used only
+# while that threshold is at least 2^-_NORMAL_BITS; a row cut for underflow
+# has exact mass below 2^-_UNDERFLOW_BITS, 2^-5 of half the smallest
+# subnormal. The underflow check walks rows _SPREAD standard deviations from
+# the mode and needs every walk product from there to the mode at least
 # 2^-_NORMAL_WALK, inside the normal range. _NEWTON steps refine each tail
 # bound. A table whose columns are all at most _SHORT rows tall is built
 # whole: the band's few dozen small NumPy passes cost more than such columns
@@ -325,6 +326,24 @@ def _rows_from_mode(phi, hi, mode, anchors, first, last, num, den, rise, fall) -
         return rise * fall
 
 
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Return the sum of each column of the C-ordered matrix x, added in phi (row) order.
+
+    Over two or more columns, add.reduce along axis 0 adds one row at a time
+    to the running sums, the order of cumsum without its matrix. A single
+    column is one contiguous run, which add.reduce would sum pairwise, so it
+    takes cumsum's last row.
+
+    _band relies on this order: it drops the rows past a column's end
+    because each is below half an ulp of the running sum that already holds
+    the column's largest row at or above the floor. Pairwise or any other
+    summation would void that, and the band with it.
+    """
+    if x.shape[1] > 1:
+        return np.add.reduce(x, axis=0)
+    return np.cumsum(x, axis=0)[-1]
+
+
 def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float | None):
     """Return each column's band (start, end): the rows that can change its sums.
 
@@ -367,8 +386,7 @@ def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float
     check keeps that side whole. Below the mode this raises the start past
     rows from alpha up (absorption cannot cut there: the sums start near
     0). Above it, a column whose rows from alpha up all round to 0, or lie
-    past the support, keeps only its rows up to max(start, 1), which alpha
-    masks; its padding then reads its harmonic gaps at phi >= 1.
+    past the support, keeps only its first row, which lies below alpha.
     """
     D = data.astype(np.float64)
     if q is None:  # the binomial view of the smaller variance
@@ -419,9 +437,7 @@ def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float
             calm = ((top - mode) * -up <= _NORMAL_WALK) & (4.0 * anchors <= 1.0 - np.exp2(up))
         zero = rows(np.ceil(reach(_UNDERFLOW_BITS, 1.0)) + 1)
         end = np.where(~absorbs & calm, zero, end)
-    # a column with nothing at or above alpha keeps its first row, and rows to
-    # phi = 1, so that the kernel reads its padding's gaps at phi >= 1
-    end = np.minimum(np.where((alpha > hi) | (end < alpha), np.maximum(start, 1), end), hi)
+    end = np.where((alpha > hi) | (end < alpha), start, end)  # nothing at or above alpha
     # n KL(k/n || p) <= (k - mean)^2 / var, so no cut lies nearer the mean than this
     if (mean - start > np.sqrt(_UNDERFLOW_BITS * math.log(2.0) * var)).any():
         bottom = rows(np.ceil(mode - _SPREAD * np.sqrt(var)))
@@ -441,6 +457,8 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
     for a floor of 0 (the module docstring says why every kept cell is
     exact). A nonzero floor also bands the columns (_band), which moves
     start up and hi down, unless every column is at most _SHORT rows tall.
+    The rows below a column's floor carry the rise walk to it; once a chunk
+    is built they are set to 0.0, which leaves every other cell's bits.
     One _walk_anchors pass over all the columns anchors every chunk,
     and _rows_from_mode fills each one, with ratio(phi, D, num, den, spare)
     writing the numerators and denominators of P(phi+1)/P(phi) at the
@@ -459,6 +477,7 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
         start, hi = _band(data, start, hi, mode, floor, anchors, ratio, N, r, q)
         spans = (hi - start).tolist()
     offsets = (mode - start).tolist()
+    depths = np.maximum(floor - start, 0).tolist()  # rows below each column's floor
     chunks, first, tallest = [], 0, 0
     for c, span in enumerate(spans):
         taller = span + 1 if span >= tallest else tallest
@@ -476,9 +495,12 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
         phi, num, den, rise, fall = views[0], views[1], views[2], views[3], views[4]
         np.add(start_c, rows[:tallest], out=phi)
         ratio(phi, data[c], num, den, rise)
-        yield start_c, hi_c, _rows_from_mode(phi, hi_c, mode[c], anchors[c],
-                                             min(offsets[c]) + 1, max(offsets[c]),
-                                             num, den, rise, fall)
+        P = _rows_from_mode(phi, hi_c, mode[c], anchors[c], min(offsets[c]) + 1,
+                            max(offsets[c]), num, den, rise, fall)
+        below = min(max(depths[c]), tallest)
+        if below:
+            np.copyto(P[:below], 0.0, where=phi[:below] < floor[c])
+        yield start_c, hi_c, P
 
 
 def hypergeometric_rows(N: int, data, r: int, floor=0) -> Iterator[tuple]:
@@ -487,9 +509,9 @@ def hypergeometric_rows(N: int, data, r: int, floor=0) -> Iterator[tuple]:
     The chunks hold consecutive columns of data in order: P[i, c] is the pmf
     of a chunk's column c at phi = start[c] + i, and hi[c] its last row.
     Under the default floor 0 a column runs from its support start lo to its
-    support end. A caller that passes one floor per column reads no row
-    below it and only the phi-order sums of the rows at or above it, so it
-    gets each column's band: from max(lo, min(floor, mode)) or higher to
+    support end. A caller that passes one floor per column gets 0.0 in every
+    row below it, and as it sums the rows only in phi order (_column_sums),
+    it gets each column's band: from max(lo, min(floor, mode)) or higher to
     hi, at or below the support end (see _band).
     """
     data = np.asarray(data, dtype=np.int64)

@@ -7,7 +7,9 @@ Run with -s (or read the failure message) to see each line:
 
 from __future__ import annotations
 
-from dss_alloc import acceptance
+import pytest
+
+from dss_alloc import ConfigurationError, acceptance
 
 
 def _check(number: int) -> None:
@@ -52,3 +54,10 @@ def test_criterion_8_rate_bounds_sandwich_every_conditional_rate():
 
 def test_criterion_9_outputs_are_byte_stable():
     _check(9)
+
+
+@pytest.mark.parametrize("only", [[], [True], [3.0]], ids=str)
+def test_run_all_rejects_an_empty_or_non_integer_selection(only):
+    # an empty selection would pass having run nothing, and True is not criterion 1
+    with pytest.raises(ConfigurationError):
+        acceptance.run_all(only)

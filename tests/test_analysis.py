@@ -405,7 +405,7 @@ def test_column_sums_add_each_column_in_phi_order(width):
         matrix[local.random(shape) < 0.2] = 0.0
         tiny = local.random(shape) < 0.1
         matrix[tiny] = 5e-324 * local.integers(1, 1 << 20, tiny.sum())  # subnormal multiples
-        assert [value.hex() for value in analysis._column_sums(matrix).tolist()] == \
+        assert [value.hex() for value in numerics._column_sums(matrix).tolist()] == \
             phi_order_sums(matrix), height
 
 

@@ -874,6 +874,16 @@ def test_a_search_whose_alphas_exceed_memory_is_a_config_error():
         "error: config: the alphas of nodes=1000000000, m=1 do not fit in memory\n")
 
 
+@pytest.mark.parametrize("nodes", [2**62, 2**63 - 1], ids=["too-big", "stop-past-int64"])
+def test_a_search_whose_alphas_numpy_cannot_size_is_a_config_error(capsys, nodes):
+    # 2^62 alphas are past NumPy's byte range, and a range stop of 2^63 overflows int64;
+    # both are refused before any array is allocated
+    argv = ["optimal", "--nodes", str(nodes), "--m", "1", "--access", "probabilistic",
+            "--p", "0.5", "--service", "scaled"]
+    assert run_cli(capsys, argv) == (
+        2, "", f"error: config: the alphas of nodes={nodes}, m=1 do not fit in memory\n")
+
+
 def test_a_search_whose_kernel_arrays_exceed_memory_is_a_config_error():
     # ten million alphas (76 MB as int64) fit under the 384 MB the child may map; the
     # kernel's arrays built after them (rates, recovery, data counts, columns) do not

@@ -375,10 +375,11 @@ def test_each_chunk_holds_at_most_the_chunk_cells_or_one_column(monkeypatch, cel
         assert np.array_equal(column, alone[:, 0]), D
 
 
-# --- skewed chunks: a floor drops rows below it and changes no other bit ----
-# A floor also bands each column (numerics._band): the rows it keeps are the
-# full build's bit for bit, the rows it drops below are exactly 0.0, and those
-# it drops above are 0.0 or too small to change a sum.
+# --- skewed chunks: a floor zeroes rows below it and changes no other bit ---
+# A floor also bands each column (numerics._band): the rows it keeps are 0.0
+# below the floor and the full build's bit for bit at or above it, the rows it
+# drops below are exactly 0.0, and those it drops above are 0.0 or too small
+# to change a sum.
 
 # (access, nodes, m); each column's floor is its alpha = D / m
 FLOOR_SYSTEMS = [
@@ -416,12 +417,38 @@ def test_a_floor_starts_each_column_higher_and_keeps_every_cell(monkeypatch, cel
     check_band(access, nodes, m, alphas)
 
 
+# (access, nodes, m): short tables, built whole, and tall ones, banded; in each,
+# columns are built from their mode below alpha or end below it
+ZERO_SYSTEMS = [
+    (FixedSize(5), 40, 2),  # alpha > 5 = r: the whole column lies below alpha
+    (FixedSize(10), 40, 2),  # mode about 0.5 alpha
+    (Probabilistic(0.7), 40, 2),  # mode about 0.6 alpha
+    (FixedSize(270), 900, 3),
+    (Probabilistic(0.7), 900, 3),
+]
+
+
+@pytest.mark.parametrize("cells", [None, 4096, 1], ids=["default", "4096", "1"])
+@pytest.mark.parametrize("access, nodes, m", ZERO_SYSTEMS, ids=str)
+def test_a_floor_zeroes_every_row_below_it(monkeypatch, cells, access, nodes, m):
+    if cells is not None:  # 1: single-column chunks
+        monkeypatch.setattr(numerics, "_CHUNK_CELLS", cells)
+    alphas = np.arange(1, nodes // m + 1)
+    first, below = 0, 0
+    for start, hi, probs in access.rows(nodes, m * alphas, alphas):
+        alpha = alphas[first:first + len(start)]
+        under = start + np.arange(probs.shape[0])[:, None] < alpha
+        assert probs[under].tobytes() == bytes(8 * under.sum())  # +0.0, bit for bit
+        first, below = first + len(start), below + under.sum()
+    assert first == len(alphas) and below > 0
+
+
 def check_band(access, nodes, m, alphas):
     """Check each banded column against its full build; return (starts, heights).
 
     A band starts at max(lo, min(alpha, mode)), or higher past rows that are
-    0.0 in the full build; its rows are the full build's bit for bit; the
-    rows past its end are below 2^-54 of the largest unmasked row over D,
+    0.0 in the full build; its rows below alpha are exactly 0.0 and the rest
+    are the full build's bit for bit; the rows past its end are below 2^-54 of the largest unmasked row over D,
     or, when it ends below alpha, nothing at or above alpha is nonzero.
     """
     data = [m * alpha for alpha in alphas]
@@ -441,7 +468,10 @@ def check_band(access, nodes, m, alphas):
         assert start_lo == lo and start >= max(lo, min(alpha, mode))
         assert not full[:start - lo].any() or start == max(lo, min(alpha, mode)), alpha
         end = start + len(column) - 1
-        assert column.tobytes() == full[start - lo:end - lo + 1].tobytes(), alpha
+        below = column[:max(alpha - start, 0)]
+        assert below.tobytes() == bytes(below.nbytes), alpha  # +0.0, bit for bit
+        assert column[len(below):].tobytes() == \
+            full[start + len(below) - lo:end - lo + 1].tobytes(), alpha
         past = full[end - lo + 1:]
         if end >= max(alpha, mode):  # below 2^-54 of the largest unmasked row, over D
             assert (past <= 2.0**-54 * full[max(alpha, mode) - lo] / (m * alpha)).all(), alpha

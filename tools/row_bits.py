@@ -20,9 +20,12 @@ The one-alpha calls: expected_metrics at N = 10^5, m = 3 for one alpha at
 a time, under fixed r = 30,000 (mode about 0.9 alpha) and 90,000 (about
 2.7 alpha) and p = 0.3 (2.1 alpha) and 0.7 (0.9 alpha), so below, at and
 above the mode, with alpha = 30,001 above r, under all four service models
-and without one. The access pmfs: access_pmf of the simulate benchmark's two systems and of
-N = 10^4, m = 3, alpha = 1,000 under both access models, each built from
-the default floor. The simulator runs: the repr of estimate_service_rate
+and without one. The explicit alphas: expected_metrics at N = 40, m = 2
+for alpha = 1..20 in one call, under fixed r = 5 and 10, so that the
+support of most columns ends below their alpha, under all four service
+models and without one. The access pmfs: access_pmf of the simulate
+benchmark's two systems and of N = 10^4, m = 3, alpha = 1,000 under both
+access models, each built from the default floor. The simulator runs: the repr of estimate_service_rate
 and of its recovery_estimate for the simulate benchmark's two systems
 under all four service models, at 200,000 trials with 1 and with 2
 workers, and for one system (N = 10, p = 0.9) whose thin strata are
@@ -132,6 +135,12 @@ def main() -> int:
                 rates, recovery = d.expected_metrics(access, service, 100000, 3, [alpha])
                 print(f"one-alpha 100000 3 {access} {service} {alpha}",
                       _hex([] if rates is None else rates), "|", _hex(recovery))
+    for access in (d.FixedSize(5), d.FixedSize(10)):
+        for service in (d.SmallExp(1.0), d.ScaledExp(1.0), d.ShiftedExp(3.0, 1.0),
+                        d.ConstantTime(1.0), None):
+            rates, recovery = d.expected_metrics(access, service, 40, 2, list(range(1, 21)))
+            print(f"explicit 40 2 {access} {service}",
+                  _hex([] if rates is None else rates), "|", _hex(recovery))
     services = (d.SmallExp(1.0), d.ScaledExp(1.0), d.ShiftedExp(2.0, 1.0), d.ConstantTime(2.0))
     cases = [(config, access, service, d.SimConfig(200_000, seed=7, workers=workers))
              for config, access in ((d.SystemConfig(20, 2, 3), d.FixedSize(8)),
