@@ -19,7 +19,8 @@ each column with its rows phi < alpha set to 0.0, and banded
 and it ends where the rows past its end are 0.0 or too small to change
 either phi-order sum, so every row of every table keeps its bits. The
 harmonic gaps count phi from each column's first row and read it clamped to
-[alpha, hi]: a row outside weighs 0, and needs only a finite gap.
+[alpha, hi], or at max(hi, 1) in a column with hi < alpha: a row outside
+weighs 0, and needs only a finite positive gap.
 
 The kernel has two halves. The access half (_access_half: the pmf
 weights, the recovery sums and the harmonic gaps) depends only on (access,
@@ -163,8 +164,9 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
     alpha (see numerics), so row i of column c holds phi = first[c] + i and
     weights, the chunk's pmf matrix, is 0.0 where phi < alpha.
     recovery[start:stop] gets its column sums, and gap is the harmonic gaps
-    H_phi - H_{phi-alpha} at phi clamped to [alpha, hi], or None unless
-    gaps. Each depends on the system alone, not on the service model.
+    H_phi - H_{phi-alpha} at phi clamped to [alpha, hi] (a column with
+    hi < alpha, all 0.0, reads H_a at a = max(hi, 1)), or None unless gaps.
+    Each depends on the system alone, not on the service model.
     """
     start = 0
     for first, hi, weights in access.rows(nodes, m * alphas, alphas):
@@ -174,8 +176,9 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
         gap = None
         if gaps:
             phi = first + np.arange(weights.shape[0])[:, None]
-            # rows under alpha or past hi weigh 0: clamped, they read no gap past the support
-            gap = harmonic_gaps(np.maximum(np.minimum(phi, hi), alpha), alpha)
+            # rows outside [a, hi] weigh 0: no gap is read past the band, even where hi < alpha
+            a = np.minimum(alpha, np.maximum(hi, 1))
+            gap = harmonic_gaps(np.maximum(np.minimum(phi, hi), a), a)
         yield start, stop, weights, gap
         del weights, gap  # as the caller does, so no chunk outlives its turn
         start = stop

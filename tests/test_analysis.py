@@ -383,6 +383,16 @@ def test_searches_read_no_harmonic_gap_past_the_support(monkeypatch, access, nod
     assert len(numerics._table[0]) == max(numerics._MIN_TABLE, 1 << top.bit_length())
 
 
+@pytest.mark.parametrize("access", [FixedSize(5), Probabilistic(0.999)], ids=str)
+def test_an_alpha_far_past_its_band_reads_no_harmonic_gap_near_it(monkeypatch, access):
+    # the column ends below alpha (past r = 5, or where its rows underflow) and weighs 0
+    # throughout, so a one-alpha call at alpha = 50,000 keeps the table at its smallest
+    monkeypatch.setattr(numerics, "_table", (np.zeros(1), np.zeros(1)))
+    rates, recovery = expected_metrics(access, ScaledExp(1.0), 100_000, 1, [50_000])
+    assert (rates.tolist(), recovery.tolist()) == ([0.0], [0.0])
+    assert len(numerics._table[0]) == numerics._MIN_TABLE
+
+
 # --- the kernel's column sums ----------------------------------------------------
 
 def phi_order_sums(matrix: np.ndarray) -> list[str]:

@@ -448,8 +448,9 @@ def check_band(access, nodes, m, alphas):
 
     A band starts at max(lo, min(alpha, mode)), or higher past rows that are
     0.0 in the full build; its rows below alpha are exactly 0.0 and the rest
-    are the full build's bit for bit; the rows past its end are below 2^-54 of the largest unmasked row over D,
-    or, when it ends below alpha, nothing at or above alpha is nonzero.
+    are the full build's bit for bit; the rows past its end are below 2^-54
+    of the largest unmasked row over D, or, when it ends below alpha,
+    nothing at or above alpha is nonzero.
     """
     data = [m * alpha for alpha in alphas]
     if isinstance(access, FixedSize):
