@@ -3,11 +3,13 @@
 Access is hypergeometric for fixed-size requests and binomial for
 probabilistic ones, each built as a phi x column pmf matrix, one column per
 data-node count (hypergeometric_rows, binomial_rows). Each column takes its
-mass at its distribution's mode and fills the rest of the support with the
-ratio recurrence P(phi+1)/P(phi), walking away from the mode so that every
-partial product stays in (0, 1]. The mode masses of one call come from one
-walk over its columns in data order (_walk_anchors): the first column's mass
-is exact, and a mantissa of _WIDTH bits is carried from one column's mode to
+mass at one anchor row, its mode or, in a banded column, phi0 =
+max(floor, mode), and fills the rest of its rows with the ratio recurrence
+P(phi+1)/P(phi), walking away from the anchor. The anchor is the mode or
+above it, and a column goes below it only from the mode, so every partial
+product stays in (0, 1]. The anchor masses of one call come from one walk
+over its columns in data order (_walk_anchors): the first column's mass is
+exact, and a mantissa of _WIDTH bits is carried from one column's anchor to
 the next by the exact rational ratio of the two masses and rounded to float
 once per column. The builders own the chunking: they yield the matrix in
 chunks of consecutive columns, packed greedily by each column's real height
@@ -23,22 +25,29 @@ at phi = start[c] + i, hi[c] is the column's last row, and the chunk is as
 tall as its tallest column, padded with zeros past each hi. Under the
 default floor 0 a column runs over its whole support, from lo to its support
 end. The expectation kernel passes each column's alpha as the floor; then P
-is 0.0 below the floor, and a column is banded (_band): it starts at
-max(lo, min(floor, mode)) or higher, and hi is the band's end, not the
-support's. The rows skipped below max(lo, min(floor, mode)) lie below the
-floor and at or below the mode, whose rise factor is 1; a kept row reads only
-ratios between itself and the mode, all inside the column, so every cell at
-or above the floor is bit-identical to the build from lo. min(floor, mode)
-keeps the rise walk whole when the floor is above the mode, and the rows it
-builds below the floor are zeroed after the walk. The band drops only rows
-that are 0.0 in the full build or too small to change the kernel's phi-order
-sums (_column_sums), so every sum keeps its bits too.
+is 0.0 below the floor, and one of two builds applies, by the column alone:
+
+- A column at most _SHORT rows tall from max(lo, min(floor, mode)) starts
+  there and is anchored at its mode. The rows skipped below that start lie
+  below the floor and at or below the mode, whose rise factor is 1; a kept
+  row reads only ratios between itself and the mode, all inside the column,
+  so every cell at or above the floor is bit-identical to the build from
+  lo. min(floor, mode) keeps the rise walk whole when the floor is above
+  the mode, and the rows it builds below the floor are zeroed after the
+  walk.
+- A taller column is banded (_band): anchored at phi0 with the exact
+  P(phi0) rounded once, it holds only the rows from its floor, or from its
+  lower cut above it, to its upper cut, both cut where the rest of that
+  side's mass is below 2^-_ABSORB_BITS P(phi0) / D. Its cells are not the
+  full build's bits, but each sum stays within 2^-_ABSORB_BITS of the full
+  one, plus a few roundings per row walked.
 
 harmonic(n) returns H_n only as an exact Fraction, summed by binary
 splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
 prefix table of H_n kept as a double-double (hi + lo) pair, so a gap carries
 no phi*eps cancellation error. The table grows by doubling and is built on
-first use, never at import.
+first use, never at import, in blocks of _BLOCK entries, so that building it
+takes little more memory than keeping it.
 """
 
 from __future__ import annotations
@@ -75,26 +84,23 @@ _WIDTH = 192
 # every chunk
 _CHUNK_CELLS = 1 << 13
 
-# The band (_band). A row past a column's end is below 2^-_ABSORB_BITS of
-# its largest row phi >= alpha over D: the half-ulp bound 2^-54, one bit for
-# the rate's rounding, a few more for the cells'. Absorption is used only
-# while that threshold is at least 2^-_NORMAL_BITS; a row cut for underflow
-# has exact mass below 2^-_UNDERFLOW_BITS, 2^-5 of half the smallest
-# subnormal. The underflow check walks rows _SPREAD standard deviations from
-# the mode and needs every walk product from there to the mode at least
-# 2^-_NORMAL_WALK, inside the normal range. _NEWTON steps refine each tail
-# bound. A table whose columns are all at most _SHORT rows tall is built
-# whole: the band's few dozen small NumPy passes cost more than such columns
-# can lose (on the benchmark's N <= 40 figure and grid tables it cut no row).
+# The band (_band). Each side of a column is cut where a tail bound holds the
+# rest of its mass below T = 2^-_ABSORB_BITS P(phi0) / D: each sum then loses
+# less than 2^-_ABSORB_BITS of itself, under an ulp and far under the 1e-12
+# relative the kernel is checked to. T is at least 2^-_UNDERFLOW_BITS, 2^-5 of
+# half the smallest subnormal, which bounds a column whose P(phi0) lies far
+# below the float range. _NEWTON steps refine each tail bound. A column at most
+# _SHORT rows tall is built whole: the band's few dozen small NumPy passes cost
+# more than such a column can lose (on the benchmark's N <= 40 figure and grid
+# tables it cut no row).
 _ABSORB_BITS = 60
-_NORMAL_BITS = 1000
 _UNDERFLOW_BITS = 1080
-_NORMAL_WALK = 1020
-_SPREAD = 20
 _NEWTON = 2
 _SHORT = 64
 
 _MIN_TABLE = 1024
+# entries per block of a harmonic table build: 512 KiB per float64 temporary
+_BLOCK = 1 << 16
 _table: tuple[np.ndarray, np.ndarray] = (np.zeros(1), np.zeros(1))
 _table_lock = threading.Lock()
 
@@ -136,18 +142,32 @@ def _two_product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.
 
 
 def _build_table(size: int) -> tuple[np.ndarray, np.ndarray]:
-    i = np.arange(1, size, dtype=np.float64)
-    inverse = 1.0 / i
-    product = inverse * i
-    # 1/i - fl(1/i) = (1 - fl(1/i)*i) / i, with the product fl(1/i)*i taken exactly
-    inverse_error = -((product - 1.0) + _two_product_error(inverse, i, product)) / i
-    hi = np.zeros(size)
-    np.cumsum(inverse, out=hi[1:])
-    # the rounding error of each step hi[k] = fl(hi[k-1] + 1/k), by two-sum
-    step = hi[1:] - hi[:-1]
-    add_error = (hi[:-1] - (hi[1:] - step)) + (inverse - step)
-    lo = np.zeros(size)
-    np.cumsum(add_error + inverse_error, out=lo[1:])
+    """Return (hi, lo) with H_i = hi[i] + lo[i] for i < size, built in blocks of _BLOCK.
+
+    hi[k] = fl(hi[k-1] + 1/k) is one sequential sum, and lo sums the rounding
+    errors of both 1/k and that step; each block starts its sums from the
+    last hi and lo of the one before, so the table is the same bits as one
+    pass over all of it, and the temporaries stay the size of a block.
+    """
+    hi, lo = np.zeros(size), np.zeros(size)
+    run = np.empty(_BLOCK + 1)  # a block's sum, after the carried entry
+    for first in range(1, size, _BLOCK):
+        stop = min(first + _BLOCK, size)
+        i = np.arange(first, stop, dtype=np.float64)
+        inverse = 1.0 / i
+        product = inverse * i
+        # 1/i - fl(1/i) = (1 - fl(1/i)*i) / i, with the product fl(1/i)*i taken exactly
+        inverse_error = -((product - 1.0) + _two_product_error(inverse, i, product)) / i
+        block = run[:stop - first + 1]
+        block[0], block[1:] = hi[first - 1], inverse
+        np.cumsum(block, out=block)
+        hi[first:stop] = block[1:]
+        # the rounding error of each step hi[k] = fl(hi[k-1] + 1/k), by two-sum
+        step = hi[first:stop] - hi[first - 1:stop - 1]
+        add_error = (hi[first - 1:stop - 1] - (hi[first:stop] - step)) + (inverse - step)
+        block[0], block[1:] = lo[first - 1], add_error + inverse_error
+        np.cumsum(block, out=block)
+        lo[first:stop] = block[1:]
     return hi, lo
 
 
@@ -235,35 +255,36 @@ def _truncated_power(base: int, n: int) -> tuple[int, int]:
     return x, ex
 
 
-def _walk_anchors(data: list, mode: list, N: int, r: int, q: float | None) -> list[float]:
-    """Return P(mode[c]) for each column c, walking the columns in data order.
+def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> list[float]:
+    """Return P(peak[c]) for each column c, walking the columns in data order.
 
     Column c is hypergeometric(N, data[c], r) when q is None, else
     binomial(data[c], q) with q = a / 2^e at its exact binary value, so
-    P(k; D) = C(D, k) a^k b^(D-k) / 2^(eD) with b = 2^e - a. The walk holds
-    the current mass as x * 2^ex, x an integer of _WIDTH or _WIDTH + 1 bits.
-    It starts from the exact mass of the column with the fewest data nodes,
-    C(D, k) C(N-D, r-k) / C(N, r) or C(D, k) a^k b^(D-k) (powers by
-    _truncated_power), and visits the columns in ascending data order, writing
-    each anchor back to its own column. From (D, k) to the next column's
-    (D1, k1), with g = D1 - D, h = k1 - k, d = g - h, u = D - k,
-    v = N - r - D + k and (n)_j = n! / (n-j)! (math.perm), the mass changes
-    by the exact ratio
+    P(k; D) = C(D, k) a^k b^(D-k) / 2^(eD) with b = 2^e - a. peak[c] is any
+    row of column c's support: its mode, or phi0 in a banded column. The walk
+    holds the current mass as x * 2^ex, x an integer of _WIDTH or _WIDTH + 1
+    bits. It starts from the exact mass of the column with the fewest data
+    nodes, C(D, k) C(N-D, r-k) / C(N, r) or C(D, k) a^k b^(D-k) (powers by
+    _truncated_power), and visits the columns in ascending data order,
+    writing each anchor back to its own column. From (D, k) to the next
+    column's (D1, k1), with g = D1 - D, h = k1 - k and d = g - h, the mass
+    changes by an exact ratio read off
 
-        hypergeometric   (D1)_g (r-k)_h (v)_d / ((N-D)_g (k1)_h (u+d)_d)
-        binomial         (D1)_g a^h b^d / ((k1)_h (u+d)_d 2^(eg)),
+        hypergeometric   D! (N-D)! / (k! (D-k)! (r-k)! (N-r-D+k)!)
+        binomial         D! / (k! (D-k)!)  times a^k b^(D-k) / 2^(eD):
 
-    applied by one floor division that truncates x. A mode rises by at most
-    as much as its data count (0 <= h <= g), so in data order the ratio
-    always has this form, and it never passes through a (D, k) outside the
-    support. x * 2^ex is rounded to float once, when int x converts; ldexp
-    is then exact, because a mode mass, at least 1/(D+1), is a normal float.
+    each factorial steps from its old argument to its new one by a falling
+    factorial (n)_j = n! / (n-j)! (math.perm) on the side where it grows,
+    and a power by |h| or |d|, so the peaks may rise or fall between
+    columns (a banded column's peak is phi0, its neighbour's may be its
+    mode). One floor division applies the ratio and truncates x. x * 2^ex
+    is rounded to float once per column, subnormal masses included.
     """
     if q is not None:
         a, scale = q.as_integer_ratio()
         b, e = scale - a, scale.bit_length() - 1
     order = sorted(range(len(data)), key=data.__getitem__)
-    D, k = data[order[0]], mode[order[0]]
+    D, k = data[order[0]], peak[order[0]]
     # the first column's exact mass, num / den * 2^ex
     if q is None:
         num, den, ex = math.comb(D, k) * math.comb(N - D, r - k), math.comb(N, r), 0
@@ -273,38 +294,45 @@ def _walk_anchors(data: list, mode: list, N: int, r: int, q: float | None) -> li
     x = 1
     anchors = [0.0] * len(data)
     for c in order:  # the first column steps from itself, by the ratio 1
-        D1, k1 = data[c], mode[c]
+        D1, k1 = data[c], peak[c]
         g, h = D1 - D, k1 - k
         d = g - h
-        if q is None:
-            num *= perm(D1, g) * perm(r - k, h) * perm(N - r - D + k, d)
-            den *= perm(N - D, g) * perm(k1, h) * perm(D - k + d, d)
-        else:
-            num *= perm(D1, g) * a**h * b**d
-            den *= perm(k1, h) * perm(D - k + d, d)
+        if q is None:  # k! and (r-k)! step by h, (D-k)! and (N-r-D+k)! by d
+            num *= perm(D1, g) * (perm(r - k, h) if h >= 0 else perm(k, -h)) * \
+                (perm(N - r - D + k, d) if d >= 0 else perm(D - k, -d))
+            den *= perm(N - D, g) * (perm(k1, h) if h >= 0 else perm(r - k1, -h)) * \
+                (perm(D1 - k1, d) if d >= 0 else perm(N - r - D1 + k1, -d))
+        else:  # k! and a^k step by h, (D-k)! and b^(D-k) by d
+            num *= perm(D1, g) * (a**h if h >= 0 else perm(k, -h)) * \
+                (b**d if d >= 0 else perm(D - k, -d))
+            den *= (perm(k1, h) if h >= 0 else a**-h) * (perm(D1 - k1, d) if d >= 0 else b**-d)
             ex -= e * g
         D, k = D1, k1
         y = x * num
         shift = _WIDTH + den.bit_length() - y.bit_length()
         x = (y << shift if shift >= 0 else y >> -shift) // den
         ex -= shift
-        anchors[c] = math.ldexp(x, ex)
+        # one rounding of x * 2^ex: by float(x) where ldexp is then exact (a
+        # normal mass), else by int division, correct into the subnormals, and
+        # to 0.0 below them without building 2^-ex
+        top = x.bit_length() + ex  # x * 2^ex < 2^top
+        anchors[c] = math.ldexp(x, ex) if top > -1021 else x / (1 << -ex) if top > -1076 else 0.0
         num = den = 1
     return anchors
 
 
-def _rows_from_mode(phi, hi, mode, anchors, first, last, num, den, rise, fall) -> np.ndarray:
+def _rows_from_mode(phi, hi, peak, anchors, first, last, num, den, rise, fall) -> np.ndarray:
     """Return the pmf matrix P[i, c] = P(phi[i, c]), one distribution per column.
 
     Each column of phi holds consecutive values from a first row at or above
-    its support start and at or below its mode. Column c is P(mode_c) =
-    anchors[c] at its mode and is filled outwards by P(phi+1)/P(phi) =
-    num[i, c] / den[i, c] up to hi_c; it is 0 past hi_c. Every ratio used
-    points away from the mode, so the running products lie in [0, 1] and
-    cannot overflow.
+    its support start and at or below its anchor row peak_c, the mode or a
+    row above it. Column c is P(peak_c) = anchors[c] there and is filled
+    outwards by P(phi+1)/P(phi) = num[i, c] / den[i, c] up to hi_c; it is 0
+    past hi_c. Every ratio used points away from the mode, so the running
+    products lie in [0, 1] and cannot overflow.
 
-    Every column rises by exactly 1 before row first = min(mode - phi[0]) + 1
-    and falls by exactly 1 from row last = max(mode - phi[0]) on, so each
+    Every column rises by exactly 1 before row first = min(peak - phi[0]) + 1
+    and falls by exactly 1 from row last = max(peak - phi[0]) on, so each
     walk runs only over the rows where it changes a value; the products it
     skips are of exact 1.0s, and with last = 0 there is no fall walk. rise
     and fall are scratch of phi's shape, which the walks fill in place; of
@@ -315,12 +343,12 @@ def _rows_from_mode(phi, hi, mode, anchors, first, last, num, den, rise, fall) -
         np.less_equal(phi, hi, out=rise)  # rise[i] = P(phi) / P(phi - 1): 0 past hi
         before = phi[first - 1:-1]
         np.divide(num[first - 1:-1], den[first - 1:-1], out=up,
-                  where=(before >= mode) & (before < hi))
+                  where=(before >= peak) & (before < hi))
         np.cumprod(up, axis=0, out=up)
-        if not last:  # no column starts below its mode: fall would be all 1.0
+        if not last:  # no column starts below its anchor row: fall would be all 1.0
             return rise * anchors
         fall.fill(1.0)  # fall[i] = P(phi) / P(phi + 1)
-        np.divide(den[:last], num[:last], out=down, where=phi[:last] < mode)
+        np.divide(den[:last], num[:last], out=down, where=phi[:last] < peak)
         np.cumprod(down[::-1], axis=0, out=down[::-1])
         rise *= anchors
         return rise * fall
@@ -334,35 +362,32 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
     column is one contiguous run, which add.reduce would sum pairwise, so it
     takes cumsum's last row.
 
-    _band relies on this order: it drops the rows past a column's end
-    because each is below half an ulp of the running sum that already holds
-    the column's largest row at or above the floor. Pairwise or any other
-    summation would void that, and the band with it.
+    Padding rows are 0.0, so a column's sums are the same bits in any chunk,
+    and a one-alpha call returns exactly the matching row of a search.
     """
     if x.shape[1] > 1:
         return np.add.reduce(x, axis=0)
     return np.cumsum(x, axis=0)[-1]
 
 
-def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float | None):
-    """Return each column's band (start, end): the rows that can change its sums.
+def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
+    """Return each column's band (start, end): the rows that carry its sums.
 
-    The kernel sums a column's rows phi >= alpha one at a time in phi order,
-    as weights P(phi) and as P(phi) mu(phi), where the conditional rate mu is
-    nondecreasing in phi and mu(phi) / mu(phi0) <= phi / (phi0 - alpha + 1)
-    <= D past phi0 = max(alpha, mode) for every service model. A row the
-    band leaves out either holds exactly 0.0 in the full build or is too
-    small to change either float sum, so both sums keep every bit.
+    peak holds each column's phi0 = max(alpha, mode), at most hi, and
+    anchors the exact P(phi0) rounded once (_walk_anchors). The kernel sums
+    a column's rows phi >= alpha, as weights P(phi) and as P(phi) mu(phi),
+    where the conditional rate mu is nondecreasing in phi and
+    mu(phi) / mu(phi0) <= phi / (phi0 - alpha + 1) <= D past phi0 for every
+    service model. Both sums hold the row at phi0. The band cuts each side
+    where the rest of that side's mass is below one threshold
+    T = 2^-_ABSORB_BITS P(phi0) / D. The rows it drops above phi0 weigh less
+    than T and add less than T D mu(phi0) to the rate; those below, which
+    exist only when phi0 is the mode, weigh less than T and add less than
+    T mu(phi0). So each sum loses under 2^-_ABSORB_BITS of itself. T is at
+    least 2^-_UNDERFLOW_BITS: a column whose P(phi0) lies far below the
+    float range, or rounds to 0.0, loses less than that mass outright.
 
-    End, by absorption. Past phi0 both running sums s hold at least the
-    row at phi0. A row whose exact mass is below T = 2^-_ABSORB_BITS w / D,
-    with w a lower bound on the computed P(phi0), adds less than
-    2^-55 s, under half an ulp of s, so round to nearest leaves s as it
-    is; later rows are smaller still, since the pmf is log-concave. w is
-    the anchor itself when phi0 is the mode, else P(mode) rho^(alpha-mode)
-    with rho = P(alpha)/P(alpha-1), the smallest ratio of the rise (one bit
-    off for the walk's rounding). The end is a row past which a tail bound
-    holds the mass below T. Bernstein's bound
+    A cut row comes from a tail bound. Bernstein's bound
     P(X - mean >= t) <= exp(-t^2 / (2 (var + t/3))) gives one in closed
     form; _NEWTON Newton steps on Chernoff's exponent n KL(k/n || p), which
     is convex in k and at least Bernstein's, move it toward Chernoff's row
@@ -370,23 +395,13 @@ def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float
     itself, or for the hypergeometric whichever of its two binomial views
     (r draws of D/N, D draws of r/N) has the smaller variance: Hoeffding
     (1963, Theorem 4) carries every bound on the moment generating function
-    over from sampling with replacement to sampling without. T is used only
-    while it is at least 2^-_NORMAL_BITS, so that the cells past the end
-    carry relative, not absolute, rounding error.
+    over from sampling with replacement to sampling without.
 
-    Either side, by underflow. A cell of the walk is fl(anchor * W), W the
-    running product of ratios from the mode. A row with exact mass below
-    2^-_UNDERFLOW_BITS is 0.0 once the walk's subnormal rounding cannot
-    hold W up: every row from the mode to a row j stays normal (the
-    log-concave bound rho(j)^|j - mode| >= 2^-_NORMAL_WALK), so the walk
-    adds its half-ulps only past j, where each ratio is at most rho(j),
-    and they stay below 2^-1075 / (1 - rho(j)); 4 anchor <= 1 - rho(j)
-    then keeps anchor * W under 2^-1075, which rounds to 0. j is tried at
-    _SPREAD standard deviations from the mode, and a column that fails the
-    check keeps that side whole. Below the mode this raises the start past
-    rows from alpha up (absorption cannot cut there: the sums start near
-    0). Above it, a column whose rows from alpha up all round to 0, or lie
-    past the support, keeps only its first row, which lies below alpha.
+    The band starts at phi0 or at its lower cut, never below lo or alpha,
+    and ends at or past phi0, so it holds no row below alpha. A column with
+    nothing at or above alpha, because its support ends below alpha or its
+    whole mass from alpha up lies below T, is its first row lo alone, which
+    _chunked zeroes; so its hi stays below alpha.
     """
     D = data.astype(np.float64)
     if q is None:  # the binomial view of the smaller variance
@@ -411,72 +426,53 @@ def _band(data, start, hi, mode, alpha, anchors, ratio, N: int, r: int, q: float
         # a step back past Bernstein's row (rounding) or a nan keeps that row
         return np.where(inside & (side * (bound - k) >= 0.0), k, bound)
 
-    def log_ratio(phi):  # log2 P(phi + 1) / P(phi) per column
-        phi = phi.astype(np.float64)
-        num, den, spare = np.empty_like(phi), np.empty_like(phi), np.empty_like(phi)
-        ratio(phi, data, num, den, spare)
-        return np.log2(num / den)
+    def rows(x, low, high):  # as rows from low to high
+        return np.minimum(np.maximum(x, low), high).astype(np.int64)
 
-    def rows(x):  # as rows of each column, from start to hi
-        return np.minimum(np.maximum(x, start), hi).astype(np.int64)
-
-    phi0 = np.maximum(alpha, mode)
-    with np.errstate(divide="ignore", invalid="ignore"):  # log2 0 and 0 * inf, masked below
-        log_w = np.log2(anchors) - 1.0
-        above = alpha > mode
-        if above.any():
-            log_w += np.where(above, (phi0 - mode) * log_ratio(rows(phi0 - 1)), 0.0)
-        bits = _ABSORB_BITS + np.log2(D) - log_w
-    absorbs = bits <= _NORMAL_BITS  # False where P(alpha) is 0 or far below normal
-    end = np.where(absorbs, rows(np.ceil(reach(np.minimum(bits, _NORMAL_BITS), 1.0)) + 1), hi)
-    end = np.maximum(end, phi0)
-    if not absorbs.all():  # alpha far above the mode: cut where its rows underflow
-        top = rows(np.floor(mode + _SPREAD * np.sqrt(var)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = log_ratio(np.maximum(top - 1, mode))
-            calm = ((top - mode) * -up <= _NORMAL_WALK) & (4.0 * anchors <= 1.0 - np.exp2(up))
-        zero = rows(np.ceil(reach(_UNDERFLOW_BITS, 1.0)) + 1)
-        end = np.where(~absorbs & calm, zero, end)
-    end = np.where((alpha > hi) | (end < alpha), start, end)  # nothing at or above alpha
-    # n KL(k/n || p) <= (k - mean)^2 / var, so no cut lies nearer the mean than this
-    if (mean - start > np.sqrt(_UNDERFLOW_BITS * math.log(2.0) * var)).any():
-        bottom = rows(np.ceil(mode - _SPREAD * np.sqrt(var)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            down = log_ratio(bottom)  # positive below the mode
-            calm = ((mode - bottom) * down <= _NORMAL_WALK) & \
-                (4.0 * anchors <= 1.0 - np.exp2(-down))
-        low = rows(np.ceil(reach(_UNDERFLOW_BITS, -1.0)) - 1)
-        start = np.where(calm, np.minimum(low, mode), start)
-    return start, end
+    with np.errstate(divide="ignore"):  # log2 0.0: an anchor below the float range
+        bits = np.minimum(_ABSORB_BITS + np.log2(D) - np.log2(anchors), _UNDERFLOW_BITS)
+    end = np.ceil(reach(bits, 1.0)) + 1
+    empty = (alpha > hi) | (end < alpha)  # nothing at or above alpha: row lo alone
+    start = rows(np.ceil(reach(bits, -1.0)) - 1, np.maximum(lo, alpha), peak)
+    return np.where(empty, lo, start), np.where(empty, lo, rows(end, peak, hi))
 
 
 def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
     """Yield (start, hi, P) for chunks of consecutive columns of data, in order.
 
     A column starts at row start = max(lo, min(floor, mode)), which is lo
-    for a floor of 0 (the module docstring says why every kept cell is
-    exact). A nonzero floor also bands the columns (_band), which moves
-    start up and hi down, unless every column is at most _SHORT rows tall.
-    The rows below a column's floor carry the rise walk to it; once a chunk
-    is built they are set to 0.0, which leaves every other cell's bits.
-    One _walk_anchors pass over all the columns anchors every chunk,
-    and _rows_from_mode fills each one, with ratio(phi, D, num, den, spare)
-    writing the numerators and denominators of P(phi+1)/P(phi) at the
-    chunk's phi for its data counts D into num and den. Columns are packed
-    greedily by their real height hi - start + 1: a chunk is as tall as its
-    tallest column and holds at most _CHUNK_CELLS cells unless it is one
-    column. The call allocates one scratch of five matrices of its largest
-    chunk, and every chunk writes phi, the ratios and both walks into views
-    of it (the module docstring says why).
+    for a floor of 0, and is anchored at its mode (the module docstring
+    says why every kept cell is exact). The rows below a column's floor
+    carry the rise walk to it; once a chunk is built they are set to 0.0,
+    which leaves every other cell's bits. A column more than _SHORT rows
+    tall from that start under a nonzero floor is banded instead (_band):
+    anchored at phi0 = max(floor, mode), at most hi, and built only over
+    its band, which holds no row below the floor unless nothing of the
+    column lies at or above it. One _walk_anchors pass over all the columns
+    anchors every chunk, and _rows_from_mode fills each one, with
+    ratio(phi, D, num, den, spare) writing the numerators and denominators
+    of P(phi+1)/P(phi) at the chunk's phi for its data counts D into num
+    and den. Columns are packed greedily by their real height
+    hi - start + 1: a chunk is as tall as its tallest column and holds at
+    most _CHUNK_CELLS cells unless it is one column. The call allocates one
+    scratch of five matrices of its largest chunk, and every chunk writes
+    phi, the ratios and both walks into views of it (the module docstring
+    says why).
     """
-    columns = data.tolist()
-    anchors = np.array(_walk_anchors(columns, mode.tolist(), N, r, q))
     start = np.maximum(lo, np.minimum(floor, mode))
     spans = (hi - start).tolist()  # a column's height less one
-    if max(spans) > _SHORT and np.any(floor):
-        start, hi = _band(data, start, hi, mode, floor, anchors, ratio, N, r, q)
+    peak = mode
+    if max(spans) > _SHORT and np.any(floor):  # some column is banded
+        banded = (hi - start > _SHORT) & (floor > 0)
+        peak = np.where(banded, np.minimum(np.maximum(floor, mode), hi), mode)
+    anchors = np.array(_walk_anchors(data.tolist(), peak.tolist(), N, r, q))
+    if peak is not mode:
+        hi = hi.copy()  # binomial_rows passes its data as hi
+        start[banded], hi[banded] = _band(data[banded], peak[banded], lo[banded], hi[banded],
+                                          floor[banded], anchors[banded], N, r, q)
+        peak = np.minimum(peak, hi)  # a column with nothing at or above its floor: row lo
         spans = (hi - start).tolist()
-    offsets = (mode - start).tolist()
+    offsets = (peak - start).tolist()
     depths = np.maximum(floor - start, 0).tolist()  # rows below each column's floor
     chunks, first, tallest = [], 0, 0
     for c, span in enumerate(spans):
@@ -485,7 +481,7 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
             chunks.append((first, c, tallest))
             first, taller = c, span + 1
         tallest = taller
-    chunks.append((first, len(columns), tallest))
+    chunks.append((first, len(spans), tallest))
     scratch = np.empty(5 * max((stop - first) * tallest for first, stop, tallest in chunks))
     rows = np.arange(max(spans) + 1, dtype=np.float64)[:, None]
     for first, stop, tallest in chunks:
@@ -495,7 +491,7 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
         phi, num, den, rise, fall = views[0], views[1], views[2], views[3], views[4]
         np.add(start_c, rows[:tallest], out=phi)
         ratio(phi, data[c], num, den, rise)
-        P = _rows_from_mode(phi, hi_c, mode[c], anchors[c], min(offsets[c]) + 1,
+        P = _rows_from_mode(phi, hi_c, peak[c], anchors[c], min(offsets[c]) + 1,
                             max(offsets[c]), num, den, rise, fall)
         below = min(max(depths[c]), tallest)
         if below:
@@ -510,9 +506,11 @@ def hypergeometric_rows(N: int, data, r: int, floor=0) -> Iterator[tuple]:
     of a chunk's column c at phi = start[c] + i, and hi[c] its last row.
     Under the default floor 0 a column runs from its support start lo to its
     support end. A caller that passes one floor per column gets 0.0 in every
-    row below it, and as it sums the rows only in phi order (_column_sums),
-    it gets each column's band: from max(lo, min(floor, mode)) or higher to
-    hi, at or below the support end (see _band).
+    row below it. A column taller than _SHORT rows from max(lo, min(floor,
+    mode)) is then banded (see _band): it starts at or above its floor, hi
+    is its band's end, and its sums are within 2^-_ABSORB_BITS of the full
+    column's plus rounding, not its bits. A column with nothing at or above
+    its floor is one row below it.
     """
     data = np.asarray(data, dtype=np.int64)
     lo = np.maximum(0, (r - N) + data)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +25,7 @@ from dss_alloc.models import (
     ShiftedExp,
     SmallExp,
     SystemConfig,
+    feasible_alphas,
 )
 from dss_alloc.numerics import (
     _walk_anchors,
@@ -31,6 +37,7 @@ from dss_alloc.numerics import (
     hypergeometric_rows,
     spread_binomials,
 )
+from test_oracle import assert_matches, walk_oracle
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -129,6 +136,51 @@ def test_harmonic_rejects_negative():
 def test_harmonic_gap_is_a_partial_sum(phi, alpha):
     want = sum(1.0 / i for i in range(phi - alpha + 1, phi + 1))
     assert harmonic_gap(phi, alpha) == pytest.approx(want, rel=1e-12)
+
+
+def table_in_one_pass(size: int):
+    """The harmonic table as built in one pass over full-length arrays."""
+    i = np.arange(1, size, dtype=np.float64)
+    inverse = 1.0 / i
+    product = inverse * i
+    inverse_error = -((product - 1.0) + numerics._two_product_error(inverse, i, product)) / i
+    hi = np.zeros(size)
+    np.cumsum(inverse, out=hi[1:])
+    step = hi[1:] - hi[:-1]
+    add_error = (hi[:-1] - (hi[1:] - step)) + (inverse - step)
+    lo = np.zeros(size)
+    np.cumsum(add_error + inverse_error, out=lo[1:])
+    return hi, lo
+
+
+BLOCK = numerics._BLOCK
+
+
+@pytest.mark.parametrize("size", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 5]
+                         + [2**e for e in range(10, 23)])
+def test_the_blocked_table_is_the_one_pass_table_bit_for_bit(size):
+    hi, lo = numerics._build_table(size)
+    want_hi, want_lo = table_in_one_pass(size)
+    assert hi.tobytes() == want_hi.tobytes() and lo.tobytes() == want_lo.tobytes()
+
+
+def test_a_table_of_four_million_entries_raises_peak_memory_by_at_most_96_mb():
+    # 2^22 entries keep 64 MB; built in one pass, the peak rose by about 321 MB.
+    # The child reads its own VmHWM: ru_maxrss would carry over the peak of the
+    # process that forked it, which an earlier test here may have raised.
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    code = ("from dss_alloc import numerics\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "before = peak()\n"
+            "numerics._harmonic_table(2**22 - 1)\n"
+            "print(peak() - before)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 96 * 1024  # VmHWM is in kB
 
 
 # --- binomial coefficients -----------------------------------------------
@@ -345,6 +397,22 @@ def test_unsorted_columns_get_the_anchors_of_their_own_data(seed):
     assert_anchors_exact(data, 0, 0, q)
 
 
+@pytest.mark.parametrize("data, peak, N, r, q", [
+    # masses from 1e-293 through the subnormal range to below it (0.0), with
+    # rows that rise and fall between columns, as floors other than D / m can
+    ([560, 600, 645, 661, 676, 700, 720], [0, 2, 12, 16, 20, 0, 30], 0, 0, 1.0 - 0.3),
+    ([1000, 1000, 1050, 1100, 1200, 1200], [41, 38, 300, 77, 113, 121], 3000, 1500, None),
+], ids=["binomial", "hypergeometric"])
+def test_subnormal_anchors_are_the_exact_mass_rounded_once(data, peak, N, r, q):
+    anchors = _walk_anchors(data, peak, N, r, q)
+    exact = [Fraction(*(hypergeometric_ratio(k, N, D, r) if q is None else
+                        binomial_ratio(k, D, q))) for D, k in zip(data, peak)]
+    assert any(0 < mass < Fraction(2)**-1022 for mass in exact)
+    assert 0.0 in anchors
+    for D, k, anchor, mass in zip(data, peak, anchors, exact):
+        assert anchor == float(mass), (D, k)
+
+
 # --- chunks: the builders split one call's matrix -------------------------
 
 @pytest.mark.parametrize("cells", [None, 4096, 1], ids=["default", "4096", "1"])
@@ -375,22 +443,23 @@ def test_each_chunk_holds_at_most_the_chunk_cells_or_one_column(monkeypatch, cel
         assert np.array_equal(column, alone[:, 0]), D
 
 
-# --- skewed chunks: a floor zeroes rows below it and changes no other bit ---
-# A floor also bands each column (numerics._band): the rows it keeps are 0.0
-# below the floor and the full build's bit for bit at or above it, the rows it
-# drops below are exactly 0.0, and those it drops above are 0.0 or too small
-# to change a sum.
+# --- skewed chunks: a floor zeroes rows below it ---------------------------
+# A column at most _SHORT rows tall from max(lo, min(alpha, mode)) is built
+# whole from there: its rows below the floor are 0.0 and the rest are the
+# full build's bit for bit. A taller one is banded (numerics._band): it holds
+# no row below alpha, its sum matches the oracle, and the rows it drops below
+# and above are too small to matter.
 
 # (access, nodes, m); each column's floor is its alpha = D / m
 FLOOR_SYSTEMS = [
-    (FixedSize(270), 900, 3),  # mode about 0.9 alpha < alpha: a column starts at its mode
+    (FixedSize(270), 900, 3),  # mode about 0.9 alpha < alpha: a short column starts at its mode
     (FixedSize(90), 100, 2),  # lo = D - 10 > 0, above alpha from alpha = 11
     (FixedSize(900), 1000, 2),  # lo > 0 from alpha = 51; alpha < mode starts at alpha
     (Probabilistic(0.3), 900, 3),  # alpha below the mode 2.1 alpha: a column starts at alpha
-    (Probabilistic(0.3), 300, 1),  # alpha = D above the mode: a column starts at its mode
-    (Probabilistic(0.999), 900, 3),  # mode 0: every column starts at 0
+    (Probabilistic(0.3), 300, 1),  # alpha = D above the mode: a short column starts at its mode
+    (Probabilistic(0.999), 900, 3),  # mode 0: every short column starts at 0
     (Probabilistic(0.001), 600, 2),  # mode = D, the support end: no column rises past it
-    (FixedSize(30), 300, 1),  # mode about 0.1 alpha: every column starts at its mode, no fall
+    (FixedSize(30), 300, 1),  # mode about 0.1 alpha: a short column starts at its mode, no fall
 ]
 
 
@@ -426,6 +495,14 @@ ZERO_SYSTEMS = [
     (FixedSize(270), 900, 3),
     (Probabilistic(0.7), 900, 3),
 ]
+# The real rows (not padding) below alpha of each system. A banded column has
+# none, unless nothing of it lies at or above alpha: then it is its row lo
+# alone. So at N = 900 they lie in the short columns of small alphas and,
+# under fixed r = 270, in one row per alpha above r. Building tall columns up
+# from their mode, as short ones are, gave 3,693 and 4,560.
+ROWS_BELOW = {(FixedSize(5), 40, 2): 51, (FixedSize(10), 40, 2): 60,
+              (Probabilistic(0.7), 40, 2): 88, (FixedSize(270), 900, 3): 1510,
+              (Probabilistic(0.7), 900, 3): 51}
 
 
 @pytest.mark.parametrize("cells", [None, 4096, 1], ids=["default", "4096", "1"])
@@ -437,54 +514,81 @@ def test_a_floor_zeroes_every_row_below_it(monkeypatch, cells, access, nodes, m)
     first, below = 0, 0
     for start, hi, probs in access.rows(nodes, m * alphas, alphas):
         alpha = alphas[first:first + len(start)]
-        under = start + np.arange(probs.shape[0])[:, None] < alpha
+        rows = np.arange(probs.shape[0])[:, None]
+        under = start + rows < alpha
         assert probs[under].tobytes() == bytes(8 * under.sum())  # +0.0, bit for bit
-        first, below = first + len(start), below + under.sum()
-    assert first == len(alphas) and below > 0
+        first, below = first + len(start), below + (under & (rows <= hi - start)).sum()
+    assert first == len(alphas) and below == ROWS_BELOW[access, nodes, m]
+
+
+def exact_p(p: float):
+    """p with 1 - p the kernel's q = 1.0 - p at its exact binary value, for the oracle."""
+    with mpmath.workdps(60):
+        return mpmath.mpf(1) - mpmath.mpf(1.0 - p)
+
+
+def column_shapes(access, nodes, data):
+    """(lo, hi, mode, oracle access form) per column of data."""
+    if isinstance(access, FixedSize):
+        r = access.r
+        return ([max(0, r - nodes + D) for D in data], [min(r, D) for D in data],
+                hypergeometric_modes(nodes, data, r), ("fixed", r))
+    return [0] * len(data), list(data), binomial_modes(data, 1.0 - access.p), \
+        ("prob", exact_p(access.p))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle(nodes, m, alpha, access, service):
+    return walk_oracle(nodes, m, alpha, access, service)
 
 
 def check_band(access, nodes, m, alphas):
-    """Check each banded column against its full build; return (starts, heights).
+    """Check each column against its full build and the oracle; return (starts, heights).
 
-    A band starts at max(lo, min(alpha, mode)), or higher past rows that are
-    0.0 in the full build; its rows below alpha are exactly 0.0 and the rest
-    are the full build's bit for bit; the rows past its end are below 2^-54
-    of the largest unmasked row over D, or, when it ends below alpha,
-    nothing at or above alpha is nonzero.
+    A column at most _SHORT rows tall from max(lo, min(alpha, mode)) starts
+    there and ends at hi: its rows below alpha are exactly 0.0 and the rest
+    are the full build's bit for bit. A taller one is banded around
+    phi0 = max(alpha, mode), at most hi. Its sum matches the oracle's
+    recovery probability (assert_matches). It starts at or above alpha, or
+    else is its row lo alone, 0.0, where the oracle puts less than
+    2^-_UNDERFLOW_BITS at or above alpha. The full build's rows from alpha
+    up to its start sum to at most T = 2^-60 P(phi0) / D, and those past
+    its end are below 2^-54 P(phi0) / D.
     """
     data = [m * alpha for alpha in alphas]
-    if isinstance(access, FixedSize):
-        r = access.r
-        lows = [max(0, r - nodes + D) for D in data]
-        modes = hypergeometric_modes(nodes, data, r)
-    else:
-        lows = [0] * len(data)
-        modes = binomial_modes(data, 1.0 - access.p)
+    lows, highs, modes, oracle_access = column_shapes(access, nodes, data)
     whole = chunk_columns(access.rows(nodes, np.array(data)))
     banded = chunk_columns(access.rows(nodes, np.array(data), np.array(alphas)))
     assert len(whole) == len(banded) == len(data)
     starts, heights = [], []
-    for alpha, lo, mode, (start_lo, full), (start, column) in zip(alphas, lows, modes,
-                                                                  whole, banded):
-        assert start_lo == lo and start >= max(lo, min(alpha, mode))
-        assert not full[:start - lo].any() or start == max(lo, min(alpha, mode)), alpha
+    for alpha, D, lo, hi, mode, (start_lo, full), (start, column) in zip(
+            alphas, data, lows, highs, modes, whole, banded):
+        assert start_lo == lo
         end = start + len(column) - 1
-        below = column[:max(alpha - start, 0)]
-        assert below.tobytes() == bytes(below.nbytes), alpha  # +0.0, bit for bit
-        assert column[len(below):].tobytes() == \
-            full[start + len(below) - lo:end - lo + 1].tobytes(), alpha
-        past = full[end - lo + 1:]
-        if end >= max(alpha, mode):  # below 2^-54 of the largest unmasked row, over D
-            assert (past <= 2.0**-54 * full[max(alpha, mode) - lo] / (m * alpha)).all(), alpha
-        else:  # nothing at or above alpha
-            assert not full[max(alpha, lo) - lo:].any(), alpha
+        first = max(lo, min(alpha, mode))
+        if hi - first <= numerics._SHORT:  # built whole from first
+            assert (start, end) == (first, hi), alpha
+            below = column[:max(alpha - start, 0)]
+            assert below.tobytes() == bytes(below.nbytes), alpha  # +0.0, bit for bit
+            assert column[len(below):].tobytes() == full[start + len(below) - lo:].tobytes(), alpha
+        else:
+            _, want = oracle(nodes, m, alpha, oracle_access, ("scaled", 1.0))
+            assert_matches(np.cumsum(column)[-1], want, ("recovery", alpha))
+            if start < alpha:  # nothing at or above alpha
+                assert (start, end) == (lo, lo) and column.tobytes() == bytes(8), alpha
+                assert want < mpmath.mpf(2) ** -numerics._UNDERFLOW_BITS, alpha
+            else:
+                phi0 = min(max(alpha, mode), hi)
+                assert start <= phi0 <= end <= hi, alpha
+                scale = full[phi0 - lo] / D  # P(phi0) / D
+                assert full[max(alpha, lo) - lo:start - lo].sum() <= 2.0**-60 * scale, alpha
+                assert (full[end - lo + 1:] <= 2.0**-54 * scale).all(), alpha
         starts.append(start)
         heights.append(len(column))
     return np.array(starts), np.array(heights)
 
 
-
-# --- the band keeps both sums bit for bit ------------------------------------
+# --- band sums: short columns keep the full build's bits, banded ones the oracle's value
 
 def full_columns(access, nodes, m, alphas):
     """(lo, column) per alpha: the full-support build, floor 0."""
@@ -535,6 +639,18 @@ BAND_CASES = [(cells, *system) for system in BAND_SYSTEMS for cells in (None, 1)
               if cells is None or not (system[1] == 100000 and isinstance(system[0], FixedSize))]
 
 
+def oracle_rate(service, nodes, m, alpha, access):
+    """The oracle's mu_s for any service model, from its scaled (mu = 1) and shifted sums."""
+    scaled, prob = oracle(nodes, m, alpha, access, ("scaled", 1.0))
+    if isinstance(service, SmallExp):  # mu / gap
+        return scaled * service.mu / alpha
+    if isinstance(service, ScaledExp):
+        return scaled * service.mu
+    if isinstance(service, ConstantTime):
+        return prob * alpha / service.delta
+    return oracle(nodes, m, alpha, access, ("shifted", service.delta, service.mu))[0]
+
+
 @pytest.mark.parametrize("cells, access, nodes, m, alphas", BAND_CASES, ids=str)
 def test_banded_sums_equal_the_full_columns_bit_for_bit(monkeypatch, cells, access, nodes, m,
                                                         alphas):
@@ -542,25 +658,60 @@ def test_banded_sums_equal_the_full_columns_bit_for_bit(monkeypatch, cells, acce
         monkeypatch.setattr(numerics, "_CHUNK_CELLS", cells)
     monkeypatch.setattr(analysis, "_MEMO", ByteLRU())  # no entry from another chunk size
     columns = full_columns(access, nodes, m, alphas)
+    lows, highs, modes, oracle_access = column_shapes(access, nodes, [m * a for a in alphas])
+    short = [hi - max(lo, min(alpha, mode)) <= numerics._SHORT
+             for alpha, lo, hi, mode in zip(alphas, lows, highs, modes)]
+    assert not all(short)
     for service in BAND_SERVICES:
         rates, recovery = expected_metrics(access, service, nodes, m, alphas)
         want_rates, want_recovery = full_sums(columns, service, alphas)
-        assert [float(x).hex() for x in recovery] == [float(x).hex() for x in want_recovery]
-        if service is not None:
-            assert [float(x).hex() for x in rates] == [float(x).hex() for x in want_rates]
+        for c, alpha in enumerate(alphas):
+            label = (service, alpha)
+            if short[c]:  # built whole: the full columns' sums, bit for bit
+                assert float(recovery[c]).hex() == float(want_recovery[c]).hex(), label
+                if service is not None:
+                    assert float(rates[c]).hex() == float(want_rates[c]).hex(), label
+                continue
+            assert_matches(recovery[c], oracle(nodes, m, alpha, oracle_access,
+                                               ("scaled", 1.0))[1], label)
+            if service is not None:
+                assert_matches(rates[c], oracle_rate(service, nodes, m, alpha, oracle_access),
+                               label)
 
 
 def test_the_band_cuts_both_ends_at_scale():
-    for access, nodes, m, alphas, raised, single in [
-            (FixedSize(30000), 100000, 3, [20000, 26000, 28500, 30001], 0, 2),
-            (Probabilistic(0.3), 100000, 3, [10000, 33333], 2, 0),
-            (FixedSize(90000), 100000, 3, [5000], 1, 0)]:
+    # cells: an upper bound on the bands' total height (5,847, 11,283 and 1,977
+    # rows when fixed-size columns were built up from their mode and the lower
+    # tails were cut only where they underflow)
+    for access, nodes, m, alphas, raised, single, cells in [
+            (FixedSize(30000), 100000, 3, [20000, 26000, 28500, 30001], 0, 2, 600),
+            (Probabilistic(0.3), 100000, 3, [10000, 33333], 2, 0, 5000),
+            (FixedSize(90000), 100000, 3, [5000], 1, 0, 800)]:
         data = m * np.array(alphas)
         if isinstance(access, FixedSize):  # the support sizes
             full = (np.minimum(access.r, data) - np.maximum(0, access.r - nodes + data) + 1).sum()
         else:
             full = (data + 1).sum()
         starts, heights = check_band(access, nodes, m, alphas)
-        assert heights.sum() < full / 4
+        assert heights.sum() < min(full / 4, cells)
         assert (starts > np.array(alphas)).sum() == raised  # the lower band cut
         assert (heights == 1).sum() == single  # nothing at or above alpha: one masked row
+        assert (starts >= np.array(alphas))[heights > 1].all()  # no banded row below alpha
+
+
+@pytest.mark.parametrize("access, cells", [(FixedSize(3000), 700_000),
+                                           (Probabilistic(0.3), 2_500_000)], ids=str)
+def test_a_ten_thousand_node_search_builds_no_banded_row_below_alpha(access, cells):
+    # the m = 3 search built 1.05 M and 5.07 M cells when tall fixed-size columns
+    # rose from their mode and lower tails were cut only where they underflow
+    nodes, m = 10_000, 3
+    alphas = np.array(feasible_alphas(nodes, m, access))
+    lows, highs, modes = map(np.array, column_shapes(access, nodes, (m * alphas).tolist())[:3])
+    first, built = 0, 0
+    for start, hi, probs in access.rows(nodes, m * alphas, alphas):
+        c = slice(first, first + len(start))
+        alpha = alphas[c]
+        short = highs[c] - np.maximum(lows[c], np.minimum(alpha, modes[c])) <= numerics._SHORT
+        assert ((start >= alpha) | short | (hi < alpha)).all()
+        first, built = c.stop, built + probs.size
+    assert first == len(alphas) and built <= cells

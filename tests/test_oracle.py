@@ -445,3 +445,20 @@ def test_the_walk_oracle_equals_direct_summation(access, service, oracle_access,
         direct = oracle_metrics(1000, 3, alpha, oracle_access, oracle_service)
         for got, want in zip(walked, direct):
             assert abs(got - want) <= mpmath.mpf(10) ** -28 * want, alpha
+
+
+# p = 0.3 rows whose band starts a few rows above alpha: the lower cut drops
+# the rows from alpha up to the start, and these rows check it against the oracle
+def test_rows_whose_band_starts_just_above_alpha_match_the_oracle():
+    access, service, oracle_access, oracle_service = SEARCHES[1]
+    alphas = list(range(60, 69))
+    first = 0
+    for start, _, _ in access.rows(10**4, 3 * np.array(alphas), np.array(alphas)):
+        cut = start - np.array(alphas[first:first + len(start)])
+        assert ((cut >= 1) & (cut <= 5)).all(), cut
+        first += len(start)
+    rates, recovery = expected_metrics(access, service, 10**4, 3, alphas)
+    for alpha, rate, prob in zip(alphas, rates, recovery):
+        want_rate, want_prob = walk_oracle(10**4, 3, alpha, oracle_access, oracle_service)
+        assert_matches(rate, want_rate, ("rate", alpha))
+        assert_matches(prob, want_prob, ("recovery", alpha))
