@@ -14,13 +14,13 @@ scalar service_rate is bit-identical to the matching row of a search. The
 access model hands the matrix over in chunks of consecutive alphas (numerics
 owns their size and layout), so the kernel's memory stays bounded at any N.
 The kernel passes the alphas as the chunks' floor, so numerics hands over
-each column with its rows phi < alpha set to 0.0, and banded
-(numerics._band): it starts higher where the rows below are exactly 0.0,
-and it ends where the rows past its end are 0.0 or too small to change
-either phi-order sum, so every row of every table keeps its bits. The
-harmonic gaps count phi from each column's first row and read it clamped to
-[alpha, hi], or at max(hi, 1) in a column with hi < alpha: a row outside
-weighs 0, and needs only a finite positive gap.
+each column from max(lo, alpha) up, anchored at max(alpha, mode), or as its
+row lo alone, 0.0, with hi = lo < alpha if nothing of it lies at or above
+alpha; a row keeps the full build's bits only where each column is short
+and alpha is at most its mode (see numerics). The harmonic gaps count phi
+from each column's first row and read it clamped to [alpha, hi], or at
+max(hi, 1) in a column with hi < alpha: a row outside weighs 0, and needs
+only a finite positive gap.
 
 The kernel has two halves. The access half (_access_half: the pmf
 weights, the recovery sums and the harmonic gaps) depends only on (access,
@@ -162,7 +162,8 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
 
     The chunk's columns are alphas[start:stop], each built from the floor
     alpha (see numerics), so row i of column c holds phi = first[c] + i and
-    weights, the chunk's pmf matrix, is 0.0 where phi < alpha.
+    weights, the chunk's pmf matrix, holds no row below alpha but the 0.0
+    row lo of a column with nothing at or above alpha.
     recovery[start:stop] gets its column sums, and gap is the harmonic gaps
     H_phi - H_{phi-alpha} at phi clamped to [alpha, hi] (a column with
     hi < alpha, all 0.0, reads H_a at a = max(hi, 1)), or None unless gaps.

@@ -3,8 +3,8 @@
 Access is hypergeometric for fixed-size requests and binomial for
 probabilistic ones, each built as a phi x column pmf matrix, one column per
 data-node count (hypergeometric_rows, binomial_rows). Each column takes its
-mass at one anchor row, its mode or, in a banded column, phi0 =
-max(floor, mode), and fills the rest of its rows with the ratio recurrence
+mass at one anchor row, phi0 = max(floor, mode) or its support end if that
+is lower, and fills the rest of its rows with the ratio recurrence
 P(phi+1)/P(phi), walking away from the anchor. The anchor is the mode or
 above it, and a column goes below it only from the mode, so every partial
 product stays in (0, 1]. The anchor masses of one call come from one walk
@@ -22,25 +22,26 @@ to the call's generator, so calls share no state.
 
 Every chunk has one layout, (start, hi, P): row i of column c holds the pmf
 at phi = start[c] + i, hi[c] is the column's last row, and the chunk is as
-tall as its tallest column, padded with zeros past each hi. Under the
-default floor 0 a column runs over its whole support, from lo to its support
-end. The expectation kernel passes each column's alpha as the floor; then P
-is 0.0 below the floor, and one of two builds applies, by the column alone:
+tall as its tallest column, padded with zeros past each hi. A column
+starts at its floor, or at its support start lo if that is higher, so under
+the default floor 0 it runs over its whole support, anchored at its mode.
+The expectation kernel passes each column's alpha as the floor; then no
+column holds a row below its floor but one with nothing at or above it,
+which is its row lo alone, 0.0: its support ends below the floor, its band
+holds nothing from the floor up, or its anchor rounds to 0.0. Each other
+column is built one of two ways, by the column alone:
 
-- A column at most _SHORT rows tall from max(lo, min(floor, mode)) starts
-  there and is anchored at its mode. The rows skipped below that start lie
-  below the floor and at or below the mode, whose rise factor is 1; a kept
-  row reads only ratios between itself and the mode, all inside the column,
-  so every cell at or above the floor is bit-identical to the build from
-  lo. min(floor, mode) keeps the rise walk whole when the floor is above
-  the mode, and the rows it builds below the floor are zeroed after the
-  walk.
-- A taller column is banded (_band): anchored at phi0 with the exact
-  P(phi0) rounded once, it holds only the rows from its floor, or from its
-  lower cut above it, to its upper cut, both cut where the rest of that
-  side's mass is below 2^-_ABSORB_BITS P(phi0) / D. Its cells are not the
-  full build's bits, but each sum stays within 2^-_ABSORB_BITS of the full
-  one, plus a few roundings per row walked.
+- A column at most _SHORT rows tall from its start is built whole to its
+  support end. Where its floor is at or below the mode it is anchored at
+  the mode, as the build from lo is, and every cell is that build's bits;
+  above the mode each cell is the exact P(phi0) rounded once, times the
+  ratios walked from phi0, a few roundings per row.
+- A taller column is banded (_band): anchored at phi0, it holds only the
+  rows from its start, or from its lower cut above it, to its upper cut,
+  both cut where the rest of that side's mass is below
+  2^-_ABSORB_BITS P(phi0) / D. Its cells are not the full build's bits,
+  but each sum stays within 2^-_ABSORB_BITS of the full one, plus a few
+  roundings per row walked.
 
 harmonic(n) returns H_n only as an exact Fraction, summed by binary
 splitting. Float harmonic values and gaps H_phi - H_{phi-alpha} come from one
@@ -385,7 +386,8 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
     exist only when phi0 is the mode, weigh less than T and add less than
     T mu(phi0). So each sum loses under 2^-_ABSORB_BITS of itself. T is at
     least 2^-_UNDERFLOW_BITS: a column whose P(phi0) lies far below the
-    float range, or rounds to 0.0, loses less than that mass outright.
+    float range loses less than that mass outright (one whose P(phi0)
+    rounds to 0.0 _chunked makes its row lo alone).
 
     A cut row comes from a tail bound. Bernstein's bound
     P(X - mean >= t) <= exp(-t^2 / (2 (var + t/3))) gives one in closed
@@ -397,11 +399,11 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
     (1963, Theorem 4) carries every bound on the moment generating function
     over from sampling with replacement to sampling without.
 
-    The band starts at phi0 or at its lower cut, never below lo or alpha,
-    and ends at or past phi0, so it holds no row below alpha. A column with
-    nothing at or above alpha, because its support ends below alpha or its
-    whole mass from alpha up lies below T, is its first row lo alone, which
-    _chunked zeroes; so its hi stays below alpha.
+    _chunked bands only a column more than _SHORT rows tall from
+    max(lo, alpha), so alpha is at most hi. The band starts at phi0 or at
+    its lower cut, never below lo or alpha, and ends at or past phi0, so it
+    holds no row below alpha. A column whose whole mass from alpha up lies
+    below T ends at lo, below alpha, and _chunked makes it its row lo alone.
     """
     D = data.astype(np.float64)
     if q is None:  # the binomial view of the smaller variance
@@ -432,48 +434,43 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
     with np.errstate(divide="ignore"):  # log2 0.0: an anchor below the float range
         bits = np.minimum(_ABSORB_BITS + np.log2(D) - np.log2(anchors), _UNDERFLOW_BITS)
     end = np.ceil(reach(bits, 1.0)) + 1
-    empty = (alpha > hi) | (end < alpha)  # nothing at or above alpha: row lo alone
     start = rows(np.ceil(reach(bits, -1.0)) - 1, np.maximum(lo, alpha), peak)
-    return np.where(empty, lo, start), np.where(empty, lo, rows(end, peak, hi))
+    return start, np.where(end < alpha, lo, rows(end, peak, hi))  # lo: nothing from alpha up
 
 
 def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
     """Yield (start, hi, P) for chunks of consecutive columns of data, in order.
 
-    A column starts at row start = max(lo, min(floor, mode)), which is lo
-    for a floor of 0, and is anchored at its mode (the module docstring
-    says why every kept cell is exact). The rows below a column's floor
-    carry the rise walk to it; once a chunk is built they are set to 0.0,
-    which leaves every other cell's bits. A column more than _SHORT rows
-    tall from that start under a nonzero floor is banded instead (_band):
-    anchored at phi0 = max(floor, mode), at most hi, and built only over
-    its band, which holds no row below the floor unless nothing of the
-    column lies at or above it. One _walk_anchors pass over all the columns
-    anchors every chunk, and _rows_from_mode fills each one, with
-    ratio(phi, D, num, den, spare) writing the numerators and denominators
-    of P(phi+1)/P(phi) at the chunk's phi for its data counts D into num
-    and den. Columns are packed greedily by their real height
-    hi - start + 1: a chunk is as tall as its tallest column and holds at
-    most _CHUNK_CELLS cells unless it is one column. The call allocates one
-    scratch of five matrices of its largest chunk, and every chunk writes
-    phi, the ratios and both walks into views of it (the module docstring
-    says why).
+    Every column starts at row max(lo, min(floor, hi)) and is anchored at
+    phi0 = min(max(floor, mode), hi): lo and the mode under a floor of 0.
+    One more than _SHORT rows tall from its start under a nonzero floor is
+    banded (_band), built from its start or its lower cut to its upper cut.
+    One with nothing at or above its floor (its hi or its band's end is
+    below the floor, or its anchor rounds to 0.0) is its row lo alone with
+    anchor 0.0, so its hi, lo, stays below the floor. One _walk_anchors
+    pass over all the columns anchors every chunk, and _rows_from_mode
+    fills each one, with ratio(phi, D, num, den, spare) writing the
+    numerators and denominators of P(phi+1)/P(phi) at the chunk's phi for
+    its data counts D into num and den. Columns are packed greedily by
+    their real height hi - start + 1: a chunk is as tall as its tallest
+    column and holds at most _CHUNK_CELLS cells unless it is one column.
+    The call allocates one scratch of five matrices of its largest chunk,
+    and every chunk writes phi, the ratios and both walks into views of it
+    (the module docstring says why).
     """
-    start = np.maximum(lo, np.minimum(floor, mode))
-    spans = (hi - start).tolist()  # a column's height less one
-    peak = mode
-    if max(spans) > _SHORT and np.any(floor):  # some column is banded
-        banded = (hi - start > _SHORT) & (floor > 0)
-        peak = np.where(banded, np.minimum(np.maximum(floor, mode), hi), mode)
+    start = np.maximum(lo, np.minimum(floor, hi))
+    peak = np.minimum(np.maximum(floor, mode), hi)
     anchors = np.array(_walk_anchors(data.tolist(), peak.tolist(), N, r, q))
-    if peak is not mode:
-        hi = hi.copy()  # binomial_rows passes its data as hi
+    hi = hi.copy()  # binomial_rows passes its data as hi
+    banded = (hi - start > _SHORT) & (floor > 0)
+    if banded.any():
         start[banded], hi[banded] = _band(data[banded], peak[banded], lo[banded], hi[banded],
                                           floor[banded], anchors[banded], N, r, q)
-        peak = np.minimum(peak, hi)  # a column with nothing at or above its floor: row lo
-        spans = (hi - start).tolist()
+    empty = (hi < floor) | (anchors == 0.0)  # nothing at or above the floor: row lo alone
+    start[empty] = hi[empty] = peak[empty] = lo[empty]
+    anchors[empty] = 0.0
+    spans = (hi - start).tolist()  # a column's height less one
     offsets = (peak - start).tolist()
-    depths = np.maximum(floor - start, 0).tolist()  # rows below each column's floor
     chunks, first, tallest = [], 0, 0
     for c, span in enumerate(spans):
         taller = span + 1 if span >= tallest else tallest
@@ -493,9 +490,6 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
         ratio(phi, data[c], num, den, rise)
         P = _rows_from_mode(phi, hi_c, peak[c], anchors[c], min(offsets[c]) + 1,
                             max(offsets[c]), num, den, rise, fall)
-        below = min(max(depths[c]), tallest)
-        if below:
-            np.copyto(P[:below], 0.0, where=phi[:below] < floor[c])
         yield start_c, hi_c, P
 
 
@@ -505,12 +499,12 @@ def hypergeometric_rows(N: int, data, r: int, floor=0) -> Iterator[tuple]:
     The chunks hold consecutive columns of data in order: P[i, c] is the pmf
     of a chunk's column c at phi = start[c] + i, and hi[c] its last row.
     Under the default floor 0 a column runs from its support start lo to its
-    support end. A caller that passes one floor per column gets 0.0 in every
-    row below it. A column taller than _SHORT rows from max(lo, min(floor,
-    mode)) is then banded (see _band): it starts at or above its floor, hi
-    is its band's end, and its sums are within 2^-_ABSORB_BITS of the full
-    column's plus rounding, not its bits. A column with nothing at or above
-    its floor is one row below it.
+    support end. A caller that passes one floor per column gets each column
+    from max(lo, floor) up, except a column with nothing at or above its
+    floor, which is its row lo alone, 0.0, with hi = lo below the floor. A
+    column taller than _SHORT rows from its start is then banded (see
+    _band): hi is its band's end, and its sums are within 2^-_ABSORB_BITS
+    of the full column's plus rounding, not its bits.
     """
     data = np.asarray(data, dtype=np.int64)
     lo = np.maximum(0, (r - N) + data)

@@ -24,6 +24,7 @@ from dss_alloc.analysis import (
     service_rate,
 )
 from dss_alloc.errors import ConfigurationError, InfeasibleError, NoClosedFormError
+from dss_alloc.memo import ByteLRU
 from dss_alloc.models import (
     ConstantTime,
     FixedSize,
@@ -35,6 +36,7 @@ from dss_alloc.models import (
     conditional_rate,
 )
 from dss_alloc.numerics import harmonic
+from test_numerics import GRID
 
 
 def enumerate_fixed_access(config: SystemConfig, r: int):
@@ -350,10 +352,11 @@ def test_memo_hits_are_bit_identical_to_cold_and_streamed_calls(cold_memo, monke
 
 def test_memo_stays_within_its_budget(cold_memo):
     built = 0
-    for nodes in (60, 30, 40):  # enough tables to outgrow the budget; the last system is kept
+    # enough tables to outgrow the budget (m = 1 alone stores 178 KB); the last system is kept
+    for m, nodes in itertools.product((2, 1), (60, 30, 40)):
         for access in [FixedSize(r) for r in range(2, nodes + 1)] + [
                 Probabilistic(k / 20) for k in range(1, 20)]:
-            alpha_table(access, ScaledExp(1.0), nodes, 1)
+            alpha_table(access, ScaledExp(1.0), nodes, m)
             built += 1
             assert cold_memo.nbytes <= cold_memo.budget
     assert cold_memo.nbytes > cold_memo.budget // 2
@@ -362,6 +365,20 @@ def test_memo_stays_within_its_budget(cold_memo):
     kept = len(cold_memo._entries)
     alpha_table(Probabilistic(0.95), ScaledExp(2.0), 40, 1)
     assert len(cold_memo._entries) == kept
+
+
+def test_a_second_pass_over_the_grid_builds_no_access_table(monkeypatch):
+    # the 496 access tables of acceptance criterion 5's grid fit the memo together,
+    # so a second pass in one process, as validate's criteria make, reads them all
+    monkeypatch.setattr(analysis, "_MEMO", ByteLRU())
+    builds = []
+    build = analysis._access_half
+    monkeypatch.setattr(analysis, "_access_half", lambda *args: builds.append(args) or build(*args))
+    for _ in range(2):
+        for access, nodes, m in GRID:
+            alpha_table(access, ScaledExp(1.0), nodes, m)
+    assert len(builds) == len(GRID) == 496
+    assert analysis._MEMO.nbytes <= analysis._MEMO.budget
 
 
 def test_large_searches_stream_past_the_memo(cold_memo):

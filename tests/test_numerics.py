@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dss_alloc import analysis, numerics
+from dss_alloc import acceptance, analysis, numerics
 from dss_alloc.analysis import access_pmf, expected_metrics
 from dss_alloc.errors import ConfigurationError, InfeasibleError
 from dss_alloc.memo import ByteLRU
@@ -443,23 +443,25 @@ def test_each_chunk_holds_at_most_the_chunk_cells_or_one_column(monkeypatch, cel
         assert np.array_equal(column, alone[:, 0]), D
 
 
-# --- skewed chunks: a floor zeroes rows below it ---------------------------
-# A column at most _SHORT rows tall from max(lo, min(alpha, mode)) is built
-# whole from there: its rows below the floor are 0.0 and the rest are the
-# full build's bit for bit. A taller one is banded (numerics._band): it holds
-# no row below alpha, its sum matches the oracle, and the rows it drops below
-# and above are too small to matter.
+# --- skewed chunks: a floor starts each column at it -------------------------
+# Every column starts at max(lo, alpha) and is anchored at phi0 =
+# max(alpha, mode), at most hi, or holds nothing at or above alpha and is its
+# row lo alone, 0.0. A column at most _SHORT rows tall from its start is built
+# whole from there: anchored at its mode, it is the full build's rows bit for
+# bit, and above its mode each cell is within the walk's rounding of the
+# exact pmf. A taller one is banded (numerics._band): its sum matches the
+# oracle, and the rows it drops below and above are too small to matter.
 
 # (access, nodes, m); each column's floor is its alpha = D / m
 FLOOR_SYSTEMS = [
-    (FixedSize(270), 900, 3),  # mode about 0.9 alpha < alpha: a short column starts at its mode
+    (FixedSize(270), 900, 3),  # mode about 0.9 alpha < alpha: a short column is anchored at alpha
     (FixedSize(90), 100, 2),  # lo = D - 10 > 0, above alpha from alpha = 11
     (FixedSize(900), 1000, 2),  # lo > 0 from alpha = 51; alpha < mode starts at alpha
     (Probabilistic(0.3), 900, 3),  # alpha below the mode 2.1 alpha: a column starts at alpha
-    (Probabilistic(0.3), 300, 1),  # alpha = D above the mode: a short column starts at its mode
-    (Probabilistic(0.999), 900, 3),  # mode 0: every short column starts at 0
+    (Probabilistic(0.3), 300, 1),  # alpha = D above the mode: the column is its row D alone
+    (Probabilistic(0.999), 900, 3),  # mode 0: every column is anchored at alpha
     (Probabilistic(0.001), 600, 2),  # mode = D, the support end: no column rises past it
-    (FixedSize(30), 300, 1),  # mode about 0.1 alpha: a short column starts at its mode, no fall
+    (FixedSize(30), 300, 1),  # mode about 0.1 alpha: a short column is anchored at alpha, no fall
 ]
 
 
@@ -487,7 +489,7 @@ def test_a_floor_starts_each_column_higher_and_keeps_every_cell(monkeypatch, cel
 
 
 # (access, nodes, m): short tables, built whole, and tall ones, banded; in each,
-# columns are built from their mode below alpha or end below it
+# some columns end below alpha or hold too little at or above it
 ZERO_SYSTEMS = [
     (FixedSize(5), 40, 2),  # alpha > 5 = r: the whole column lies below alpha
     (FixedSize(10), 40, 2),  # mode about 0.5 alpha
@@ -495,14 +497,14 @@ ZERO_SYSTEMS = [
     (FixedSize(270), 900, 3),
     (Probabilistic(0.7), 900, 3),
 ]
-# The real rows (not padding) below alpha of each system. A banded column has
-# none, unless nothing of it lies at or above alpha: then it is its row lo
-# alone. So at N = 900 they lie in the short columns of small alphas and,
-# under fixed r = 270, in one row per alpha above r. Building tall columns up
-# from their mode, as short ones are, gave 3,693 and 4,560.
-ROWS_BELOW = {(FixedSize(5), 40, 2): 51, (FixedSize(10), 40, 2): 60,
-              (Probabilistic(0.7), 40, 2): 88, (FixedSize(270), 900, 3): 1510,
-              (Probabilistic(0.7), 900, 3): 51}
+# The real rows (not padding) below alpha of each system. A column has none,
+# unless nothing of it lies at or above alpha: then it is its row lo alone.
+# So they are one row per alpha above r under fixed-size access, and one per
+# column whose mass from alpha up rounds to 0.0. Building short columns up
+# from their mode where alpha lies above it gave 51, 60, 88, 1,510 and 51.
+ROWS_BELOW = {(FixedSize(5), 40, 2): 15, (FixedSize(10), 40, 2): 10,
+              (Probabilistic(0.7), 40, 2): 0, (FixedSize(270), 900, 3): 30,
+              (Probabilistic(0.7), 900, 3): 0}
 
 
 @pytest.mark.parametrize("cells", [None, 4096, 1], ids=["default", "4096", "1"])
@@ -542,18 +544,39 @@ def oracle(nodes, m, alpha, access, service):
     return walk_oracle(nodes, m, alpha, access, service)
 
 
-def check_band(access, nodes, m, alphas):
-    """Check each column against its full build and the oracle; return (starts, heights).
+def exact_pmf(access, nodes: int, D: int, phi: int) -> Fraction:
+    """P(phi) of column D exactly, at the binary value of the kernel's q = 1.0 - p."""
+    if isinstance(access, FixedSize):
+        return Fraction(*hypergeometric_ratio(phi, nodes, D, access.r))
+    return Fraction(*binomial_ratio(phi, D, 1.0 - access.p))
 
-    A column at most _SHORT rows tall from max(lo, min(alpha, mode)) starts
-    there and ends at hi: its rows below alpha are exactly 0.0 and the rest
-    are the full build's bit for bit. A taller one is banded around
-    phi0 = max(alpha, mode), at most hi. Its sum matches the oracle's
-    recovery probability (assert_matches). It starts at or above alpha, or
-    else is its row lo alone, 0.0, where the oracle puts less than
-    2^-_UNDERFLOW_BITS at or above alpha. The full build's rows from alpha
-    up to its start sum to at most T = 2^-60 P(phi0) / D, and those past
-    its end are below 2^-54 P(phi0) / D.
+
+def assert_near_exact(column, start, phi0, access, nodes, D, label):
+    """Check each cell, k rows from its anchor phi0, within (5k + 3) 2^-53 of the exact
+    pmf, relative, plus 2^-1074. The anchor is the exact mass rounded once; each
+    step of the walk rounds at most five times (the binomial ratio
+    (D - phi) q / ((phi + 1)(1 - q)) four, its running product one), and the
+    product with the anchor once more."""
+    for phi, cell in enumerate(column.tolist(), start):
+        want = exact_pmf(access, nodes, D, phi)
+        bound = (5 * abs(phi - phi0) + 3) * Fraction(1, 2**53) * want + Fraction(1, 2**1074)
+        assert abs(Fraction(cell) - want) <= bound, (label, phi)
+
+
+def check_band(access, nodes, m, alphas):
+    """Check each column against its full build, the exact pmf or the oracle; return
+    (starts, heights).
+
+    A column with nothing at or above alpha is its row lo alone, 0.0, and
+    its exact mass from alpha up is at most (D + 1) 2^-1075: each of its
+    rows rounds to 0.0. Every other column starts at or above alpha. One at
+    most _SHORT rows tall from first = max(lo, alpha) starts there and ends
+    at hi: where alpha <= mode it is the full build's rows bit for bit, and
+    above the mode each cell is near the exact pmf (assert_near_exact). A
+    taller one is banded around phi0 = max(alpha, mode), at most hi. Its sum
+    matches the oracle's recovery probability (assert_matches), the full
+    build's rows from alpha up to its start sum to at most
+    T = 2^-60 P(phi0) / D, and those past its end are below 2^-54 P(phi0) / D.
     """
     data = [m * alpha for alpha in alphas]
     lows, highs, modes, oracle_access = column_shapes(access, nodes, data)
@@ -565,30 +588,34 @@ def check_band(access, nodes, m, alphas):
             alphas, data, lows, highs, modes, whole, banded):
         assert start_lo == lo
         end = start + len(column) - 1
-        first = max(lo, min(alpha, mode))
-        if hi - first <= numerics._SHORT:  # built whole from first
-            assert (start, end) == (first, hi), alpha
-            below = column[:max(alpha - start, 0)]
-            assert below.tobytes() == bytes(below.nbytes), alpha  # +0.0, bit for bit
-            assert column[len(below):].tobytes() == full[start + len(below) - lo:].tobytes(), alpha
-        else:
+        first, phi0 = max(lo, alpha), min(max(alpha, mode), hi)
+        short = hi - first <= numerics._SHORT
+        if not short:
             _, want = oracle(nodes, m, alpha, oracle_access, ("scaled", 1.0))
             assert_matches(np.cumsum(column)[-1], want, ("recovery", alpha))
-            if start < alpha:  # nothing at or above alpha
-                assert (start, end) == (lo, lo) and column.tobytes() == bytes(8), alpha
-                assert want < mpmath.mpf(2) ** -numerics._UNDERFLOW_BITS, alpha
+        if start < alpha:  # nothing at or above alpha
+            assert (start, end) == (lo, lo) and column.tobytes() == bytes(8), alpha
+            if short:
+                want = sum(exact_pmf(access, nodes, D, phi) for phi in range(first, hi + 1))
+            assert want * 2**1075 <= D + 1, alpha
+        elif short:  # built whole from first
+            assert (start, end) == (first, hi), alpha
+            if alpha <= mode:  # anchored at the mode, as the full build is
+                assert column.tobytes() == full[start - lo:].tobytes(), alpha
             else:
-                phi0 = min(max(alpha, mode), hi)
-                assert start <= phi0 <= end <= hi, alpha
-                scale = full[phi0 - lo] / D  # P(phi0) / D
-                assert full[max(alpha, lo) - lo:start - lo].sum() <= 2.0**-60 * scale, alpha
-                assert (full[end - lo + 1:] <= 2.0**-54 * scale).all(), alpha
+                assert_near_exact(column, start, phi0, access, nodes, D, alpha)
+        else:
+            assert start <= phi0 <= end <= hi, alpha
+            scale = full[phi0 - lo] / D  # P(phi0) / D
+            assert full[max(alpha, lo) - lo:start - lo].sum() <= 2.0**-60 * scale, alpha
+            assert (full[end - lo + 1:] <= 2.0**-54 * scale).all(), alpha
         starts.append(start)
         heights.append(len(column))
     return np.array(starts), np.array(heights)
 
 
-# --- band sums: short columns keep the full build's bits, banded ones the oracle's value
+# --- band sums: short columns anchored at their mode keep the full build's bits, the rest
+# the oracle's value
 
 def full_columns(access, nodes, m, alphas):
     """(lo, column) per alpha: the full-support build, floor 0."""
@@ -659,15 +686,16 @@ def test_banded_sums_equal_the_full_columns_bit_for_bit(monkeypatch, cells, acce
     monkeypatch.setattr(analysis, "_MEMO", ByteLRU())  # no entry from another chunk size
     columns = full_columns(access, nodes, m, alphas)
     lows, highs, modes, oracle_access = column_shapes(access, nodes, [m * a for a in alphas])
-    short = [hi - max(lo, min(alpha, mode)) <= numerics._SHORT
-             for alpha, lo, hi, mode in zip(alphas, lows, highs, modes)]
-    assert not all(short)
+    # short columns anchored at their mode, as the full ones are; every system has others
+    same = [hi - max(lo, alpha) <= numerics._SHORT and alpha <= mode
+            for alpha, lo, hi, mode in zip(alphas, lows, highs, modes)]
+    assert not all(same)
     for service in BAND_SERVICES:
         rates, recovery = expected_metrics(access, service, nodes, m, alphas)
         want_rates, want_recovery = full_sums(columns, service, alphas)
         for c, alpha in enumerate(alphas):
             label = (service, alpha)
-            if short[c]:  # built whole: the full columns' sums, bit for bit
+            if same[c]:  # the full columns' sums, bit for bit
                 assert float(recovery[c]).hex() == float(want_recovery[c]).hex(), label
                 if service is not None:
                     assert float(rates[c]).hex() == float(want_rates[c]).hex(), label
@@ -684,7 +712,7 @@ def test_the_band_cuts_both_ends_at_scale():
     # rows when fixed-size columns were built up from their mode and the lower
     # tails were cut only where they underflow)
     for access, nodes, m, alphas, raised, single, cells in [
-            (FixedSize(30000), 100000, 3, [20000, 26000, 28500, 30001], 0, 2, 600),
+            (FixedSize(30000), 100000, 3, [20000, 26000, 28500, 30001], 0, 3, 600),
             (Probabilistic(0.3), 100000, 3, [10000, 33333], 2, 0, 5000),
             (FixedSize(90000), 100000, 3, [5000], 1, 0, 800)]:
         data = m * np.array(alphas)
@@ -695,7 +723,7 @@ def test_the_band_cuts_both_ends_at_scale():
         starts, heights = check_band(access, nodes, m, alphas)
         assert heights.sum() < min(full / 4, cells)
         assert (starts > np.array(alphas)).sum() == raised  # the lower band cut
-        assert (heights == 1).sum() == single  # nothing at or above alpha: one masked row
+        assert (heights == 1).sum() == single  # nothing at or above alpha: one 0.0 row
         assert (starts >= np.array(alphas))[heights > 1].all()  # no banded row below alpha
 
 
@@ -703,15 +731,42 @@ def test_the_band_cuts_both_ends_at_scale():
                                            (Probabilistic(0.3), 2_500_000)], ids=str)
 def test_a_ten_thousand_node_search_builds_no_banded_row_below_alpha(access, cells):
     # the m = 3 search built 1.05 M and 5.07 M cells when tall fixed-size columns
-    # rose from their mode and lower tails were cut only where they underflow
+    # rose from their mode and lower tails were cut only where they underflow; no
+    # column, short or banded, starts below alpha unless it ends there
     nodes, m = 10_000, 3
     alphas = np.array(feasible_alphas(nodes, m, access))
-    lows, highs, modes = map(np.array, column_shapes(access, nodes, (m * alphas).tolist())[:3])
     first, built = 0, 0
     for start, hi, probs in access.rows(nodes, m * alphas, alphas):
-        c = slice(first, first + len(start))
-        alpha = alphas[c]
-        short = highs[c] - np.maximum(lows[c], np.minimum(alpha, modes[c])) <= numerics._SHORT
-        assert ((start >= alpha) | short | (hi < alpha)).all()
-        first, built = c.stop, built + probs.size
+        alpha = alphas[first:first + len(start)]
+        assert ((start >= alpha) | (hi < alpha)).all()
+        first, built = first + len(start), built + probs.size
     assert first == len(alphas) and built <= cells
+
+
+# --- the N <= 40 grid: every table against the exact pmf ---------------------
+
+# (access, nodes, m) of acceptance criterion 5's grid: its 496 access tables
+GRID = [(access, nodes, m) for nodes in acceptance.NODES_GRID for m in acceptance.M_GRID
+        for access in [FixedSize(r) for r in range(2, nodes + 1)]
+        + [Probabilistic(p) for p in acceptance.P_GRID]]
+
+
+def test_every_grid_cell_from_alpha_up_is_near_the_exact_pmf():
+    # every support cell at or above alpha, of every column of the grid's tables as
+    # alpha_table builds them; a cell outside its column reads 0.0. Building short
+    # columns up from their mode where alpha lies above it took 74,289 cells.
+    checked, built = 0, 0
+    for access, nodes, m in GRID:
+        alphas = feasible_alphas(nodes, m, access)
+        data = [m * alpha for alpha in alphas]
+        chunks = list(access.rows(nodes, np.array(data), np.array(alphas)))
+        built += sum(probs.size for _, _, probs in chunks)
+        for alpha, D, lo, hi, mode, (start, column) in zip(
+                alphas, data, *column_shapes(access, nodes, data)[:3], chunk_columns(chunks)):
+            cells = np.zeros(hi + 1)  # by phi
+            cells[start:start + len(column)] = column
+            first = max(lo, alpha)
+            assert_near_exact(cells[first:], first, min(max(alpha, mode), hi), access, nodes, D,
+                              (access, nodes, m, alpha))
+            checked += max(hi + 1 - first, 0)
+    assert len(GRID) == 496 and (checked, built) == (27_593, 44_316)

@@ -30,10 +30,11 @@ and of its recovery_estimate for the simulate benchmark's two systems
 under all four service models, at 200,000 trials with 1 and with 2
 workers, and for one system (N = 10, p = 0.9) whose thin strata are
 topped up. Last, the lines that start with "memo ": each memo's
-state, its entry count, its byte total and the repr of every key, least
-recently used first. They change whenever the size of a stored table does,
-even where every row stays the same, so the comparison above leaves them
-out.
+state, its entry count, its byte total and the repr of every key, sorted.
+They change whenever the size of a stored table does, even where every row
+stays the same, so the comparison above leaves them out; tools/ulp_diff.py
+compares them as a set and names the keys one output has and the other
+lacks.
 """
 
 from __future__ import annotations
@@ -156,8 +157,8 @@ def main() -> int:
         print(label, repr(recovery))
     for name, lru in (("analysis", analysis._MEMO), ("conditions", conditions._MEMO)):
         print(f"memo {name}", len(lru._entries), lru.nbytes)
-        for key in lru._entries:
-            print(f"memo {name} key", repr(key))
+        for key in sorted(map(repr, lru._entries)):
+            print(f"memo {name} key", key)
     return 0
 
 

@@ -4,7 +4,8 @@
     PYTHONPATH=src python tools/row_bits.py > change.txt
     python tools/ulp_diff.py parent.txt change.txt
 
-Line i of one file is compared with line i of the other. Every float in a
+Line i of one file is compared with line i of the other, leaving out the
+memo lines (those that start with "memo "). Every float in a
 line, a float.hex word or a decimal float inside a repr, is compared with
 its counterpart by its distance in units in the last place: the number of
 float64 values between them. Two lines whose text differs anywhere else (an
@@ -12,16 +13,22 @@ integer such as alpha*, a word, a count of values) cannot be compared that
 way and count as "text".
 
 The first block has one line per kind of line (the first word: search,
-grid, preset, criterion-1, one-alpha, simulate, memo, ...): how many lines
+grid, preset, criterion-1, one-alpha, simulate, ...): how many lines
 there are, how many differ and the largest ulp distance among them. The
 second block has one line per table that differs: the words of a row before
 its first float.hex word, less its trailing alpha (and the "|" of a row
-without rates), or for a line without float.hex words its first word. The exit status is 0 when the files are
-identical and 1 otherwise.
+without rates), or for a line without float.hex words its first word.
+
+The memo lines hold each memo's entry count, byte total and keys; one more
+stored table shifts every later key line, so they are compared as a set.
+The last block counts them and has one line per memo state or key that only
+one file holds: "-" for the first file's, "+" for the second's. The exit
+status is 0 when the files are identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 import sys
@@ -70,10 +77,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    with open(argv[1]) as f:
-        old = f.read().splitlines()
-    with open(argv[2]) as f:
-        new = f.read().splitlines()
+    (old, old_memo), (new, new_memo) = _read(argv[1]), _read(argv[2])
     lines: dict[str, int] = defaultdict(int)
     kinds: dict[str, list] = {}  # kind -> [differing lines, largest ulp distance]
     tables: dict[str, list] = {}  # table label -> the same
@@ -99,8 +103,30 @@ def main(argv: list[str]) -> int:
         print(f"{'differing table':<70} {'lines':>8} {'max ulp':>8}")
         for name, (differing, worst) in tables.items():
             print(f"{name:<70} {differing:>8} {worst:>8}")
-    return 0 if old == new else 1
+    if old_memo != new_memo:
+        removed, added = sorted(old_memo - new_memo), sorted(new_memo - old_memo)
+        print()
+        print(f"memo lines: {len(old_memo)} and {len(new_memo)}, "
+              f"{len(removed)} only in the first, {len(added)} only in the second")
+        for sign, only in (("-", removed), ("+", added)):
+            for line in only:
+                print(sign, line)
+    return 0 if (old, old_memo) == (new, new_memo) else 1
+
+
+def _read(path: str) -> tuple[list[str], set[str]]:
+    """The lines of a row_bits output: (every line but the memo ones, the memo lines)."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    return ([line for line in lines if not line.startswith("memo ")],
+            {line for line in lines if line.startswith("memo ")})
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader such as head stopped early: no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
