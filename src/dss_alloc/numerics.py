@@ -8,15 +8,16 @@ is lower, and fills the rest of its rows with the ratio recurrence
 P(phi+1)/P(phi), walking away from the anchor. The anchor is the mode or
 above it, and a column goes below it only from the mode, so every partial
 product stays in (0, 1]. The anchor masses of one call come from one walk
-over its columns in data order (_walk_anchors): the first column's mass is
-exact, and a mantissa of _WIDTH bits is carried from one column's anchor to
-the next by the exact rational ratio of the two masses and rounded to float
-once per column. The builders own the chunking: they yield the matrix in
-chunks of consecutive columns, packed greedily by each column's real height
-into at most _CHUNK_CELLS cells (64 KiB of float64) unless a chunk is one
-column, which bounds the expectation kernel's memory at any N. One call
-allocates one scratch buffer, five matrices of its largest chunk, and every
-chunk computes phi, the ratios and both walks in views of it: besides a few
+over its columns in data order (_walk_anchors): it starts at the empty
+column, whose mass is exactly 1, carries a mantissa of _WIDTH bits from one
+point to the next by the exact rational ratio of the two masses, at most
+_STEP data nodes and rows at a time, and rounds it to float once per column.
+The builders own the chunking: they yield the matrix in chunks of
+consecutive columns, packed greedily by each column's real height into at
+most _CHUNK_CELLS cells (64 KiB of float64) unless a chunk is one column,
+which bounds the expectation kernel's memory at any N. One call allocates
+one scratch buffer, five matrices of its largest chunk, and every chunk
+computes phi, the ratios and both walks in views of it: besides a few
 boolean masks, a chunk allocates only the P it yields. The scratch belongs
 to the call's generator, so calls share no state.
 
@@ -73,11 +74,16 @@ __all__ = [
     "spread_binomials",
 ]
 
-# Bits of the anchor walk's mantissa. Each column costs one truncating
-# division, a relative error below 2^-190, and the binomial start over D
-# trials less than D * 2^-190, so a walk over n columns strays less than
-# (D + n) * 2^-190 from the exact mass.
+# Bits of the anchor walk's mantissa. Each step of the walk truncates once, a
+# relative error below 2^-191, so an anchor S steps from the empty column
+# strays less than S * 2^-191 from the exact mass.
 _WIDTH = 192
+
+# The most data nodes and peak rows one step of the anchor walk moves by, so
+# that no falling factorial or power of a step takes more than 2 _STEP
+# factors: a search's columns, m nodes apart, take one step each, and a
+# column D nodes from the last one about D / _STEP.
+_STEP = 32
 
 # phi x column cells per pmf chunk: 64 KiB per float64 matrix, below glibc's
 # default 128 KiB mmap threshold, so the kernel's per-chunk temporaries are
@@ -240,22 +246,6 @@ def spread_binomials(m: int) -> Iterator[int]:
         alpha += 1
 
 
-def _truncated_power(base: int, n: int) -> tuple[int, int]:
-    """Return (x, ex) with base^n = x * 2^ex to _WIDTH bits, by square-and-multiply.
-
-    Each product is truncated to _WIDTH bits; a squaring doubles the relative
-    error so far, so the result is off by less than 4n * 2^-_WIDTH relative.
-    """
-    x, ex = 1, 0
-    for bit in bin(n)[2:]:
-        x, ex = x * x, 2 * ex
-        if bit == "1":
-            x *= base
-        drop = max(0, x.bit_length() - _WIDTH)
-        x, ex = x >> drop, ex + drop
-    return x, ex
-
-
 def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> list[float]:
     """Return P(peak[c]) for each column c, walking the columns in data order.
 
@@ -264,11 +254,10 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
     P(k; D) = C(D, k) a^k b^(D-k) / 2^(eD) with b = 2^e - a. peak[c] is any
     row of column c's support: its mode, or phi0 in a banded column. The walk
     holds the current mass as x * 2^ex, x an integer of _WIDTH or _WIDTH + 1
-    bits. It starts from the exact mass of the column with the fewest data
-    nodes, C(D, k) C(N-D, r-k) / C(N, r) or C(D, k) a^k b^(D-k) (powers by
-    _truncated_power), and visits the columns in ascending data order,
+    bits after its first step. It starts at the empty column (D, k) = (0, 0),
+    whose mass is exactly 1, and visits the columns in ascending data order,
     writing each anchor back to its own column. From (D, k) to the next
-    column's (D1, k1), with g = D1 - D, h = k1 - k and d = g - h, the mass
+    point (D1, k1), with g = D1 - D, h = k1 - k and d = g - h, the mass
     changes by an exact ratio read off
 
         hypergeometric   D! (N-D)! / (k! (D-k)! (r-k)! (N-r-D+k)!)
@@ -278,47 +267,51 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
     factorial (n)_j = n! / (n-j)! (math.perm) on the side where it grows,
     and a power by |h| or |d|, so the peaks may rise or fall between
     columns (a banded column's peak is phi0, its neighbour's may be its
-    mode). One floor division applies the ratio and truncates x. x * 2^ex
-    is rounded to float once per column, subnormal masses included.
+    mode). One floor division applies the ratio and truncates x. A step
+    moves by at most _STEP data nodes and _STEP peak rows: a column further
+    away is reached through points spaced evenly along the line to it,
+    both coordinates rounded down. Those points lie in the support: its
+    constraints k >= 0, k <= r, k <= D and k - D >= r - N bound k or k - D
+    by integers, a half-plane of slope 0 or 1, and rounding both coordinates
+    of a point on the line down keeps every such bound. x * 2^ex is rounded
+    to float once per column, subnormal masses included.
     """
     if q is not None:
         a, scale = q.as_integer_ratio()
         b, e = scale - a, scale.bit_length() - 1
-    order = sorted(range(len(data)), key=data.__getitem__)
-    D, k = data[order[0]], peak[order[0]]
-    # the first column's exact mass, num / den * 2^ex
-    if q is None:
-        num, den, ex = math.comb(D, k) * math.comb(N - D, r - k), math.comb(N, r), 0
-    else:
-        (ax, aex), (bx, bex) = _truncated_power(a, k), _truncated_power(b, D - k)
-        num, den, ex = math.comb(D, k) * ax * bx, 1, aex + bex - e * D
-    x = 1
+    D = k = ex = 0
+    x = 1  # the empty column's mass
     anchors = [0.0] * len(data)
-    for c in order:  # the first column steps from itself, by the ratio 1
+    for c in sorted(range(len(data)), key=data.__getitem__):
         D1, k1 = data[c], peak[c]
         g, h = D1 - D, k1 - k
-        d = g - h
-        if q is None:  # k! and (r-k)! step by h, (D-k)! and (N-r-D+k)! by d
-            num *= perm(D1, g) * (perm(r - k, h) if h >= 0 else perm(k, -h)) * \
-                (perm(N - r - D + k, d) if d >= 0 else perm(D - k, -d))
-            den *= perm(N - D, g) * (perm(k1, h) if h >= 0 else perm(r - k1, -h)) * \
-                (perm(D1 - k1, d) if d >= 0 else perm(N - r - D1 + k1, -d))
-        else:  # k! and a^k step by h, (D-k)! and b^(D-k) by d
-            num *= perm(D1, g) * (a**h if h >= 0 else perm(k, -h)) * \
-                (b**d if d >= 0 else perm(D - k, -d))
-            den *= (perm(k1, h) if h >= 0 else a**-h) * (perm(D1 - k1, d) if d >= 0 else b**-d)
-            ex -= e * g
-        D, k = D1, k1
-        y = x * num
-        shift = _WIDTH + den.bit_length() - y.bit_length()
-        x = (y << shift if shift >= 0 else y >> -shift) // den
-        ex -= shift
+        path = ((D1, k1),)
+        if g > _STEP or abs(h) > _STEP:  # points spaced evenly along the line, rounded down
+            steps = -(-max(g, abs(h)) // _STEP)
+            path = [(D + g * i // steps, k + h * i // steps) for i in range(1, steps + 1)]
+        for D1, k1 in path:
+            g, h = D1 - D, k1 - k
+            d = g - h
+            if q is None:  # k! and (r-k)! step by h, (D-k)! and (N-r-D+k)! by d
+                num = perm(D1, g) * (perm(r - k, h) if h >= 0 else perm(k, -h)) * \
+                    (perm(N - r - D + k, d) if d >= 0 else perm(D - k, -d))
+                den = perm(N - D, g) * (perm(k1, h) if h >= 0 else perm(r - k1, -h)) * \
+                    (perm(D1 - k1, d) if d >= 0 else perm(N - r - D1 + k1, -d))
+            else:  # k! and a^k step by h, (D-k)! and b^(D-k) by d
+                num = perm(D1, g) * (a**h if h >= 0 else perm(k, -h)) * \
+                    (b**d if d >= 0 else perm(D - k, -d))
+                den = (perm(k1, h) if h >= 0 else a**-h) * (perm(D1 - k1, d) if d >= 0 else b**-d)
+                ex -= e * g
+            D, k = D1, k1
+            y = x * num
+            shift = _WIDTH + den.bit_length() - y.bit_length()
+            x = (y << shift if shift >= 0 else y >> -shift) // den
+            ex -= shift
         # one rounding of x * 2^ex: by float(x) where ldexp is then exact (a
         # normal mass), else by int division, correct into the subnormals, and
         # to 0.0 below them without building 2^-ex
         top = x.bit_length() + ex  # x * 2^ex < 2^top
         anchors[c] = math.ldexp(x, ex) if top > -1021 else x / (1 << -ex) if top > -1076 else 0.0
-        num = den = 1
     return anchors
 
 

@@ -370,6 +370,7 @@ def test_hypergeometric_anchors_hold_where_the_mode_sits_on_the_support_edge(N, 
 @pytest.mark.parametrize("q", [0.0, 1.0, 1.0 - 0.3, 1.0 - 0.999, 2.0**-40])
 def test_binomial_anchors_hold_at_extreme_q(q):
     assert_anchors_exact(list(range(1, 401)), 0, 0, q)
+    assert_anchors_exact([5_000], 0, 0, q)  # one column, walked in steps from D = 0
 
 
 @pytest.mark.parametrize("N, r, q, checked", [
@@ -384,6 +385,9 @@ def test_anchors_are_exact_along_the_search_scale_walks(N, r, q, checked):
     if checked is not None:
         checked = [0, len(data) - 1] + random.Random(N).sample(range(len(data)), checked)
     assert_anchors_exact(data, N, r, q, checked)
+    # a third of the way and the last column, each alone: many steps from D = 0
+    for D in (data[len(data) // 3 - 1], data[-1]):
+        assert_anchors_exact([D], N, r, q)
 
 
 
@@ -402,7 +406,9 @@ def test_unsorted_columns_get_the_anchors_of_their_own_data(seed):
     # rows that rise and fall between columns, as floors other than D / m can
     ([560, 600, 645, 661, 676, 700, 720], [0, 2, 12, 16, 20, 0, 30], 0, 0, 1.0 - 0.3),
     ([1000, 1000, 1050, 1100, 1200, 1200], [41, 38, 300, 77, 113, 121], 3000, 1500, None),
-], ids=["binomial", "hypergeometric"])
+    # rows that rise and fall by hundreds, more than a step of the walk, also at one D
+    ([1500, 1500, 1600, 1700, 1700], [1050, 330, 1120, 200, 1190], 0, 0, 1.0 - 0.3),
+], ids=["binomial", "hypergeometric", "binomial-far"])
 def test_subnormal_anchors_are_the_exact_mass_rounded_once(data, peak, N, r, q):
     anchors = _walk_anchors(data, peak, N, r, q)
     exact = [Fraction(*(hypergeometric_ratio(k, N, D, r) if q is None else

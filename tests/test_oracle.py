@@ -157,19 +157,27 @@ def counting(calls: list, name: str, fn):
 @pytest.mark.parametrize("access, service", [search[:2] for search in SEARCHES])
 def test_a_kernel_call_walks_its_anchors_once_across_chunks(monkeypatch, access, service):
     calls: list = []
-    for name in ("_walk_anchors", "_truncated_power", "_rows_from_mode"):
+    for name in ("_walk_anchors", "_rows_from_mode"):
         monkeypatch.setattr(numerics, name, counting(calls, name, getattr(numerics, name)))
     monkeypatch.setattr(numerics.math, "comb", counting(calls, "comb", math.comb))
     monkeypatch.setattr(numerics, "_CHUNK_CELLS", 4096)
     expected_metrics(access, service, 1000, 3, feasible_alphas(1000, 3, access))
     assert calls.count("_rows_from_mode") >= 3  # one per chunk
     assert calls.count("_walk_anchors") == 1
-    # one exact start: C(D, k) C(N-D, r-k) / C(N, r), or two powers and C(D, k)
-    starts = [call for call in calls if call in ("comb", "_truncated_power")]
-    if isinstance(access, Probabilistic):
-        assert starts == ["_truncated_power", "_truncated_power", "comb"]
-    else:
-        assert starts == ["comb"] * 3
+    assert "comb" not in calls  # the walk starts at the empty column, whose mass is 1
+
+
+@pytest.mark.parametrize("access, alpha", [(FixedSize(300_000), 50),
+                                           (Probabilistic(0.3), 100_000)])
+def test_a_call_at_a_million_nodes_walks_its_anchor_in_small_steps(monkeypatch, access, alpha):
+    # no big-integer start: every falling factorial of the walk is a short one
+    calls: list = []
+    factors: list = []
+    monkeypatch.setattr(numerics.math, "comb", counting(calls, "comb", math.comb))
+    monkeypatch.setattr(numerics, "perm", lambda n, k: factors.append(k) or math.perm(n, k))
+    expected_metrics(access, None, 10**6, 3, [alpha])
+    assert "comb" not in calls
+    assert factors and max(factors) <= 2 * numerics._STEP
 
 
 def test_tail_underflow_is_silent_under_strict_numpy_error_state():
@@ -433,6 +441,37 @@ def test_scaled_up_search_rows_match_the_oracle(nodes, access, service, oracle_a
         assert_matches(prob, want_prob, ("recovery", alpha))
         if fixed and alpha > access.r:
             assert rate == prob == 0.0
+
+
+# One alpha at a time at N = 10^6, m = 3: fixed r = 0.3 N (mode about 0.9 alpha)
+# and 0.9 N (2.7 alpha), p = 0.3 (2.1 alpha) and 0.7 (0.9 alpha), so alphas
+# below, at (alpha = 1) and above the mode; and one row at N = 10^7. Each
+# column's anchor lies up to 10^6 data nodes from where the anchor walk starts.
+PAST_SCALE = [
+    (FixedSize(300_000), ScaledExp(1.0), ("fixed", 300_000), ("scaled", 1.0)),
+    (FixedSize(900_000), ScaledExp(1.0), ("fixed", 900_000), ("scaled", 1.0)),
+    (Probabilistic(0.3), ShiftedExp(3.0, 1.0), ("prob", "0.3"), ("shifted", 3.0, 1.0)),
+    (Probabilistic(0.7), ShiftedExp(3.0, 1.0), ("prob", "0.7"), ("shifted", 3.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("access, service, oracle_access, oracle_service", PAST_SCALE,
+                         ids=["fixed-0.3", "fixed-0.9", "p-0.3", "p-0.7"])
+@pytest.mark.parametrize("alpha", [1, 50, 500, 100_000, 333_333])
+def test_one_alpha_rows_at_a_million_nodes_match_the_oracle(access, service, oracle_access,
+                                                            oracle_service, alpha):
+    rates, recovery = expected_metrics(access, service, 10**6, 3, [alpha])
+    want_rate, want_prob = walk_oracle(10**6, 3, alpha, oracle_access, oracle_service)
+    assert_matches(rates[0], want_rate, "rate")
+    assert_matches(recovery[0], want_prob, "recovery")
+
+
+def test_a_row_at_ten_million_nodes_matches_the_oracle():
+    access, service, oracle_access, oracle_service = SEARCHES[1]
+    rates, recovery = expected_metrics(access, service, 10**7, 3, [10**6])
+    want_rate, want_prob = walk_oracle(10**7, 3, 10**6, oracle_access, oracle_service)
+    assert_matches(rates[0], want_rate, "rate")
+    assert_matches(recovery[0], want_prob, "recovery")
 
 
 @pytest.mark.parametrize("access, service, oracle_access, oracle_service", SEARCHES,

@@ -20,7 +20,10 @@ The one-alpha calls: expected_metrics at N = 10^5, m = 3 for one alpha at
 a time, under fixed r = 30,000 (mode about 0.9 alpha) and 90,000 (about
 2.7 alpha) and p = 0.3 (2.1 alpha) and 0.7 (0.9 alpha), so below, at and
 above the mode, with alpha = 30,001 above r, under all four service models
-and without one. The explicit alphas: expected_metrics at N = 40, m = 2
+and without one; and at N = 10^6, m = 3, under fixed r = 300,000 at
+alpha = 50 and 900,000 at alpha = 100,000 and p = 0.3 at alpha = 100,000,
+whose anchors lie up to 300,000 data nodes from the empty column the
+anchor walk starts at. The explicit alphas: expected_metrics at N = 40, m = 2
 for alpha = 1..20 in one call, under fixed r = 5 and 10, so that the
 support of most columns ends below their alpha, under all four service
 models and without one. The access pmfs: access_pmf of the simulate
@@ -136,6 +139,13 @@ def main() -> int:
                 rates, recovery = d.expected_metrics(access, service, 100000, 3, [alpha])
                 print(f"one-alpha 100000 3 {access} {service} {alpha}",
                       _hex([] if rates is None else rates), "|", _hex(recovery))
+    for access, alpha in ((d.FixedSize(300000), 50), (d.FixedSize(900000), 100000),
+                          (d.Probabilistic(0.3), 100000)):
+        for service in (d.SmallExp(1.0), d.ScaledExp(1.0), d.ShiftedExp(3.0, 1.0),
+                        d.ConstantTime(1.0), None):
+            rates, recovery = d.expected_metrics(access, service, 1000000, 3, [alpha])
+            print(f"one-alpha 1000000 3 {access} {service} {alpha}",
+                  _hex([] if rates is None else rates), "|", _hex(recovery))
     for access in (d.FixedSize(5), d.FixedSize(10)):
         for service in (d.SmallExp(1.0), d.ScaledExp(1.0), d.ShiftedExp(3.0, 1.0),
                         d.ConstantTime(1.0), None):
