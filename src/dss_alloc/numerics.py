@@ -27,10 +27,10 @@ tall as its tallest column, padded with zeros past each hi. A column
 starts at its floor, or at its support start lo if that is higher, so under
 the default floor 0 it runs over its whole support, anchored at its mode.
 The expectation kernel passes each column's alpha as the floor; then no
-column holds a row below its floor but one with nothing at or above it,
-which is its row lo alone, 0.0: its support ends below the floor, its band
-holds nothing from the floor up, or its anchor rounds to 0.0. Each other
-column is built one of two ways, by the column alone:
+column holds a row below its floor but an empty one, with nothing at or
+above it: its support ends below the floor, or its anchor rounds to 0.0.
+An empty column is settled before any other is built, as its row lo alone,
+0.0. Each other column is built one of two ways, by the column alone:
 
 - A column at most _SHORT rows tall from its start is built whole to its
   support end. Where its floor is at or below the mode it is anchored at
@@ -94,14 +94,12 @@ _CHUNK_CELLS = 1 << 13
 # The band (_band). Each side of a column is cut where a tail bound holds the
 # rest of its mass below T = 2^-_ABSORB_BITS P(phi0) / D: each sum then loses
 # less than 2^-_ABSORB_BITS of itself, under an ulp and far under the 1e-12
-# relative the kernel is checked to. T is at least 2^-_UNDERFLOW_BITS, 2^-5 of
-# half the smallest subnormal, which bounds a column whose P(phi0) lies far
-# below the float range. _NEWTON steps refine each tail bound. A column at most
-# _SHORT rows tall is built whole: the band's few dozen small NumPy passes cost
-# more than such a column can lose (on the benchmark's N <= 40 figure and grid
-# tables it cut no row).
+# relative the kernel is checked to, subnormal P(phi0) included (one that
+# rounds to 0.0 is settled before the band). _NEWTON steps refine each tail
+# bound. A column at most _SHORT rows tall is built whole: the band's few
+# dozen small NumPy passes cost more than such a column can lose (on the
+# benchmark's N <= 40 figure and grid tables it cut no row).
 _ABSORB_BITS = 60
-_UNDERFLOW_BITS = 1080
 _NEWTON = 2
 _SHORT = 64
 
@@ -274,7 +272,8 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
     constraints k >= 0, k <= r, k <= D and k - D >= r - N bound k or k - D
     by integers, a half-plane of slope 0 or 1, and rounding both coordinates
     of a point on the line down keeps every such bound. x * 2^ex is rounded
-    to float once per column, subnormal masses included.
+    to float once per column, subnormal masses included. A mass of exactly 0
+    (q = 0 or 1) is 0.0, and the walk goes on from the point before it.
     """
     if q is not None:
         a, scale = q.as_integer_ratio()
@@ -285,6 +284,7 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
     for c in sorted(range(len(data)), key=data.__getitem__):
         D1, k1 = data[c], peak[c]
         g, h = D1 - D, k1 - k
+        base = D, k, x, ex
         path = ((D1, k1),)
         if g > _STEP or abs(h) > _STEP:  # points spaced evenly along the line, rounded down
             steps = -(-max(g, abs(h)) // _STEP)
@@ -307,11 +307,15 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
             shift = _WIDTH + den.bit_length() - y.bit_length()
             x = (y << shift if shift >= 0 else y >> -shift) // den
             ex -= shift
+            if x == 0:  # mass 0 (q = 0 or 1): so is the column's
+                break
         # one rounding of x * 2^ex: by float(x) where ldexp is then exact (a
         # normal mass), else by int division, correct into the subnormals, and
         # to 0.0 below them without building 2^-ex
         top = x.bit_length() + ex  # x * 2^ex < 2^top
         anchors[c] = math.ldexp(x, ex) if top > -1021 else x / (1 << -ex) if top > -1076 else 0.0
+        if x == 0:  # no ratio leaves a zero mass: step from the last nonzero point
+            D, k, x, ex = base
     return anchors
 
 
@@ -328,7 +332,7 @@ def _rows_from_mode(phi, hi, peak, anchors, first, last, num, den, rise, fall) -
     Every column rises by exactly 1 before row first = min(peak - phi[0]) + 1
     and falls by exactly 1 from row last = max(peak - phi[0]) on, so each
     walk runs only over the rows where it changes a value; the products it
-    skips are of exact 1.0s, and with last = 0 there is no fall walk. rise
+    skips are of exact 1.0s, so with last = 0 the fall is all 1.0. rise
     and fall are scratch of phi's shape, which the walks fill in place; of
     the matrices, only the returned P is new.
     """
@@ -339,8 +343,6 @@ def _rows_from_mode(phi, hi, peak, anchors, first, last, num, den, rise, fall) -
         np.divide(num[first - 1:-1], den[first - 1:-1], out=up,
                   where=(before >= peak) & (before < hi))
         np.cumprod(up, axis=0, out=up)
-        if not last:  # no column starts below its anchor row: fall would be all 1.0
-            return rise * anchors
         fall.fill(1.0)  # fall[i] = P(phi) / P(phi + 1)
         np.divide(den[:last], num[:last], out=down, where=phi[:last] < peak)
         np.cumprod(down[::-1], axis=0, out=down[::-1])
@@ -377,10 +379,9 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
     T = 2^-_ABSORB_BITS P(phi0) / D. The rows it drops above phi0 weigh less
     than T and add less than T D mu(phi0) to the rate; those below, which
     exist only when phi0 is the mode, weigh less than T and add less than
-    T mu(phi0). So each sum loses under 2^-_ABSORB_BITS of itself. T is at
-    least 2^-_UNDERFLOW_BITS: a column whose P(phi0) lies far below the
-    float range loses less than that mass outright (one whose P(phi0)
-    rounds to 0.0 _chunked makes its row lo alone).
+    T mu(phi0). So each sum loses under 2^-_ABSORB_BITS of itself. Every
+    anchor is above 0.0: _chunked settles a column whose P(phi0) rounds to
+    0.0 before the band, so T > 0 and log2 P(phi0) is finite.
 
     A cut row comes from a tail bound. Bernstein's bound
     P(X - mean >= t) <= exp(-t^2 / (2 (var + t/3))) gives one in closed
@@ -395,8 +396,8 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
     _chunked bands only a column more than _SHORT rows tall from
     max(lo, alpha), so alpha is at most hi. The band starts at phi0 or at
     its lower cut, never below lo or alpha, and ends at or past phi0, so it
-    holds no row below alpha. A column whose whole mass from alpha up lies
-    below T ends at lo, below alpha, and _chunked makes it its row lo alone.
+    holds no row below alpha. Its upper cut cannot fall below alpha: the
+    tail from phi0 >= alpha up holds P(phi0) > T.
     """
     D = data.astype(np.float64)
     if q is None:  # the binomial view of the smaller variance
@@ -424,11 +425,9 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
     def rows(x, low, high):  # as rows from low to high
         return np.minimum(np.maximum(x, low), high).astype(np.int64)
 
-    with np.errstate(divide="ignore"):  # log2 0.0: an anchor below the float range
-        bits = np.minimum(_ABSORB_BITS + np.log2(D) - np.log2(anchors), _UNDERFLOW_BITS)
-    end = np.ceil(reach(bits, 1.0)) + 1
+    bits = _ABSORB_BITS + np.log2(D) - np.log2(anchors)
     start = rows(np.ceil(reach(bits, -1.0)) - 1, np.maximum(lo, alpha), peak)
-    return start, np.where(end < alpha, lo, rows(end, peak, hi))  # lo: nothing from alpha up
+    return start, rows(np.ceil(reach(bits, 1.0)) + 1, peak, hi)
 
 
 def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) -> Iterator[tuple]:
@@ -436,32 +435,32 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
 
     Every column starts at row max(lo, min(floor, hi)) and is anchored at
     phi0 = min(max(floor, mode), hi): lo and the mode under a floor of 0.
-    One more than _SHORT rows tall from its start under a nonzero floor is
-    banded (_band), built from its start or its lower cut to its upper cut.
-    One with nothing at or above its floor (its hi or its band's end is
-    below the floor, or its anchor rounds to 0.0) is its row lo alone with
-    anchor 0.0, so its hi, lo, stays below the floor. One _walk_anchors
-    pass over all the columns anchors every chunk, and _rows_from_mode
-    fills each one, with ratio(phi, D, num, den, spare) writing the
-    numerators and denominators of P(phi+1)/P(phi) at the chunk's phi for
-    its data counts D into num and den. Columns are packed greedily by
-    their real height hi - start + 1: a chunk is as tall as its tallest
-    column and holds at most _CHUNK_CELLS cells unless it is one column.
-    The call allocates one scratch of five matrices of its largest chunk,
-    and every chunk writes phi, the ratios and both walks into views of it
-    (the module docstring says why).
+    One _walk_anchors pass over all the columns anchors every chunk. A
+    column with nothing at or above its floor (its hi is below the floor or
+    its anchor rounds to 0.0) is settled first, as its row lo alone with
+    anchor 0.0: its hi, lo, stays below the floor, and as one row it is
+    never banded. Any other more than _SHORT rows tall from its start under
+    a nonzero floor is banded (_band), built from its start or its lower cut
+    to its upper cut. _rows_from_mode fills each chunk, with ratio(phi, D,
+    num, den, spare) writing the numerators and denominators of
+    P(phi+1)/P(phi) at its phi for its data counts D into num and den.
+    Columns are packed greedily by their real height hi - start + 1: a chunk
+    is as tall as its tallest column and holds at most _CHUNK_CELLS cells
+    unless it is one column. The call allocates one scratch of five matrices
+    of its largest chunk, and every chunk writes phi, the ratios and both
+    walks into views of it (the module docstring says why).
     """
     start = np.maximum(lo, np.minimum(floor, hi))
     peak = np.minimum(np.maximum(floor, mode), hi)
     anchors = np.array(_walk_anchors(data.tolist(), peak.tolist(), N, r, q))
     hi = hi.copy()  # binomial_rows passes its data as hi
+    empty = (hi < floor) | (anchors == 0.0)  # nothing at or above the floor: row lo alone
+    start[empty] = hi[empty] = peak[empty] = lo[empty]
+    anchors[empty] = 0.0
     banded = (hi - start > _SHORT) & (floor > 0)
     if banded.any():
         start[banded], hi[banded] = _band(data[banded], peak[banded], lo[banded], hi[banded],
                                           floor[banded], anchors[banded], N, r, q)
-    empty = (hi < floor) | (anchors == 0.0)  # nothing at or above the floor: row lo alone
-    start[empty] = hi[empty] = peak[empty] = lo[empty]
-    anchors[empty] = 0.0
     spans = (hi - start).tolist()  # a column's height less one
     offsets = (peak - start).tolist()
     chunks, first, tallest = [], 0, 0

@@ -12,6 +12,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dss_alloc import acceptance, analysis, numerics
 from dss_alloc.analysis import access_pmf, expected_metrics
@@ -776,3 +778,59 @@ def test_every_grid_cell_from_alpha_up_is_near_the_exact_pmf():
                               (access, nodes, m, alpha))
             checked += max(hi + 1 - first, 0)
     assert len(GRID) == 496 and (checked, built) == (27_593, 44_316)
+
+
+# --- any floors: each column against its exact pmf ---------------------------
+# rows takes any floor per column, in any order, where the kernel's floors rise
+# with the data. A column is its exact pmf from its start, or, with nothing at
+# or above its floor, its row lo alone, 0.0.
+
+def check_floored_columns(access, nodes, data, floor):
+    """Check every column of access.rows(nodes, data, floor); the columns are short."""
+    chunks = list(access.rows(nodes, np.array(data), np.array(floor)))
+    assert all((probs >= 0.0).all() for _, _, probs in chunks)
+    columns = chunk_columns(chunks)
+    assert len(columns) == len(data)
+    for D, f, lo, hi, mode, (start, column) in zip(
+            data, floor, *column_shapes(access, nodes, data)[:3], columns):
+        label = (access, nodes, D, f)
+        exact = [exact_pmf(access, nodes, D, phi) for phi in range(max(lo, f), hi + 1)]
+        if start < f:  # nothing at or above the floor: every cell there rounds to 0.0
+            assert (start, column.tobytes()) == (lo, bytes(8)), label
+            assert all(mass <= Fraction(1, 2**1075) for mass in exact), label
+        else:
+            assert (start, start + len(column) - 1) == (max(lo, f), hi), label
+            assert_near_exact(column, start, min(max(f, mode), hi), access, nodes, D, label)
+
+
+@pytest.mark.parametrize("p, data, floor", [
+    (1.0, [3, 6], [2, 0]),  # q = 0: mass 0 above phi = 0, then a column with a lower peak
+    (1.0, [6, 8], [1, 0]),
+    (1.0, [8, 6, 3, 6], [0, 4, 0, 6]),
+    (0.0, [6, 3, 8], [5, 1, 0]),  # q = 1: all mass at phi = D
+    (0.0, [8, 6, 3, 6], [9, 2, 4, 0]),
+])
+def test_one_point_columns_under_falling_floors_are_their_exact_pmf(p, data, floor):
+    check_floored_columns(Probabilistic(p), 10, data, floor)
+
+
+@st.composite
+def floored_systems(draw):
+    nodes = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        access = FixedSize(draw(st.integers(1, nodes)))
+    else:
+        access = Probabilistic(draw(st.sampled_from([0.0, 1.0, 0.5, 0.25, 2.0**-40])
+                                    | st.floats(0.0, 1.0)))
+    data = draw(st.lists(st.integers(1, nodes), min_size=1, max_size=8))  # unsorted, repeats
+    floor = draw(st.lists(st.integers(0, nodes + 1), min_size=len(data), max_size=len(data)))
+    return access, nodes, data, floor, draw(st.sampled_from([1, 7, numerics._CHUNK_CELLS]))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(floored_systems())
+def test_every_floored_column_is_near_its_exact_pmf(system):
+    access, nodes, data, floor, cells = system
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_CHUNK_CELLS", cells)
+        check_floored_columns(access, nodes, data, floor)

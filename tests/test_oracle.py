@@ -501,3 +501,24 @@ def test_rows_whose_band_starts_just_above_alpha_match_the_oracle():
         want_rate, want_prob = walk_oracle(10**4, 3, alpha, oracle_access, oracle_service)
         assert_matches(rate, want_rate, ("rate", alpha))
         assert_matches(prob, want_prob, ("recovery", alpha))
+
+
+# Rows of tools/row_bits.py's tiny-anchor systems whose anchor P(alpha), far above
+# the mode, sits just above and just below the smallest normal float 2^-1022,
+# where the band's cut T = 2^-60 P(alpha) / D lies below the smallest subnormal
+@pytest.mark.parametrize("access, nodes, m, alphas, oracle_access", [
+    (Probabilistic(0.9), 4000, 3, [1165, 1166, 1167, 1168], ("prob", "0.9")),
+    (FixedSize(1200), 10_000, 4, [1103, 1106, 1109, 1112], ("fixed", 1200)),
+], ids=["p-0.9", "fixed-1200"])
+def test_rows_whose_anchor_straddles_the_smallest_normal_match_the_oracle(access, nodes, m,
+                                                                          alphas, oracle_access):
+    for service, oracle_service in ((ScaledExp(1.0), ("scaled", 1.0)),
+                                    (ShiftedExp(3.0, 1.0), ("shifted", 3.0, 1.0))):
+        rates, recovery = expected_metrics(access, service, nodes, m, alphas)
+        wants = []
+        for alpha, rate, prob in zip(alphas, rates, recovery):
+            want_rate, want_prob = walk_oracle(nodes, m, alpha, oracle_access, oracle_service)
+            assert_matches(rate, want_rate, ("rate", service, alpha))
+            assert_matches(prob, want_prob, ("recovery", service, alpha))
+            wants.append(want_prob)
+        assert max(wants) >= FLOAT_TINY > min(wants)

@@ -26,9 +26,13 @@ whose anchors lie up to 300,000 data nodes from the empty column the
 anchor walk starts at. The explicit alphas: expected_metrics at N = 40, m = 2
 for alpha = 1..20 in one call, under fixed r = 5 and 10, so that the
 support of most columns ends below their alpha, under all four service
-models and without one. The access pmfs: access_pmf of the simulate
-benchmark's two systems and of N = 10^4, m = 3, alpha = 1,000 under both
-access models, each built from the default floor. The simulator runs: the repr of estimate_service_rate
+models and without one. The tiny anchors: the TINY_ANCHORS systems, each
+under scaled, shifted (3, 1) and no service, as one call over all its
+alphas and as one call per alpha; their anchors at alpha run from normal
+floats through the subnormals to 0.0, so the band meets masses far below
+the float range and empty columns. The access pmfs: access_pmf of the
+simulate benchmark's two systems and of N = 10^4, m = 3, alpha = 1,000
+under both access models, each built from the default floor. The simulator runs: the repr of estimate_service_rate
 and of its recovery_estimate for the simulate benchmark's two systems
 under all four service models, at 200,000 trials with 1 and with 2
 workers, and for one system (N = 10, p = 0.9) whose thin strata are
@@ -48,6 +52,16 @@ import sys
 import dss_alloc as d
 from dss_alloc import acceptance as A
 from dss_alloc import analysis, conditions, numerics, simulator
+
+
+# (access, nodes, m, alphas) whose anchors P(max(alpha, mode)) run from normal
+# floats through the subnormals to 0.0, at alpha far above the mode
+TINY_ANCHORS = [
+    (d.Probabilistic(0.9), 4000, 3, range(1100, 1260)),
+    (d.FixedSize(400), 4000, 3, range(300, 400)),
+    (d.Probabilistic(0.95), 20000, 2, range(1500, 3000, 7)),
+    (d.FixedSize(1200), 10000, 4, range(800, 1200, 3)),
+]
 
 
 def _hex(values) -> str:
@@ -152,6 +166,17 @@ def main() -> int:
             rates, recovery = d.expected_metrics(access, service, 40, 2, list(range(1, 21)))
             print(f"explicit 40 2 {access} {service}",
                   _hex([] if rates is None else rates), "|", _hex(recovery))
+    for access, nodes, m, alphas in TINY_ANCHORS:
+        for service in (d.ScaledExp(1.0), d.ShiftedExp(3.0, 1.0), None):
+            label = f"tiny-anchor {nodes} {m} {access} {service}"
+            rates, recovery = d.expected_metrics(access, service, nodes, m, alphas)
+            for i, alpha in enumerate(alphas):
+                print(f"{label} call {alpha}",
+                      _hex([] if rates is None else rates[i:i + 1]), "|", _hex(recovery[i:i + 1]))
+            for alpha in alphas:
+                rates, recovery = d.expected_metrics(access, service, nodes, m, [alpha])
+                print(f"{label} one-alpha {alpha}",
+                      _hex([] if rates is None else rates), "|", _hex(recovery))
     services = (d.SmallExp(1.0), d.ScaledExp(1.0), d.ShiftedExp(2.0, 1.0), d.ConstantTime(2.0))
     cases = [(config, access, service, d.SimConfig(200_000, seed=7, workers=workers))
              for config, access in ((d.SystemConfig(20, 2, 3), d.FixedSize(8)),
