@@ -93,8 +93,8 @@ def feasible_alphas(nodes: int, m: int, access: AccessModel | None = None) -> ra
 # k = 40, and 110 vs 172 at D = 80 trials but 220 vs 80 at D = 160.
 _SELECTION_STEPS = 16
 _BYTE_LANES = 64
-# trials per byte-Bernoulli pass: bounds its two buffers at 256 KiB each
-# (8,192 trials raised the simulate benchmark's peak RSS by about 1 MB)
+# trials per byte-Bernoulli pass: bounds its raw bytes and its tie flags at
+# 256 KiB each (8,192 trials raised the simulate benchmark's peak RSS by about 1 MB)
 _PASS_TRIALS = 4096
 # eight 0/1 bytes of a word, times this, leave their sum in the top byte
 _BYTE_SUM = 0x0101010101010101
@@ -106,26 +106,23 @@ def _byte_bernoulli_counts(trials: int, q: float, n: int, rng: np.random.Generat
     In each pass of up to _PASS_TRIALS trials, lane l of trial j is byte
     l % 8 of raw word (l // 8, j). The padding lanes of the last word are
     masked rather than compared, since any byte value can tie floor(256 q).
+    One scan lists the pass's tied bytes in memory order, and the pass
+    draws one uniform per tie in that order.
     """
     cut = 256.0 * q
     below = int(cut)
     words = -(-trials // 8)
     tail = trials - 8 * (words - 1)
-    # a tie-flag buffer shared by the passes: a fresh one this large would
-    # fault in new pages on every pass
-    tie_buf = np.empty(8 * words * min(n, _PASS_TRIALS), bool)
     phi = np.empty(n, np.uint8)
     for start in range(0, n, _PASS_TRIALS):
         shape = (words, min(_PASS_TRIALS, n - start), 8)
         lanes = rng.bit_generator.random_raw(words * shape[1]).view(np.uint8).reshape(shape)
-        ties = np.equal(lanes, below, out=tie_buf[:lanes.size].reshape(shape))
+        ties = lanes == below
         hits = np.less(lanes, below, out=lanes.view(bool))  # in place: the bytes are spent
         hits[-1, :, tail:] = False
         ties[-1, :, tail:] = False
-        # one byte in 256 ties: find the few words holding one, then their lanes
-        tie_words = np.flatnonzero(ties.view(np.uint64) != 0)
-        word, lane = np.nonzero(ties.reshape(-1, 8)[tie_words])
-        hits.reshape(-1)[tie_words[word] * 8 + lane] = rng.random(word.size) < cut - below
+        tied = np.flatnonzero(ties)
+        hits.reshape(-1)[tied] = rng.random(tied.size) < cut - below
         # each byte of the word sum counts at most 8 hits, so no byte carries
         sums = hits.view(np.uint64).reshape(shape[:2]).sum(axis=0, dtype=np.uint64)
         phi[start:start + shape[1]] = (sums * _BYTE_SUM) >> 56
@@ -213,9 +210,10 @@ class Probabilistic:
         Each of the D Bernoulli(q) trials, q = 1 - p, is one random byte:
         a success below Q = floor(256 q), a failure above, and a tie (byte
         == Q) settled by one uniform double against 256 q - Q, which is
-        exact in float64; eight trials share a raw 64-bit word and are
-        counted in one multiply (_byte_bernoulli_counts). When D >
-        _BYTE_LANES or q is 0 or 1 it falls back to rng.binomial.
+        exact in float64. Eight trials share a raw 64-bit word and are
+        counted in one multiply; one scan per pass finds the ties, about
+        one byte in 256 (_byte_bernoulli_counts). When D > _BYTE_LANES or
+        q is 0 or 1 it falls back to rng.binomial.
         """
         q = 1.0 - self.p
         if data > _BYTE_LANES or q in (0.0, 1.0):

@@ -272,6 +272,8 @@ def test_bad_flags_exit_with_a_config_error(capsys):
 
 
 SMALL = "--nodes 10 --m 2 --access fixed --r 5"
+# byte-Bernoulli phi draws; 256 q = 179.2, so ties are settled by uniforms
+PROB_SMALL = "--nodes 10 --m 2 --access probabilistic --p 0.3"
 GOLDEN_TABLES = [
     (
         f"prob {SMALL} --alpha 2",
@@ -328,11 +330,33 @@ GOLDEN_TABLES = [
         "3  490  0.439701960597  0\n"
         "4  51  0.275865163166  49\n",
     ),
+    (
+        f"simulate {PROB_SMALL} --alpha 2 --service scaled --mu 1 --trials 2000 --seed 1 "
+        "--workers 1",
+        "trials                   2000\n"
+        "seed                     1\n"
+        "service_rate_estimate    2.15464505239\n"
+        "service_rate_std_error   0.0379981627184\n"
+        "service_rate_analytic    2.16384\n"
+        "service_rate_within_3se  yes\n"
+        "recovery_estimate        0.9225\n"
+        "recovery_std_error       0.00597886904021\n"
+        "recovery_analytic        0.9163\n"
+        "recovery_within_3se      yes\n"
+        "\n"
+        "phi  count  mean_time  topup\n"
+        "0  17    0\n"
+        "1  138    0\n"
+        "2  542  0.722322943845  0\n"
+        "3  818  0.423036289909  0\n"
+        "4  485  0.293809335597  0\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_TABLES,
-                         ids=[argv.split()[0] for argv, _ in GOLDEN_TABLES])
+                         ids=[argv.split()[0] + ("" if SMALL in argv else "-probabilistic")
+                              for argv, _ in GOLDEN_TABLES])
 def test_table_output_is_byte_identical_to_the_reference_layout(capsys, argv, expected):
     assert run_cli(capsys, argv.split()) == (0, expected, "")
 

@@ -13,6 +13,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dss_alloc import numerics
 from dss_alloc.analysis import (
@@ -359,8 +361,8 @@ def walk_oracle(nodes, m, alpha, access, service):
             def mass(k):
                 return mpmath.binomial(data, k) * q ** k * (1 - q) ** (data - k)
 
-            def ratio(phi):
-                return (data - phi) * q / ((phi + 1) * (1 - q))
+            def ratio(phi):  # infinite under q = 1, whose one point is phi = data
+                return (data - phi) * q / ((phi + 1) * (1 - q)) if q < 1 else mpmath.inf
 
         if service[0] == "scaled":
             def rate(gap):
@@ -522,3 +524,43 @@ def test_rows_whose_anchor_straddles_the_smallest_normal_match_the_oracle(access
             assert_matches(prob, want_prob, ("recovery", service, alpha))
             wants.append(want_prob)
         assert max(wants) >= FLOAT_TINY > min(wants)
+
+
+# --- a property gate: drawn systems, alpha lists and chunk shapes ------------------
+# Every row against the walk oracle, and every one-alpha call against its row
+# bit for bit, at N up to 10^5, under q = 0 and 1, dyadic, tiny and drawn p,
+# and chunks of one cell, seven cells and the default.
+
+@st.composite
+def oracle_systems(draw):
+    nodes = draw(st.integers(1, 10**5))
+    m = draw(st.integers(1, min(nodes, 8)))
+    if draw(st.booleans()):
+        access = FixedSize(draw(st.integers(1, nodes)))
+        oracle_access = ("fixed", access.r)
+    else:
+        access = Probabilistic(draw(st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75, 2.0**-40])
+                                    | st.floats(0.0, 1.0)))
+        # the oracle reads the kernel's float64 q = 1 - p, so a drawn p's
+        # rounding is not charged to the kernel
+        with mpmath.workdps(DIGITS):
+            oracle_access = ("prob", 1 - mpmath.mpf(1.0 - access.p))
+    alphas = draw(st.lists(st.integers(1, nodes // m), min_size=1, max_size=4))  # repeats
+    service, oracle_service = draw(st.sampled_from(CERT_SERVICES))
+    cells = draw(st.sampled_from([1, 7, numerics._CHUNK_CELLS]))
+    return nodes, m, access, oracle_access, service, oracle_service, alphas, cells
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(oracle_systems())
+def test_drawn_systems_match_the_oracle_and_their_one_alpha_calls(system):
+    nodes, m, access, oracle_access, service, oracle_service, alphas, cells = system
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_CHUNK_CELLS", cells)
+        rates, recovery = expected_metrics(access, service, nodes, m, alphas)
+        for alpha, rate, prob in zip(alphas, rates, recovery):
+            want_rate, want_prob = walk_oracle(nodes, m, alpha, oracle_access, oracle_service)
+            assert_matches(rate, want_rate, ("rate", alpha))
+            assert_matches(prob, want_prob, ("recovery", alpha))
+            one_rate, one_prob = expected_metrics(access, service, nodes, m, [alpha])
+            assert (one_rate[0], one_prob[0]) == (rate, prob), alpha

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -213,6 +215,66 @@ def test_phi_draws_do_not_depend_on_the_worker_count(access):
         config, access, ConstantTime(1.0), SimConfig(trials=150_000, seed=11, workers=workers)
     ).per_phi_counts for workers in (1, 2)]
     assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
+# phi streams: each sampler's exact draws from a block stream, and the
+# generator's next random() after them, pinned by digest. A change to any
+# draw, or to how much of the stream a sampler spends, changes a digest.
+
+STREAM_QS = [0.7, 0.3, 0.5, 1 - 2**-9, 2**-9, 0.123456789, 255.75 / 256, 254.9 / 256]
+STREAM_SIZES = (1, 4_095, 5_000)  # one trial, one pass less one, two passes
+
+
+def _stream_digest(access, nodes: int, data: int) -> str:
+    """The first 12 hex digits of the SHA-256 of the draws of each size in
+    STREAM_SIZES, as little-endian int64, each followed by the next random()."""
+    digest = hashlib.sha256()
+    for index, n in enumerate(STREAM_SIZES):
+        rng = simulator._block_rng(2021, index)
+        digest.update(access.draw(nodes, data, n, rng).astype("<i8").tobytes())
+        digest.update(struct.pack("<d", rng.random()))
+    return digest.hexdigest()[:12]
+
+
+# D: the digest of Probabilistic(1 - q) for each q in STREAM_QS, in order.
+# q = 1 - 2^-9 and 255.75 / 256 tie at byte 255, q = 2^-9 at byte 0; D = 1, 5,
+# 61 leave padding lanes in the last word
+BYTE_STREAMS = {
+    1: ["437627e16202", "d33912c9e4e8", "d627f68e53ef", "9e2e9d262bb3",
+        "b1e5a806e028", "bb7b24def487", "49f283f3f293", "425aff7c9ba5"],
+    5: ["5c6ef422bffc", "92a812fbe3dd", "44001589ab99", "2fec9fbb1854",
+        "cdce0a51c3df", "af6acb91f971", "294f53344dd1", "f9a1bbfd9c45"],
+    8: ["9f3eb59a5f45", "03f8f6278b63", "c173af84af09", "c8dbf430e32f",
+        "1dbcddb029ec", "c14692079315", "9bae0e065418", "23f35028e3f4"],
+    40: ["c0609c8a4730", "9b74721823df", "a3c73b87f1f2", "4b46d1508499",
+         "8ed96b7950c3", "f1602f0fc8c0", "e85291207b42", "512f7898551a"],
+    61: ["086579075eb7", "36f67b8d94fd", "eefdd4dd45ba", "df066a4a5d98",
+         "fd17621e6934", "97e4d83718f6", "e3c5d7ee3ff5", "3c30c66094e6"],
+    64: ["52ce7ba8d0c7", "3771a3fe556d", "86a1a40b8fcb", "ad60245e0721",
+         "9763d3a9fb89", "39913550345b", "2575ed071b91", "e0fa74689e25"],
+}
+
+
+@pytest.mark.parametrize("data", sorted(BYTE_STREAMS))
+def test_byte_bernoulli_streams_are_pinned(data):
+    got = [_stream_digest(Probabilistic(1 - q), 0, data) for q in STREAM_QS]
+    assert got == BYTE_STREAMS[data]
+
+
+@pytest.mark.parametrize("access, nodes, data, digest", [
+    (Probabilistic(1 - 0.7), 0, 65, "376ab56283b1"),  # rng.binomial
+    (Probabilistic(1 - 0.3), 0, 65, "7253b88407c7"),
+    (Probabilistic(1.0), 0, 5, "566fb70a0fcc"),  # q = 0: rng.binomial
+    (Probabilistic(1.0), 0, 40, "566fb70a0fcc"),
+    (Probabilistic(0.0), 0, 5, "5d86684bfd86"),  # q = 1: rng.binomial
+    (Probabilistic(0.0), 0, 40, "00f94e92147c"),
+    (FixedSize(20), 40, 6, "b3fbb529d2fc"),  # k = 6 steps of selection sampling
+    (FixedSize(26), 40, 34, "097e0c88782f"),  # k = 6, both sets complemented
+    (FixedSize(20), 40, 17, "52f1da0048f2"),  # k = 17: rng.hypergeometric
+])
+def test_fallback_and_fixed_size_streams_are_pinned(access, nodes, data, digest):
+    assert _stream_digest(access, nodes, data) == digest
 
 
 # ---------------------------------------------------------------------------
