@@ -27,7 +27,12 @@ weights, the recovery sums and the harmonic gaps) depends only on (access,
 nodes, m, alphas); the service half weights the conditional rates and sums
 them. The access half is kept in a memo (_MEMO, see memo for its policy)
 keyed by (access, nodes, m, alpha bytes), with the bound _CELL_BYTES per
-cell; a table over the entry cap streams chunk by chunk instead.
+cell; a table over the entry cap streams chunk by chunk instead. An entry
+is the recovery column, clipped to 1.0 and held as a tuple of Python floats,
+plus the chunks, so every table over one system, under any service model,
+hands out the same recovery floats; alpha_table and optimal_alpha put
+them in their rows as they are, and expected_metrics copies them into a
+fresh array.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ __all__ = [
 
 # The memo's upfront bound per cell of a table: one weight and one gap.
 _CELL_BYTES = 16
+# A stored recovery probability: one float object (24 bytes) and its tuple slot.
+_FLOAT_BYTES = 32
 _MEMO = ByteLRU()
 
 
@@ -100,8 +107,17 @@ def expected_metrics(
     must pass feasible_alphas, even for an empty list, and every alpha must
     be an allocation, SystemConfig(nodes, m, alpha); alphas beyond r under
     fixed-size access are allowed and have zero metrics. The cost is
-    O(nodes) per alpha; a small table's access half comes from _MEMO.
+    O(nodes) per alpha; a small table's access half comes from _MEMO, whose
+    entry holds the recovery probabilities as floats: both arrays returned
+    are the caller's own, fresh and writable.
     """
+    rates, recovery = _metrics(access, service, nodes, m, alphas)
+    return rates, np.array(recovery)
+
+
+def _metrics(access, service, nodes, m, alphas) -> tuple[np.ndarray | None, tuple[float, ...]]:
+    """Return expected_metrics' rates and its recovery probabilities as a tuple
+    of floats, the memo entry's own on a stored table."""
     try:  # any of the kernel's arrays, from the alphas on, may not fit
         return _expected_metrics(access, service, nodes, m, alphas)
     except MemoryError:
@@ -121,25 +137,26 @@ def _expected_metrics(access, service, nodes, m, alphas):
     rates = None if service is None else np.zeros(len(alphas))
     if not bounds:
         feasible_alphas(nodes, m, access)  # what the checks below and rows make otherwise
-        return rates, np.zeros(0)
+        return rates, ()
     lo, hi = bounds
     SystemConfig(nodes, m, lo)  # validates nodes, m and every alpha
     SystemConfig(nodes, m, hi)
 
-    def build():  # the entry: its bytes (key included), the recovery sums, every chunk
-        recovery = np.zeros(len(alphas))
-        chunks = tuple(_access_half(access, nodes, m, alphas, recovery, True))
-        arrays = [recovery] + [array for chunk in chunks for array in chunk[2:]]
+    def build():  # the entry: its bytes (key included), the recovery floats, every chunk
+        sums = np.zeros(len(alphas))
+        chunks = tuple(_access_half(access, nodes, m, alphas, sums, True))
+        arrays = [array for chunk in chunks for array in chunk[2:]]
         for array in arrays:
             array.flags.writeable = False
-        return alphas.nbytes + sum(array.nbytes for array in arrays), recovery, chunks
+        return (alphas.nbytes + _FLOAT_BYTES * len(alphas) + sum(array.nbytes for array in arrays),
+                _floats(sums), chunks)
 
     # each column is at most as tall as its data count m*alpha plus one
     stored = _MEMO.fetch((access, nodes, m, alphas.tobytes()),
                          (m * hi + 1) * len(alphas) * _CELL_BYTES, build)
     if stored is None:  # streamed chunk by chunk, as access.rows yields them
-        recovery = np.zeros(len(alphas))
-        chunks = _access_half(access, nodes, m, alphas, recovery, service is not None)
+        sums = np.zeros(len(alphas))
+        chunks = _access_half(access, nodes, m, alphas, sums, service is not None)
     else:
         recovery, chunks = stored
     for start, stop, weights, gap in chunks:
@@ -153,7 +170,12 @@ def _expected_metrics(access, service, nodes, m, alphas):
     if rates is not None and not np.isfinite(rates).all():
         params = " ".join(f"{name}={value}" for name, value in vars(service).items())
         raise ConfigurationError(f"service rates overflow float64 at {service.kind} {params}")
-    return rates, np.minimum(recovery, 1.0)
+    return rates, _floats(sums) if stored is None else recovery
+
+
+def _floats(sums: np.ndarray) -> tuple[float, ...]:
+    """The recovery probabilities: the column sums clipped to 1.0, as floats."""
+    return tuple(np.minimum(sums, 1.0).tolist())
 
 
 def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
@@ -270,14 +292,14 @@ def optimal_alpha(
     if objective not in ("service_rate", "recovery_probability"):
         raise ConfigurationError(f"unknown objective {objective!r}")
     alphas = feasible_alphas(nodes, m, access)
-    rates, recovery = expected_metrics(access, service, nodes, m, alphas)
+    rates, recovery = _metrics(access, service, nodes, m, alphas)
     values = rates if objective == "service_rate" else recovery
     best = int(np.argmax(values))  # the first maximum: ties break low
     return OptimalResult(alphas[best], float(values[best]), _rows(alphas, rates, recovery))
 
 
 def _rows(alphas, rates, recovery) -> tuple[SweepRow, ...]:
-    return tuple(map(SweepRow, alphas, rates.tolist(), recovery.tolist()))
+    return tuple(map(SweepRow, alphas, rates.tolist(), recovery))
 
 
 def alpha_table(
@@ -295,5 +317,4 @@ def alpha_table(
     without an allocation (m*alpha > nodes) raises InfeasibleError.
     """
     alphas = feasible_alphas(nodes, m, access) if alphas is None else list(alphas)
-    rates, recovery = expected_metrics(access, service, nodes, m, alphas)
-    return _rows(alphas, rates, recovery)
+    return _rows(alphas, *_metrics(access, service, nodes, m, alphas))

@@ -249,8 +249,8 @@ def _unit_exp_order_stat(alpha: int, phi: int, n: int, rng: np.random.Generator)
     which keeps the upper tail that log1p(-B) would cancel.
     """
     g_a = rng.standard_gamma(alpha, n)
-    g_b = rng.standard_gamma(phi - alpha + 1, n)
-    return np.log1p(g_a / g_b)
+    g_a /= rng.standard_gamma(phi - alpha + 1, n)
+    return np.log1p(g_a, out=g_a)
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,9 @@ class SmallExp:
         return 0.0, self.mu * phi
 
     def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _unit_exp_order_stat(alpha, phi, n, rng) / self.mu
+        times = _unit_exp_order_stat(alpha, phi, n, rng)
+        times /= self.mu
+        return times
 
 
 @dataclass(frozen=True)
@@ -296,7 +298,9 @@ class ScaledExp:
         return self.mu * (phi - alpha + 1), self.mu * phi
 
     def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _unit_exp_order_stat(alpha, phi, n, rng) / (alpha * self.mu)
+        times = _unit_exp_order_stat(alpha, phi, n, rng)
+        times /= alpha * self.mu
+        return times
 
 
 @dataclass(frozen=True)
@@ -326,7 +330,10 @@ class ShiftedExp:
         return lower, self.mu * phi / (dm + alpha)
 
     def order_stat(self, alpha: int, phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.delta / alpha + _unit_exp_order_stat(alpha, phi, n, rng) / self.mu
+        times = _unit_exp_order_stat(alpha, phi, n, rng)
+        times /= self.mu
+        times += self.delta / alpha  # IEEE addition commutes: the bits of delta/alpha + times
+        return times
 
 
 @dataclass(frozen=True)

@@ -162,9 +162,9 @@ def _order_stats(service: ServiceModel, alpha: int, phi: int, k: int, n: int,
     total = total2 = 0.0
     with np.errstate(over="ignore"):
         for size in _block_sizes(n):
-            times = np.ldexp(service.order_stat(alpha, phi, size, rng), k)
-            total += float(times.sum())
-            total2 += float(np.square(times).sum())
+            times = service.order_stat(alpha, phi, size, rng)  # a fresh array, ours to scale
+            total += float(np.ldexp(times, k, out=times).sum())
+            total2 += float(np.square(times, out=times).sum())
     return total, total2
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dss_alloc import analysis, numerics
+from dss_alloc import acceptance, analysis, numerics
 from dss_alloc.analysis import (
     access_pmf,
     alpha_table,
@@ -36,6 +36,7 @@ from dss_alloc.models import (
     conditional_rate,
 )
 from dss_alloc.numerics import harmonic
+from dss_alloc.presets import PRESETS, preset_rows
 from test_numerics import GRID
 
 
@@ -381,6 +382,47 @@ def test_a_second_pass_over_the_grid_builds_no_access_table(monkeypatch):
     assert analysis._MEMO.nbytes <= analysis._MEMO.budget
 
 
+@pytest.mark.parametrize("access", MEMO_ACCESSES, ids=lambda access: access.kind)
+def test_tables_over_one_system_share_their_recovery_floats(cold_memo, monkeypatch, access):
+    # the recovery column depends on the access model alone: every table over one
+    # system hands out the memo entry's floats, under any service model
+    tables = [alpha_table(access, service, 40, 3) for service in MEMO_SERVICES]
+    tables.append(optimal_alpha(access, SmallExp(2.0), 40, 3).table)
+    assert len(cold_memo._entries) == 1
+    for rows in zip(*tables):
+        assert all(row.recovery_probability is rows[0].recovery_probability for row in rows)
+    monkeypatch.setattr(cold_memo, "cap", 0)  # every table streams
+    streamed = alpha_table(access, ScaledExp(0.5), 40, 3)
+    assert [row.recovery_probability.hex() for row in streamed] == \
+        [row.recovery_probability.hex() for row in tables[0]]
+
+
+def test_a_grid_pass_under_every_service_and_the_presets_build_each_table_once(monkeypatch):
+    # criterion 5 tabulates each grid system under nine service models and the presets
+    # add their own systems; together they end near the memo's budget, yet evict nothing
+    monkeypatch.setattr(analysis, "_MEMO", ByteLRU())
+    keys = []
+    build = analysis._access_half
+
+    def counted(access, nodes, m, alphas, *rest):
+        keys.append((access, nodes, m, alphas.tobytes()))
+        return build(access, nodes, m, alphas, *rest)
+
+    monkeypatch.setattr(analysis, "_access_half", counted)
+    services = [ScaledExp(mu) for mu in acceptance.MU_GRID]
+    services += [ShiftedExp(delta, mu) for delta in (1.0, 3.0) for mu in acceptance.MU_GRID]
+    assert len(services) == 9
+    for _, systems in itertools.groupby(GRID, key=lambda system: system[1:]):
+        systems = list(systems)  # criterion 5's order: every service over one (nodes, m)
+        for service in services:
+            for access, nodes, m in systems:
+                alpha_table(access, service, nodes, m)
+    for name in PRESETS:
+        preset_rows(name)
+    assert len(keys) == len(set(keys)) == len(analysis._MEMO._entries) > len(GRID)
+    assert analysis._MEMO.nbytes <= analysis._MEMO.budget
+
+
 def test_large_searches_stream_past_the_memo(cold_memo):
     alpha_table(FixedSize(10), ScaledExp(1.0), 40, 2)
     before = (list(cold_memo._entries), cold_memo.nbytes)
@@ -457,7 +499,10 @@ def test_memo_entries_cannot_be_changed_through_results(cold_memo):
     recovery[:] = -1.0
     assert hex_rows(*expected_metrics(access, service, 20, 2, range(1, 11))) == want
     (_, stored, chunks), = cold_memo._entries.values()
-    for array in (stored, *chunks[0][2:]):
+    assert isinstance(stored, tuple)  # the recovery floats
+    with pytest.raises(TypeError):
+        stored[0] = 0.0
+    for array in (array for chunk in chunks for array in chunk[2:]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
