@@ -208,10 +208,18 @@ def _access_half(access: AccessModel, nodes: int, m: int, alphas: np.ndarray,
 
 
 def access_pmf(config: SystemConfig, access: AccessModel) -> list[tuple[int, float]]:
-    """Return (phi, P(phi)) pairs over the access model's full phi support."""
-    (lo, hi, probs), = access.rows(config.nodes, [config.data_nodes])
-    lo, hi = int(lo[0]), int(hi[0])
-    return [(phi, float(probs[phi - lo, 0])) for phi in range(lo, hi + 1)]
+    """Return (phi, P(phi)) pairs over the access model's full phi support.
+
+    The column and the pairs are as long as the support; where they do not
+    fit in memory that is a ConfigurationError, as in the kernel.
+    """
+    try:
+        (lo, hi, probs), = access.rows(config.nodes, [config.data_nodes])
+        lo, hi = int(lo[0]), int(hi[0])
+        return [(phi, float(probs[phi - lo, 0])) for phi in range(lo, hi + 1)]
+    except MemoryError:
+        raise ConfigurationError(f"the access pmf of nodes={config.nodes}, m={config.m}, "
+                                 f"alpha={config.alpha} does not fit in memory") from None
 
 
 def service_rate(config: SystemConfig, access: AccessModel, service: ServiceModel) -> float:

@@ -11,15 +11,16 @@ product stays in (0, 1]. The anchor masses of one call come from one walk
 over its columns in data order (_walk_anchors): it starts at the empty
 column, whose mass is exactly 1, carries a mantissa of _WIDTH bits from one
 point to the next by the exact rational ratio of the two masses, at most
-_STEP data nodes and rows at a time, and rounds it to float once per column.
-The builders own the chunking: they yield the matrix in chunks of
-consecutive columns, packed greedily by each column's real height into at
-most _CHUNK_CELLS cells (64 KiB of float64) unless a chunk is one column,
-which bounds the expectation kernel's memory at any N. One call allocates
-one scratch buffer, five matrices of its largest chunk, and every chunk
-computes phi, the ratios and both walks in views of it: besides a few
-boolean masks, a chunk allocates only the P it yields. The scratch belongs
-to the call's generator, so calls share no state.
+_STEP data nodes and rows at a time, and rounds it to float once per column;
+it makes a far column's path one point at a time, so it holds one point. The
+builders own the chunking: they yield the matrix in chunks of consecutive
+columns, packed greedily by each column's real height into at most
+_CHUNK_CELLS cells (64 KiB of float64) unless a chunk is one column, which
+bounds the expectation kernel's memory at any N. One call allocates one
+scratch buffer, five matrices of its largest chunk, and every chunk computes
+phi, the ratios and both walks in views of it: besides a few boolean masks,
+a chunk allocates only the P it yields. The scratch belongs to the call's
+generator, so calls share no state.
 
 Every chunk has one layout, (start, hi, P): row i of column c holds the pmf
 at phi = start[c] + i, hi[c] is the column's last row, and the chunk is as
@@ -255,25 +256,25 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
     bits after its first step. It starts at the empty column (D, k) = (0, 0),
     whose mass is exactly 1, and visits the columns in ascending data order,
     writing each anchor back to its own column. From (D, k) to the next
-    point (D1, k1), with g = D1 - D, h = k1 - k and d = g - h, the mass
+    point (D1, k1), with s = D1 - D, t = k1 - k and d = s - t, the mass
     changes by an exact ratio read off
 
         hypergeometric   D! (N-D)! / (k! (D-k)! (r-k)! (N-r-D+k)!)
         binomial         D! / (k! (D-k)!)  times a^k b^(D-k) / 2^(eD):
 
     each factorial steps from its old argument to its new one by a falling
-    factorial (n)_j = n! / (n-j)! (math.perm) on the side where it grows,
-    and a power by |h| or |d|, so the peaks may rise or fall between
-    columns (a banded column's peak is phi0, its neighbour's may be its
-    mode). One floor division applies the ratio and truncates x. A step
-    moves by at most _STEP data nodes and _STEP peak rows: a column further
-    away is reached through points spaced evenly along the line to it,
-    both coordinates rounded down. Those points lie in the support: its
-    constraints k >= 0, k <= r, k <= D and k - D >= r - N bound k or k - D
-    by integers, a half-plane of slope 0 or 1, and rounding both coordinates
-    of a point on the line down keeps every such bound. x * 2^ex is rounded
-    to float once per column, subnormal masses included. A mass of exactly 0
-    (q = 0 or 1) is 0.0, and the walk goes on from the point before it.
+    factorial (n)_j = n! / (n-j)! (math.perm) on the side where it grows, and
+    a power by |t| or |d|, so the peaks may rise or fall between columns (a
+    banded column's peak is phi0, its neighbour's may be its mode). One floor
+    division applies the ratio and truncates x. A step moves by at most _STEP
+    data nodes and _STEP peak rows: a column further away is reached through
+    points spaced evenly along the line to it, both coordinates rounded down,
+    made one at a time, so the walk holds one point at any distance. They lie
+    in the support: its constraints k >= 0, k <= r, k <= D and k - D >= r - N
+    bound k or k - D by integers, a half-plane of slope 0 or 1, and rounding
+    both coordinates of a point on the line down keeps every such bound. Each
+    x * 2^ex is rounded to float once per column, subnormals included; a mass
+    of 0 (q = 0 or 1) is 0.0, and the walk goes on from the point before it.
     """
     if q is not None:
         a, scale = q.as_integer_ratio()
@@ -282,26 +283,25 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
     x = 1  # the empty column's mass
     anchors = [0.0] * len(data)
     for c in sorted(range(len(data)), key=data.__getitem__):
-        D1, k1 = data[c], peak[c]
-        g, h = D1 - D, k1 - k
-        base = D, k, x, ex
-        path = ((D1, k1),)
+        D0, k0, x0, ex0 = D, k, x, ex  # the last point, stepped from again after a zero mass
+        g, h = data[c] - D0, peak[c] - k0
+        path = ((data[c], peak[c]),)
         if g > _STEP or abs(h) > _STEP:  # points spaced evenly along the line, rounded down
             steps = -(-max(g, abs(h)) // _STEP)
-            path = [(D + g * i // steps, k + h * i // steps) for i in range(1, steps + 1)]
-        for D1, k1 in path:
-            g, h = D1 - D, k1 - k
-            d = g - h
-            if q is None:  # k! and (r-k)! step by h, (D-k)! and (N-r-D+k)! by d
-                num = perm(D1, g) * (perm(r - k, h) if h >= 0 else perm(k, -h)) * \
+            path = ((D0 + g * i // steps, k0 + h * i // steps) for i in range(1, steps + 1))
+        for D1, k1 in path:  # a step of s data nodes and t rows
+            s, t = D1 - D, k1 - k
+            d = s - t
+            if q is None:  # k! and (r-k)! step by t, (D-k)! and (N-r-D+k)! by d
+                num = perm(D1, s) * (perm(r - k, t) if t >= 0 else perm(k, -t)) * \
                     (perm(N - r - D + k, d) if d >= 0 else perm(D - k, -d))
-                den = perm(N - D, g) * (perm(k1, h) if h >= 0 else perm(r - k1, -h)) * \
+                den = perm(N - D, s) * (perm(k1, t) if t >= 0 else perm(r - k1, -t)) * \
                     (perm(D1 - k1, d) if d >= 0 else perm(N - r - D1 + k1, -d))
-            else:  # k! and a^k step by h, (D-k)! and b^(D-k) by d
-                num = perm(D1, g) * (a**h if h >= 0 else perm(k, -h)) * \
+            else:  # k! and a^k step by t, (D-k)! and b^(D-k) by d
+                num = perm(D1, s) * (a**t if t >= 0 else perm(k, -t)) * \
                     (b**d if d >= 0 else perm(D - k, -d))
-                den = (perm(k1, h) if h >= 0 else a**-h) * (perm(D1 - k1, d) if d >= 0 else b**-d)
-                ex -= e * g
+                den = (perm(k1, t) if t >= 0 else a**-t) * (perm(D1 - k1, d) if d >= 0 else b**-d)
+                ex -= e * s
             D, k = D1, k1
             y = x * num
             shift = _WIDTH + den.bit_length() - y.bit_length()
@@ -315,7 +315,7 @@ def _walk_anchors(data: list, peak: list, N: int, r: int, q: float | None) -> li
         top = x.bit_length() + ex  # x * 2^ex < 2^top
         anchors[c] = math.ldexp(x, ex) if top > -1021 else x / (1 << -ex) if top > -1076 else 0.0
         if x == 0:  # no ratio leaves a zero mass: step from the last nonzero point
-            D, k, x, ex = base
+            D, k, x, ex = D0, k0, x0, ex0
     return anchors
 
 
@@ -366,22 +366,22 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=0)[-1]
 
 
-def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
+def _band(data, start, peak, hi, anchors, N: int, r: int, q: float | None):
     """Return each column's band (start, end): the rows that carry its sums.
 
-    peak holds each column's phi0 = max(alpha, mode), at most hi, and
-    anchors the exact P(phi0) rounded once (_walk_anchors). The kernel sums
-    a column's rows phi >= alpha, as weights P(phi) and as P(phi) mu(phi),
-    where the conditional rate mu is nondecreasing in phi and
-    mu(phi) / mu(phi0) <= phi / (phi0 - alpha + 1) <= D past phi0 for every
-    service model. Both sums hold the row at phi0. The band cuts each side
-    where the rest of that side's mass is below one threshold
-    T = 2^-_ABSORB_BITS P(phi0) / D. The rows it drops above phi0 weigh less
-    than T and add less than T D mu(phi0) to the rate; those below, which
-    exist only when phi0 is the mode, weigh less than T and add less than
-    T mu(phi0). So each sum loses under 2^-_ABSORB_BITS of itself. Every
-    anchor is above 0.0: _chunked settles a column whose P(phi0) rounds to
-    0.0 before the band, so T > 0 and log2 P(phi0) is finite.
+    start holds each column's first row max(lo, alpha), peak its phi0 =
+    max(alpha, mode), at most hi, and anchors the exact P(phi0) rounded once
+    (_walk_anchors). The kernel sums a column's rows phi >= alpha, as weights
+    P(phi) and as P(phi) mu(phi), where the conditional rate mu is
+    nondecreasing in phi and mu(phi) / mu(phi0) <= phi / (phi0 - alpha + 1)
+    <= D past phi0 for every service model. Both sums hold the row at phi0.
+    The band cuts each side where the rest of that side's mass is below one
+    threshold T = 2^-_ABSORB_BITS P(phi0) / D. The rows it drops above phi0
+    weigh less than T and add less than T D mu(phi0) to the rate; those
+    below, which exist only when phi0 is the mode, weigh less than T and add
+    less than T mu(phi0). So each sum loses under 2^-_ABSORB_BITS of itself.
+    Every anchor is above 0.0: _chunked settles a column whose P(phi0)
+    rounds to 0.0 before the band, so T > 0 and log2 P(phi0) is finite.
 
     A cut row comes from a tail bound. Bernstein's bound
     P(X - mean >= t) <= exp(-t^2 / (2 (var + t/3))) gives one in closed
@@ -393,11 +393,11 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
     (1963, Theorem 4) carries every bound on the moment generating function
     over from sampling with replacement to sampling without.
 
-    _chunked bands only a column more than _SHORT rows tall from
-    max(lo, alpha), so alpha is at most hi. The band starts at phi0 or at
-    its lower cut, never below lo or alpha, and ends at or past phi0, so it
-    holds no row below alpha. Its upper cut cannot fall below alpha: the
-    tail from phi0 >= alpha up holds P(phi0) > T.
+    _chunked bands only a column more than _SHORT rows tall from its start,
+    so alpha is at most hi. The band runs from phi0 or its lower cut, never
+    below start, to phi0 or past it, so it holds no row below alpha: its
+    upper cut cannot fall below alpha, as the tail from phi0 up holds
+    P(phi0) > T.
     """
     D = data.astype(np.float64)
     if q is None:  # the binomial view of the smaller variance
@@ -426,7 +426,7 @@ def _band(data, peak, lo, hi, alpha, anchors, N: int, r: int, q: float | None):
         return np.minimum(np.maximum(x, low), high).astype(np.int64)
 
     bits = _ABSORB_BITS + np.log2(D) - np.log2(anchors)
-    start = rows(np.ceil(reach(bits, -1.0)) - 1, np.maximum(lo, alpha), peak)
+    start = rows(np.ceil(reach(bits, -1.0)) - 1, start, peak)
     return start, rows(np.ceil(reach(bits, 1.0)) + 1, peak, hi)
 
 
@@ -453,14 +453,13 @@ def _chunked(data, lo, hi, mode, floor, ratio, N: int, r: int, q: float | None) 
     start = np.maximum(lo, np.minimum(floor, hi))
     peak = np.minimum(np.maximum(floor, mode), hi)
     anchors = np.array(_walk_anchors(data.tolist(), peak.tolist(), N, r, q))
-    hi = hi.copy()  # binomial_rows passes its data as hi
     empty = (hi < floor) | (anchors == 0.0)  # nothing at or above the floor: row lo alone
     start[empty] = hi[empty] = peak[empty] = lo[empty]
     anchors[empty] = 0.0
     banded = (hi - start > _SHORT) & (floor > 0)
     if banded.any():
-        start[banded], hi[banded] = _band(data[banded], peak[banded], lo[banded], hi[banded],
-                                          floor[banded], anchors[banded], N, r, q)
+        start[banded], hi[banded] = _band(data[banded], start[banded], peak[banded], hi[banded],
+                                          anchors[banded], N, r, q)
     spans = (hi - start).tolist()  # a column's height less one
     offsets = (peak - start).tolist()
     chunks, first, tallest = [], 0, 0
@@ -525,4 +524,4 @@ def binomial_rows(data, q: float, floor=0) -> Iterator[tuple]:
         np.add(phi, 1.0, out=den)
         den *= 1.0 - q
 
-    return _chunked(data, np.zeros_like(data), data, mode, floor, ratio, 0, 0, q)
+    return _chunked(data, np.zeros_like(data), data.copy(), mode, floor, ratio, 0, 0, q)

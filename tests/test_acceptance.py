@@ -56,6 +56,17 @@ def test_criterion_9_outputs_are_byte_stable():
     _check(9)
 
 
+def test_run_all_turns_a_criterion_that_raises_into_a_failed_result(monkeypatch):
+    def broken():
+        raise ValueError("no figure")
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", (broken,) + acceptance._CRITERIA[1:])
+    (result,) = acceptance.run_all([1])
+    assert (result.number, result.name, result.passed, result.detail) == (
+        1, "broken", False, "raised ValueError('no figure')")
+    assert result.elapsed_s >= 0.0
+
+
 @pytest.mark.parametrize("only", [[], [True], [3.0]], ids=str)
 def test_run_all_rejects_an_empty_or_non_integer_selection(only):
     # an empty selection would pass having run nothing, and True is not criterion 1

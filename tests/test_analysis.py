@@ -245,6 +245,14 @@ def test_alpha_table_explicit_alphas_beyond_r_give_zero_rows():
     assert rows[1].recovery_probability == 0.0
 
 
+def test_an_empty_alpha_list_gives_empty_results():
+    assert alpha_table(FixedSize(3), SmallExp(1.0), 40, 2, alphas=[]) == ()
+    rates, recovery = expected_metrics(FixedSize(3), SmallExp(1.0), 40, 2, [])
+    assert (rates.tolist(), recovery.tolist()) == ([], [])
+    rates, recovery = expected_metrics(Probabilistic(0.3), None, 40, 2, [])
+    assert (rates, recovery.tolist()) == (None, [])
+
+
 def test_alpha_table_rejects_overfull_alphas():
     # alpha = 6 has no allocation in 10 nodes with m = 2, as in SystemConfig(10, 2, 6)
     with pytest.raises(InfeasibleError, match="alpha=6 needs m\\*alpha=12 data nodes"):

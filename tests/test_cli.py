@@ -111,6 +111,8 @@ def test_unknown_or_contradictory_fields_are_rejected(data):
         {"service": {"kind": "small-exp", "mu": True}},
         {"output": {"path": 1}},
         {"system": {"blocks": 4}},
+        {"objective": "x"},
+        {"only": 5},
     ],
 )
 def test_mistyped_config_values_exit_with_one_config_error_line(tmp_path, capsys, config):
@@ -119,6 +121,13 @@ def test_mistyped_config_values_exit_with_one_config_error_line(tmp_path, capsys
     code, out, err = run_cli(capsys, ["rate", "--config", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+def test_an_integer_past_the_float_range_is_out_of_range(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**RATE_CONFIG, "service": {"kind": "small-exp", "mu": 10**400}}))
+    assert run_cli(capsys, ["rate", "--config", str(path)]) == (
+        2, "", f"error: config: service.mu is out of range, got {10**400}\n")
 
 
 # Valid specs of every command but validate; the property test below replaces
@@ -685,6 +694,16 @@ def test_alpha_and_m_sweeps_without_any_allocation_fail_like_r_and_p(capsys, arg
     assert done == (code, "", err)
 
 
+def test_an_alpha_sweep_from_zero_fails_at_its_first_point(capsys):
+    # the point below 1 ends the sweep before any later one is read: no skip warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        done = run_cli(capsys, ["sweep", "--nodes", "10", "--m", "2", "--access", "fixed",
+                                "--r", "5", "--service", "scaled", "--mu", "1",
+                                "--parameter", "alpha", "--start", "0", "--stop", "1e300"])
+    assert done == (2, "", "error: config: alpha must be positive, got alpha=0\n")
+
+
 @pytest.mark.parametrize("start", ["1", "6"])
 def test_alpha_sweeps_check_r_wherever_they_start(capsys, start):
     # from alpha = 6 no point has an allocation, so no kernel call would check r
@@ -863,6 +882,9 @@ def test_probabilistic_conditions_need_the_node_count_or_a_cutoff(capsys):
         2, "", "error: config: probabilistic conditions need the node count or alpha_max\n")
     assert run_cli(capsys, args + ["--alpha-max", "5"])[0] == 0
     assert run_cli(capsys, args + ["--nodes", "40"])[0] == 0
+    args[args.index("--m") + 1] = "0"  # without nodes, the cutoff path checks m itself
+    assert run_cli(capsys, args + ["--alpha-max", "5"]) == (
+        2, "", "error: config: need m >= 1, got m=0\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -924,6 +946,26 @@ def test_a_search_whose_kernel_arrays_exceed_memory_is_a_config_error():
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (
         "error: config: the alphas of nodes=10000000, m=1 do not fit in memory\n")
+
+
+def test_a_simulation_whose_access_pmf_exceeds_memory_is_a_config_error():
+    # the floor-0 pmf of six million data nodes needs five 48 MB matrices; the child may
+    # map 256 MB, about 100 MB of it taken by the interpreter and NumPy's one BLAS thread
+    src = os.path.dirname(os.path.dirname(dss_alloc.__file__))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from dss_alloc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--nodes", str(12 * 10**6), "--m", "1",
+         "--alpha", str(6 * 10**6), "--access", "probabilistic", "--p", "0.5",
+         "--service", "scaled", "--mu", "1", "--trials", "10"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: config: the access pmf of nodes=12000000, m=1, "
+                           "alpha=6000000 does not fit in memory\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1022,9 +1064,20 @@ def test_validate_json_has_one_record_per_criterion(capsys):
 
 
 def test_validate_rejects_unknown_criterion_numbers(capsys):
-    code, _, err = run_cli(capsys, ["validate", "--only", "12"])
-    assert code == 2
-    assert err.startswith("error: config:")
+    for only in ("12", "a,b"):
+        code, _, err = run_cli(capsys, ["validate", "--only", only])
+        assert code == 2
+        assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+def test_validate_exits_4_when_a_criterion_fails(monkeypatch, capsys):
+    from dss_alloc import acceptance
+
+    failed = acceptance.CriterionResult(3, "a title", False, "a detail", 0.0)
+    monkeypatch.setattr(acceptance, "run_all", lambda only=None: [failed])
+    assert run_cli(capsys, ["validate", "--only", "3"]) == (
+        4, "criterion 3: FAIL - a title: a detail\n",
+        "error: validation: one or more acceptance criteria failed\n")
 
 
 def test_validate_rejects_a_boolean_criterion_number(tmp_path, capsys):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dss_alloc import acceptance, analysis, numerics
-from dss_alloc.analysis import access_pmf, expected_metrics
+from dss_alloc.analysis import access_pmf, expected_metrics, recovery_probability
 from dss_alloc.errors import ConfigurationError, InfeasibleError
 from dss_alloc.memo import ByteLRU
 from dss_alloc.models import (
@@ -132,6 +133,8 @@ def test_harmonic_matches_log_growth():
 def test_harmonic_rejects_negative():
     with pytest.raises(ConfigurationError):
         harmonic(-1)
+    with pytest.raises(ConfigurationError, match="alpha=5, phi=3"):  # a gap past phi
+        harmonic_gap(3, 5)
 
 
 @pytest.mark.parametrize("phi,alpha", [(1, 1), (4, 1), (4, 4), (9, 3), (40, 10)])
@@ -419,6 +422,19 @@ def test_subnormal_anchors_are_the_exact_mass_rounded_once(data, peak, N, r, q):
     assert 0.0 in anchors
     for D, k, anchor, mass in zip(data, peak, anchors, exact):
         assert anchor == float(mass), (D, k)
+
+
+def test_a_far_column_is_walked_in_constant_memory():
+    # one column 10^5 data nodes from the empty column: the walk makes its 3,125 points
+    # one at a time, where a list of them held about 0.36 MiB
+    recovery_probability(SystemConfig(40, 1, 20), Probabilistic(0.5))  # warm: first imports
+    tracemalloc.start()
+    try:
+        assert recovery_probability(SystemConfig(200_000, 1, 100_000), Probabilistic(0.5)) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 # --- chunks: the builders split one call's matrix -------------------------
