@@ -1,10 +1,10 @@
 """Paired benchmark rounds of two checkouts, and the BENCH file they leave.
 
-    python tools/bench.py pair A B [--pairs 10] [--seed 1] [--workloads a,b] [--out DIR]
+    python tools/bench.py pair A B [--pairs 10] [--seed 1]
 
 A and B are checkout roots, each with src/dss_alloc and perfbench/ (for
 example the parent and the change, made by `git archive` into two sibling
-directories). For each workload, every pair runs one round of
+directories). For each perfbench workload, every pair runs one round of
 A/perfbench/worker.py and one of B/perfbench/worker.py, each in a fresh
 interpreter, and alternates which side goes first; before each round, the
 side's `import dss_alloc` is timed as perfbench/run.py's set-up probe times
@@ -18,13 +18,13 @@ time would then depend on what an earlier run compiled, and checkouts whose
 absolute paths differ in length, which moves a round's peak RSS by itself.
 Both sides must give equal outputs, round by round, and fail no operation.
 
-It writes BENCH_pair_<commit>.json into --out (default: the current
-directory), <commit> being B's git commit or, outside git, B's directory
-name. The file names the machine (CPU count and model, Python, NumPy) and
-holds, per workload and end-to-end metric, every sample of both sides,
-each side's median and quartiles (statistics.quantiles, n=4), the change of
-B's median against A's as a share of A's, the metric's bound from
-BENCHMARK.json, and the pairs each side won. It reads perfbench/ and
+It writes BENCH_pair_<commit>.json into the current directory, <commit>
+being B's git commit or, outside git, B's directory name. The file names
+the machine (CPU count and model, Python, NumPy) and holds, per workload
+and end-to-end metric, every sample of both sides, each side's median and
+quartiles (statistics.quantiles, n=4), the change of B's median against
+A's as a share of A's, the metric's bound from BENCHMARK.json, and the
+pairs each side won. It reads perfbench/ and
 BENCHMARK.json and changes nothing in either checkout. Exit status: 0 when
 every pair ran with equal outputs and no failed operation, 1 otherwise, 2
 when a checkout is refused.
@@ -43,6 +43,7 @@ import time
 from importlib import metadata
 from pathlib import Path
 
+WORKLOADS = ("search-scale", "paper-figures", "simulate")
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 TIMEOUT_S = 300
 
@@ -113,14 +114,14 @@ def _summary(samples: list[float]) -> dict:
     return {"median": statistics.median(samples), "q1": q1, "q3": q3}
 
 
-def pair(a: Path, b: Path, workloads: list[str], pairs: int, seed: int) -> tuple[dict, bool]:
+def pair(a: Path, b: Path, pairs: int, seed: int) -> tuple[dict, bool]:
     """Run the pairs of every workload; return the BENCH record and whether all were sound."""
     bounds = {m["name"]: m["bound"] for m in json.loads(
         (a / "BENCHMARK.json").read_text())["end_to_end"]}
     record = {"machine": _machine(), "a": str(a), "b": str(b), "seed": seed, "pairs": pairs,
               "workloads": {}}
     sound = True
-    for workload in workloads:
+    for workload in WORKLOADS:
         samples = {"a": {name: [] for name in METRICS}, "b": {name: [] for name in METRICS}}
         problems = []
         for i in range(pairs):
@@ -159,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("b", help="the second checkout, for example the change")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workloads", default="search-scale,paper-figures,simulate")
-    p.add_argument("--out", default=".")
     args = parser.parse_args(argv)
     try:
         a, b = _checkout(args.a), _checkout(args.b)
@@ -170,11 +169,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        record, sound = pair(a, b, args.workloads.split(","), args.pairs, args.seed)
+        record, sound = pair(a, b, args.pairs, args.seed)
     except (RuntimeError, subprocess.SubprocessError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    path = Path(args.out) / f"BENCH_pair_{_git_commit(b)}.json"
+    path = Path(f"BENCH_pair_{_git_commit(b)}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
     for workload, entry in record["workloads"].items():
         for name, m in entry["metrics"].items():
