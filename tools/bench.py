@@ -118,7 +118,7 @@ def pair(a: Path, b: Path, pairs: int, seed: int) -> tuple[dict, bool]:
     """Run the pairs of every workload; return the BENCH record and whether all were sound."""
     bounds = {m["name"]: m["bound"] for m in json.loads(
         (a / "BENCHMARK.json").read_text())["end_to_end"]}
-    record = {"machine": _machine(), "a": str(a), "b": str(b), "seed": seed, "pairs": pairs,
+    record = {"machine": _machine(), "a": a.name, "b": b.name, "seed": seed, "pairs": pairs,
               "workloads": {}}
     sound = True
     for workload in WORKLOADS:
